@@ -101,9 +101,6 @@ class MPoly:
             k for k in range(self.n) if any(exp[k] for exp in self.terms)
         )
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.n, 0)
-
     def coefficient(self, exp: Exponent) -> Scalar:
         return self.terms.get(tuple(exp), 0)
 
@@ -132,7 +129,16 @@ class MPoly:
 
     def __sub__(self, other):
         if isinstance(other, MPoly):
-            return self + (-other)
+            self._check_compatible(other)
+            out = dict(self.terms)
+            for exp, c in other.terms.items():
+                acc = out.get(exp)
+                s = -c if acc is None else acc - c
+                if s:
+                    out[exp] = s
+                elif acc is not None:
+                    del out[exp]
+            return MPoly._raw(self.n, out)
         if _is_scalar(other):
             return self + MPoly.const(self.n, -other)
         return NotImplemented

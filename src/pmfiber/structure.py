@@ -22,7 +22,6 @@ from .symdet import (
     AdjugateTable,
     SquareMatrix,
     adjugate_table,
-    det_fraction_free,
     det_poly,
 )
 
@@ -33,9 +32,6 @@ MAX_N_STRUCTURE = 12
 class SupportDigraph:
     n: int
     adjacency: Tuple[Tuple[int, ...], ...]
-
-    def edges(self) -> List[Tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in self.adjacency[i]]
 
 
 @dataclass(frozen=True)
@@ -58,38 +54,51 @@ def support_digraph(A: SquareMatrix) -> SupportDigraph:
 def _strongly_connected_components(
     n: int, adjacency: Sequence[Sequence[int]]
 ) -> List[List[int]]:
-    """Tarjan's algorithm; n <= 16 so recursion depth is harmless."""
-    index: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
+    """Tarjan's algorithm with an explicit call stack, so the depth of the
+    search is not bounded by the interpreter's recursion limit.
+
+    Components come out in Tarjan's order (each one after every component
+    it reaches), each sorted.
+    """
+    index = [-1] * n
+    lowlink = [0] * n
     on_stack = [False] * n
     stack: List[int] = []
-    counter = [0]
+    counter = 0
     components: List[List[int]] = []
-
-    def visit(v: int) -> None:
-        index[v] = lowlink[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack[v] = True
-        for w in adjacency[v]:
-            if w not in index:
-                visit(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif on_stack[w]:
-                lowlink[v] = min(lowlink[v], index[w])
-        if lowlink[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack[w] = False
-                comp.append(w)
-                if w == v:
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        calls = [(root, 0)]  # (vertex, position of the next edge to follow)
+        while calls:
+            v, pos = calls.pop()
+            if pos == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            else:
+                lowlink[v] = min(lowlink[v], lowlink[adjacency[v][pos - 1]])
+            successors = adjacency[v]
+            while pos < len(successors):
+                w = successors[pos]
+                pos += 1
+                if index[w] < 0:
+                    calls.append((v, pos))
+                    calls.append((w, 0))
                     break
-            components.append(sorted(comp))
-
-    for v in range(n):
-        if v not in index:
-            visit(v)
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index[w])
+            else:
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(comp))
     return components
 
 
@@ -139,18 +148,14 @@ def is_irreducible(A: SquareMatrix) -> bool:
 
 def block_det_poly(A: SquareMatrix, block: Sequence[int]) -> MPoly:
     """det(diag(x_k : k in block) + A[block, block]) embedded in all n variables."""
-    n = A.n
     idx = list(block)
     terms: Dict[Tuple[int, ...], Scalar] = {}
-    k = len(idx)
-    for mask in range(1 << k):
-        inside = {idx[t] for t in range(k) if mask >> t & 1}
-        outside = [v for v in idx if v not in inside]
-        minor = det_fraction_free(A.submatrix(outside, outside))
-        if minor:
-            exp = tuple(1 if v in inside else 0 for v in range(n))
-            terms[exp] = minor
-    return MPoly(n, terms)
+    for exp, coeff in det_poly(A.block(idx)).fpoly.terms.items():
+        full = [0] * A.n
+        for v, e in zip(idx, exp):
+            full[v] = e
+        terms[tuple(full)] = coeff
+    return MPoly(A.n, terms)
 
 
 @dataclass(frozen=True)

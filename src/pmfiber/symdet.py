@@ -8,17 +8,22 @@ The central objects: for an n x n matrix A over Q or Q(i),
   polynomial whose coefficient on prod_{k in S} x_k is the minor of the
   complement of S;
 * the adjugate table G with G * (diag(x) + A) = f * I, every entry an exact
-  polynomial, computed entry-by-entry as signed almost-principal minors.
+  polynomial whose coefficients are signed almost-principal minors
+  det(A[T+i, T+j]).
 
-All determinants use fraction-free (Bareiss) elimination, which stays in
-integers on integer input and is exact over every supported field.
+All of these come from one minor engine: a depth-first walk over subsets
+that carries the bordered minors det(A[T+i, T+j]) and updates them by
+Sylvester's identity with exact (Bareiss) division, the exact form of the
+Schur-complement recursion of Griffin and Tsatsomeros.  Single determinants
+use fraction-free (Bareiss) elimination.  Both stay in integers on integer
+input and are exact over every supported field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SizeLimitError, VerificationError
 from .mpoly import MPoly, affine_resultant, coefficient_of, rayleigh_difference
@@ -229,14 +234,81 @@ def _check_size(n: int, max_n: int, what: str) -> None:
         raise SizeLimitError(f"{what} limited to n <= {max_n}, got n = {n}")
 
 
+def _minor_walk(
+    A: SquareMatrix, full: bool
+) -> Iterator[Tuple[int, Scalar, List[int], List[List[Scalar]]]]:
+    """Depth-first walk over every subset T of 0..n-1, each reached once.
+
+    Yields ``(mask, det A[T], R, M)`` per subset: ``mask`` has bit k set for
+    k in T, and ``M[a][b] = det A[T+R[a], T+R[b]]``, the bordered minor with
+    T's rows and columns first in increasing order, row R[a] and column R[b]
+    last.  With ``full`` R holds every index outside T; otherwise only the
+    indices above max(T), which is all that the principal minors of T's
+    descendants need.  The caller must not modify ``M``.
+
+    A child T+k (k > max(T)) gets its bordered minors from T's by Sylvester's
+    identity, an exact (fraction-free) division by det A[T]:
+
+        M_{T+k}(i,j) = (M_T(k,k) M_T(i,j) - M_T(i,k) M_T(k,j)) / det A[T]
+
+    and det A[T+k] = M_T(k,k).  When det A[T] = 0 the children come from the
+    nearest ancestor P with det A[P] != 0 (the empty set, determinant 1,
+    always qualifies) by the generalized identity: with K = (T+k) - P,
+    M_{T+k}(i,j) is the determinant of M_P on rows K+i and columns K+j,
+    divided by det A[P]^|K|.  Only the matrices of the nodes on the stack and
+    of their pivots are alive at any time.
+    """
+    # Every division is exact, so on integer input floor division is exact.
+    all_int = all(type(x) is int for row in A.entries for x in row)
+    div = int.__floordiv__ if all_int else div_exact
+    stack = [(0, -1, 1, list(range(A.n)), [list(r) for r in A.entries], None)]
+    while stack:
+        mask, last, d, R, M, pivot = stack.pop()
+        yield mask, d, R, M
+        # pivot: (det A[P], P's R, P's M, positions in P's R of T - P)
+        dP, RP, MP, K = (d, R, M, []) if d else pivot
+        for a, k in enumerate(R):
+            if k <= last:
+                continue
+            keep = [b for b in range(len(R)) if b != a] if full else range(a + 1, len(R))
+            Kk = K + [RP.index(k)]
+            if d:
+                Ma, pkk = M[a], M[a][a]
+                child = [
+                    [div(pkk * Mb[c] - Mb[a] * Ma[c], d) for c in keep]
+                    for Mb in [M[b] for b in keep]
+                ]
+            else:
+                scale = dP ** len(Kk)
+                at = [RP.index(R[b]) for b in keep]
+                child = [
+                    [div(det_fraction_free(_submatrix(MP, Kk + [b], Kk + [c])), scale) for c in at]
+                    for b in at
+                ]
+            child_R = [R[b] for b in keep]
+            stack.append((mask | 1 << k, k, M[a][a], child_R, child, (dP, RP, MP, Kk)))
+
+
+def _submatrix(M: List[List[Scalar]], rows: List[int], cols: List[int]) -> List[List[Scalar]]:
+    return [[M[x][y] for y in cols] for x in rows]
+
+
+def _exponents(n: int) -> List[Tuple[int, ...]]:
+    """The squarefree exponent tuple of every subset mask of 0..n-1, by mask."""
+    exps: List[Tuple[int, ...]] = [()]
+    for _ in range(n):
+        exps = [e + (0,) for e in exps] + [e + (1,) for e in exps]
+    return exps
+
+
 def principal_minors(A: SquareMatrix, max_n: int = MAX_N_MINORS) -> PMVector:
-    """Every principal minor, one fraction-free elimination per subset."""
+    """Every principal minor, read off one walk of the minor engine."""
     n = A.n
     _check_size(n, max_n, "principal_minors")
-    values: Dict[FrozenSet[int], Scalar] = {}
-    for mask in range(1 << n):
-        idx = [k for k in range(n) if mask >> k & 1]
-        values[frozenset(idx)] = det_fraction_free(A.submatrix(idx, idx))
+    values = {
+        frozenset(k for k in range(n) if mask >> k & 1): d
+        for mask, d, _, _ in _minor_walk(A, full=False)
+    }
     return PMVector(n, values)
 
 
@@ -245,58 +317,38 @@ def det_poly(A: SquareMatrix, max_n: int = MAX_N_MINORS) -> DeterminantalPencil:
     of the complement of S."""
     n = A.n
     _check_size(n, max_n, "det_poly")
-    pm = principal_minors(A, max_n=max_n)
-    terms: Dict[Tuple[int, ...], Scalar] = {}
-    for subset, minor in pm.values.items():
-        comp = frozenset(range(n)) - subset
-        if minor:
-            exp = tuple(1 if k in comp else 0 for k in range(n))
-            terms[exp] = minor
+    exps = _exponents(n)
+    full = (1 << n) - 1
+    terms = {exps[full ^ mask]: d for mask, d, _, _ in _minor_walk(A, full=False) if d}
     return DeterminantalPencil(A, MPoly(n, terms))
 
 
 def adjugate_table(A: SquareMatrix, max_n: int = MAX_N_ADJUGATE) -> AdjugateTable:
-    """Adjugate of M = diag(x) + A by direct minor expansion.
+    """Adjugate of M = diag(x) + A, read off one full walk of the minor engine.
 
-    Entry (i,j) is the cofactor det(M with row j and column i deleted) times
-    (-1)^(i+j).  Extracting the coefficient of prod_{k in S} x_k leaves the
-    minor of A on rows not in {j} u S and columns not in {i} u S, with an
-    extra sign for the elements of S lying strictly between i and j.
+    The coefficient of prod_{k in S} x_k in entry (i,j) is entry (i,j) of
+    adj(A[U,U]) for U the complement of S.  With T = U - {i,j} that is
+    det A[T] when i == j, and -det A[T+i, T+j] when i != j, for the bordered
+    minor with T's rows and columns first: the cofactor sign of (i,j) in U
+    and the signs of moving row i and column j from last place to their
+    places in U multiply to -1.
     """
     n = A.n
     _check_size(n, max_n, "adjugate_table")
-    grid: List[List[MPoly]] = []
-    for i in range(n):
-        row: List[MPoly] = []
-        for j in range(n):
-            others = [k for k in range(n) if k != i and k != j]
-            lo, hi = (i, j) if i < j else (j, i)
-            base_sign = -1 if (i + j) % 2 else 1
-            terms: Dict[Tuple[int, ...], Scalar] = {}
-            for mask in range(1 << len(others)):
-                S = [others[t] for t in range(len(others)) if mask >> t & 1]
-                in_s = set(S)
-                rows = [r for r in range(n) if r != j and r not in in_s]
-                cols = [c for c in range(n) if c != i and c not in in_s]
-                minor = det_fraction_free(A.submatrix(rows, cols))
-                if not minor:
-                    continue
-                between = sum(1 for k in S if lo < k < hi)
-                sign = -base_sign if between % 2 else base_sign
-                exp = tuple(1 if k in in_s else 0 for k in range(n))
-                terms[exp] = sign * minor
-            row.append(MPoly(n, terms))
-        grid.append(row)
-    return AdjugateTable(n, tuple(tuple(r) for r in grid))
-
-
-def pencil_entry(A: SquareMatrix, k: int, j: int) -> MPoly:
-    """Entry (k,j) of diag(x)+A as a polynomial."""
-    n = A.n
-    p = MPoly.const(n, A.entries[k][j])
-    if k == j:
-        p = p + MPoly.var(n, k)
-    return p
+    exps = _exponents(n)
+    full = (1 << n) - 1
+    terms: List[List[Dict[Tuple[int, ...], Scalar]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for mask, d, R, M in _minor_walk(A, full=True):
+        rest = full ^ mask
+        for a, i in enumerate(R):
+            row, Ma, without_i = terms[i], M[a], rest ^ 1 << i
+            for b, j in enumerate(R):
+                if b == a:
+                    if d:
+                        row[i][exps[without_i]] = d
+                elif Ma[b]:
+                    row[j][exps[without_i ^ 1 << j]] = -Ma[b]
+    return AdjugateTable(n, tuple(tuple(MPoly(n, t) for t in row) for row in terms))
 
 
 def adjugate_pencil_product_ok(G: AdjugateTable, pencil: DeterminantalPencil) -> bool:

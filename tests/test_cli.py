@@ -320,3 +320,16 @@ def test_selftest_failure_maps_to_4(capsys, monkeypatch):
     code, doc, _ = run_cli(capsys, "selftest", "--trials", "2")
     assert code == 4
     assert doc["result"]["all_ok"] is False
+
+
+def test_witness_on_a_long_cycle_reports_the_cut_cap(capsys, tmp_path):
+    # Irreducible, so witness goes on to find_cuts, whose size cap applies;
+    # the search for strong components must not hit the recursion limit.
+    n = 1100
+    rows = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    f = write_matrix(tmp_path / "cycle.json", rows)
+    code = main(["witness", f])
+    out = capsys.readouterr().out
+    assert code == 3
+    doc = json.loads(out)
+    assert "error" in doc

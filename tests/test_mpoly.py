@@ -256,3 +256,26 @@ def test_rayleigh_difference_matches_its_definition():
         )
         di, dj = f.derivative(i), f.derivative(j)
         assert rayleigh_difference(f, i, j) == di * dj - f * di.derivative(j)
+
+
+def test_subtraction_matches_adding_the_negation():
+    x, y = MPoly.var(2, 0), MPoly.var(2, 1)
+    i = gaussian(0, 1)
+    p = 3 * x * y + (1 + i) * x - Fraction(1, 2)
+    q = (2 - i) * y + (1 + i) * x + 7
+    for a, b in ((p, q), (q, p), (p, MPoly.zero(2)), (MPoly.zero(2), p), (x, y)):
+        assert (a - b).terms == (a + (-b)).terms
+    # exact cancellation leaves no zero coefficients behind
+    assert (p - p).terms == {}
+    assert ((p + q) - q).terms == p.terms
+    assert (i * x - i * x).is_zero()
+    # Q(i) differences that turn rational come back as rationals
+    diff = ((1 + i) * x) - (i * x)
+    assert diff.terms == {(1, 0): 1} and type(diff.terms[(1, 0)]) is int
+    # scalar operands on either side
+    assert (p - 2).terms == (p + MPoly.const(2, -2)).terms
+    assert (p - i).terms == (p + (-MPoly.const(2, i))).terms
+    assert (2 - p).terms == (MPoly.const(2, 2) + (-p)).terms
+    assert (p - Fraction(-1, 2)).terms == {(1, 1): 3, (1, 0): 1 + i}
+    with pytest.raises(ValueError):
+        x - MPoly.var(3, 0)

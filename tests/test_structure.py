@@ -15,6 +15,7 @@ from pmfiber import (
     matrix,
     structure_check,
 )
+from pmfiber.structure import _strongly_connected_components
 from pmfiber.symdet import identity_matrix
 
 from conftest import a6_factors, poly_of
@@ -25,6 +26,15 @@ def test_irreducible_cycle():
     n = 5
     rows = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
     assert is_irreducible(matrix(rows))
+
+
+def test_scc_on_a_long_cycle_needs_no_recursion():
+    n = 5000
+    cycle = [((i + 1) % n,) for i in range(n)]
+    assert _strongly_connected_components(n, cycle) == [list(range(n))]
+    # a path: every vertex its own component, deepest first
+    path = [(i + 1,) for i in range(n - 1)] + [()]
+    assert _strongly_connected_components(n, path) == [[v] for v in reversed(range(n))]
 
 
 def test_reducible_triangular():
