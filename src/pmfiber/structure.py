@@ -22,6 +22,7 @@ from .symdet import (
     AdjugateTable,
     SquareMatrix,
     adjugate_table,
+    det_fraction_free,
     det_poly,
 )
 
@@ -148,14 +149,18 @@ def is_irreducible(A: SquareMatrix) -> bool:
 
 def block_det_poly(A: SquareMatrix, block: Sequence[int]) -> MPoly:
     """det(diag(x_k : k in block) + A[block, block]) embedded in all n variables."""
+    n = A.n
     idx = list(block)
     terms: Dict[Tuple[int, ...], Scalar] = {}
-    for exp, coeff in det_poly(A.block(idx)).fpoly.terms.items():
-        full = [0] * A.n
-        for v, e in zip(idx, exp):
-            full[v] = e
-        terms[tuple(full)] = coeff
-    return MPoly(A.n, terms)
+    k = len(idx)
+    for mask in range(1 << k):
+        inside = {idx[t] for t in range(k) if mask >> t & 1}
+        outside = [v for v in idx if v not in inside]
+        minor = det_fraction_free(A.submatrix(outside, outside))
+        if minor:
+            exp = tuple(1 if v in inside else 0 for v in range(n))
+            terms[exp] = minor
+    return MPoly(n, terms)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ The central objects: for an n x n matrix A over Q or Q(i),
   polynomial whose coefficients are signed almost-principal minors
   det(A[T+i, T+j]).
 
-All of these come from one minor engine: a depth-first walk over subsets
-that carries the bordered minors det(A[T+i, T+j]) and updates them by
-Sylvester's identity with exact (Bareiss) division, the exact form of the
-Schur-complement recursion of Griffin and Tsatsomeros.  Single determinants
-use fraction-free (Bareiss) elimination.  Both stay in integers on integer
-input and are exact over every supported field.
+The pencil and the adjugate table come from one minor engine: a
+depth-first walk over subsets that carries the bordered minors
+det(A[T+i, T+j]) and updates them by Sylvester's identity with exact
+(Bareiss) division, the exact form of the Schur-complement recursion of
+Griffin and Tsatsomeros.  Single determinants, and the principal minor
+vector (one per subset), use fraction-free (Bareiss) elimination.  Both stay
+in integers on integer input and are exact over every supported field.
 """
 
 from __future__ import annotations
@@ -302,13 +303,16 @@ def _exponents(n: int) -> List[Tuple[int, ...]]:
 
 
 def principal_minors(A: SquareMatrix, max_n: int = MAX_N_MINORS) -> PMVector:
-    """Every principal minor, read off one walk of the minor engine."""
+    """Every principal minor, one fraction-free elimination per subset.
+
+    ``det_poly`` reads the same minors off one walk of the minor engine.
+    """
     n = A.n
     _check_size(n, max_n, "principal_minors")
-    values = {
-        frozenset(k for k in range(n) if mask >> k & 1): d
-        for mask, d, _, _ in _minor_walk(A, full=False)
-    }
+    values: Dict[FrozenSet[int], Scalar] = {}
+    for mask in range(1 << n):
+        idx = [k for k in range(n) if mask >> k & 1]
+        values[frozenset(idx)] = det_fraction_free(A.submatrix(idx, idx))
     return PMVector(n, values)
 
 

@@ -1,7 +1,8 @@
 """Differential tests of the minor engine against the naive oracles.
 
-``principal_minors``, ``det_poly``, ``adjugate_table`` and
-``block_det_poly`` all read from one Sylvester walk over subsets.  Draws are
+``det_poly`` and ``adjugate_table`` read from one Sylvester walk over
+subsets; ``principal_minors`` and ``block_det_poly`` (one Bareiss
+elimination per subset) face the same oracles on the same draws.  Draws are
 unfiltered: small integer entries make many principal minors vanish, which
 sends the walk down its zero-pivot path, and Fraction and Q(i) entries leave
 the integer fast path.  Fixed cases pin down the degenerate patterns.
