@@ -12,7 +12,7 @@ being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import PreconditionError, VerificationError
 from .scalars import (
@@ -65,6 +65,28 @@ class DiagonalCertificate:
         )
 
 
+def _propagate(n: int, ratio: Callable[[int, int], Optional[Scalar]]) -> List[Scalar]:
+    """x with x[start] = 1 for the first index of each connected component
+    and x[j] = x[i] * ratio(i, j) along the edges of a search from it;
+    ratio(i, j) is None where i and j are not joined."""
+    x: List[Optional[Scalar]] = [None] * n
+    for start in range(n):
+        if x[start] is not None:
+            continue
+        x[start] = 1
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if j == i or x[j] is not None:
+                    continue
+                r = ratio(i, j)
+                if r is not None:
+                    x[j] = x[i] * r
+                    queue.append(j)
+    return x
+
+
 def _solve_scaling(A: SquareMatrix, B: SquareMatrix) -> Optional[Tuple[Scalar, ...]]:
     """Find d with B_ij = d_i A_ij / d_j, by ratio propagation per component."""
     n = A.n
@@ -72,25 +94,16 @@ def _solve_scaling(A: SquareMatrix, B: SquareMatrix) -> Optional[Tuple[Scalar, .
         for j in range(n):
             if bool(A.entries[i][j]) != bool(B.entries[i][j]):
                 return None
-    d: List[Optional[Scalar]] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = 1
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if j == i or d[j] is not None:
-                    continue
-                if A.entries[i][j]:
-                    # d_j = d_i * A_ij / B_ij
-                    d[j] = d[i] * div_exact(A.entries[i][j], B.entries[i][j])
-                    queue.append(j)
-                elif A.entries[j][i]:
-                    d[j] = d[i] * div_exact(B.entries[j][i], A.entries[j][i])
-                    queue.append(j)
-    assert all(x is not None for x in d)
+
+    def ratio(i: int, j: int) -> Optional[Scalar]:
+        # d_j = d_i * A_ij / B_ij, or through the edge j -> i
+        if A.entries[i][j]:
+            return div_exact(A.entries[i][j], B.entries[i][j])
+        if A.entries[j][i]:
+            return div_exact(B.entries[j][i], A.entries[j][i])
+        return None
+
+    d = _propagate(n, ratio)
     for i in range(n):
         for j in range(n):
             if d[i] * A.entries[i][j] != B.entries[i][j] * d[j]:
@@ -144,24 +157,14 @@ def _solve_cycle_condition(
         for j in range(n):
             if bool(A.entries[i][j]) != bool(A.entries[j][i]):
                 return None
-    e: List[Optional[Scalar]] = [None] * n
-    for start in range(n):
-        if e[start] is not None:
-            continue
-        e[start] = 1
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if j == i or e[j] is not None or not A.entries[i][j]:
-                    continue
-                # e_j = e_i * a_ij / tau(a_ji)
-                val = e[i] * div_exact(A.entries[i][j], tau(A.entries[j][i]))
-                if hermitian and not is_rational(val):
-                    return None
-                e[j] = val
-                queue.append(j)
-    assert all(x is not None for x in e)
+
+    def ratio(i: int, j: int) -> Optional[Scalar]:
+        # e_j = e_i * a_ij / tau(a_ji)
+        return div_exact(A.entries[i][j], tau(A.entries[j][i])) if A.entries[i][j] else None
+
+    e = _propagate(n, ratio)
+    if hermitian and not all(is_rational(x) for x in e):
+        return None
     for i in range(n):
         for j in range(n):
             if i != j and e[i] * A.entries[i][j] != e[j] * tau(A.entries[j][i]):

@@ -26,21 +26,18 @@ from .mpoly import MPoly, exact_divide
 from .scalars import div_exact
 from .structure import (
     FiberShape,
-    block_det_poly,
     fiber_shape,
     frobenius_form,
     is_irreducible,
+    structure_check,
 )
 from .symdet import (
     AdjugateTable,
-    DeterminantalPencil,
     SquareMatrix,
-    adjugate_pencil_product_ok,
+    _read_matrix,
     adjugate_table,
     det_poly,
     matrix,
-    matrix_from_adjugate,
-    principal_minors,
     rank_exact,
 )
 
@@ -286,10 +283,11 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
     """A second fiber point for an irreducible, non-symmetrizable A with cut X.
 
     Relabels X to the leading positions, splits the adjugate across the cut,
-    reassembles it with factors exchanged, and recovers the matrix whose
-    adjugate table that is.  The result provably shares all principal minors
-    with A (the pencil determinant is re-verified) and carries no diagonal
-    equivalence to A; both facts are checked before returning.
+    reassembles it with factors exchanged, and reads off the matrix that
+    table and A's pencil determinant determine.  The claim itself is what
+    gets checked: the result has A's pencil determinant (so all of A's
+    principal minors, which are its coefficients) and no diagonal
+    equivalence to A.  How the swapped table came about needs no proof.
     """
     n = A.n
     if n < 4:
@@ -308,14 +306,9 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
     inv = _inverse_order(order)
     failure = ""
     for primary in (True, False):
-        H = _assemble_swap(G, split, k, primary)
-        try:
-            B_rel = matrix_from_adjugate(H, f, field=A.field)
-        except VerificationError as exc:
-            failure = str(exc)
-            continue
-        if not adjugate_pencil_product_ok(H, DeterminantalPencil(B_rel, f)):
-            failure = "swapped table does not satisfy the adjugate product identity"
+        B_rel = _read_matrix(_assemble_swap(G, split, k, primary), f, A.field)
+        if det_poly(B_rel).fpoly != f:
+            failure = "recovered matrix does not reproduce the pencil determinant"
             continue
         if diagonal_equivalence(A_rel, B_rel) is None:
             return B_rel.permuted(inv)
@@ -334,7 +327,8 @@ def reducible_witness(A: SquareMatrix) -> SquareMatrix:
     diagonal blocks, so the strictly-upper content is arbitrary: replacing
     the first block row's upper pattern by its 0/1 complement keeps all
     minors while forcing a different support.  Both postconditions are
-    verified exactly.
+    verified exactly: equal pencil determinants (whose coefficients are the
+    principal minors) and no diagonal equivalence to A.
     """
     form = frobenius_form(A)
     if len(form.blocks) == 1:
@@ -347,7 +341,7 @@ def reducible_witness(A: SquareMatrix) -> SquareMatrix:
         for j in range(k, n):
             rows[i][j] = 0 if P.entries[i][j] else 1
     B = matrix(rows, A.field).permuted(_inverse_order(form.order))
-    if principal_minors(B) != principal_minors(A):
+    if det_poly(B).fpoly != det_poly(A).fpoly:
         raise VerificationError("complement pattern changed a principal minor")
     if diagonal_equivalence(A, B) is not None:
         raise VerificationError("complement pattern is still diagonally equivalent")
@@ -487,28 +481,25 @@ def stable_certify(A: SquareMatrix, max_n: int = MAX_N_CLASSIFY) -> StableCertif
     """Certify stability of the pencil determinant by block Hermitian scaling.
 
     Each irreducible diagonal block that is diagonally equivalent to a
-    Hermitian matrix contributes a real stable factor, and the full pencil
-    determinant is the product of the block factors (verified exactly).
-    Certified therefore implies stability; NotCertified names the first
-    block with no Hermitian scaling.
+    Hermitian matrix contributes a real stable factor.  The one exact check
+    is structure_check's: the block factors multiply back to the full pencil
+    determinant.  Certified therefore implies stability; NotCertified names
+    the first block with no Hermitian scaling.
     """
     n = A.n
     if n > max_n:
         raise SizeLimitError(f"stable_certify limited to n <= {max_n}, got n = {n}")
-    form = frobenius_form(A)
-    reports = tuple(hermitian_equivalence(A.block(block)) for block in form.blocks)
-    factors = tuple(block_det_poly(A, block) for block in form.blocks)
-    product = factors[0]
-    for factor in factors[1:]:
-        product = product * factor
-    if product != det_poly(A).fpoly:
+    checked = structure_check(A, max_n=max_n)
+    if not checked.product_matches:
         raise VerificationError(
             "block factors do not multiply back to the pencil determinant"
         )
+    blocks = checked.form.blocks
+    reports = tuple(hermitian_equivalence(A.block(block)) for block in blocks)
     failing: Optional[Tuple[int, ...]] = None
-    for block, report in zip(form.blocks, reports):
+    for block, report in zip(blocks, reports):
         if report.verdict == VERDICT_NOT_SYMMETRIZABLE:
             failing = block
             break
     verdict = "Certified" if failing is None else "NotCertified"
-    return StableCertificate(verdict, form.blocks, reports, factors, failing)
+    return StableCertificate(verdict, blocks, reports, checked.factors, failing)

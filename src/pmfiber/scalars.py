@@ -227,10 +227,6 @@ def is_rational(x: Scalar) -> bool:
     return not isinstance(x, GaussianRational) or x.im == 0
 
 
-def scalar_field(x: Scalar) -> str:
-    return FIELD_Q if is_rational(x) else FIELD_QI
-
-
 def normalize_scalar(x: Scalar) -> Scalar:
     if isinstance(x, GaussianRational):
         return gaussian(x.re, x.im)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .equiv import (
+    DiagonalCertificate,
     diagonal_equivalence,
     hermitian_equivalence,
     recover_diag_from_fiber,
@@ -27,7 +28,7 @@ from .fiber import (
     swap_factors_degenerate,
 )
 from .mpoly import rayleigh_difference
-from .scalars import FIELD_Q, FIELD_QI, Scalar, conj, div_exact, gaussian, is_rational
+from .scalars import FIELD_Q, FIELD_QI, Scalar, conj, div_exact, gaussian
 from .structure import frobenius_form, is_irreducible, structure_check
 from .symdet import (
     SquareMatrix,
@@ -101,18 +102,6 @@ def rand_hermitian(rng: random.Random, n: int) -> SquareMatrix:
 
 def rand_diag(rng: random.Random, n: int, field: str = FIELD_Q) -> List[Scalar]:
     return [rand_nonzero_scalar(rng, field, -4, 4) for _ in range(n)]
-
-
-def diag_conjugate(A: SquareMatrix, d: Sequence[Scalar], field: Optional[str] = None) -> SquareMatrix:
-    """D A D^-1 for D = diag(d)."""
-    n = A.n
-    rows = [
-        [d[i] * div_exact(A.entries[i][j], d[j]) if A.entries[i][j] else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    if field is None:
-        field = FIELD_QI if A.field == FIELD_QI or any(not is_rational(x) for x in d) else FIELD_Q
-    return matrix(rows, field)
 
 
 def planted_cut_instance(rng: random.Random, n: int, max_tries: int = 60):
@@ -241,7 +230,7 @@ def _suite_minors_invariance(rng: random.Random, n: int, trials: int) -> SuiteRe
         A = rand_full_support(rng, size, field)
         d = rand_diag(rng, size, field)
         pm = principal_minors(A)
-        if principal_minors(diag_conjugate(A, d, field)) != pm:
+        if principal_minors(DiagonalCertificate(tuple(d), False).conjugate(A)) != pm:
             return "conjugation changed a principal minor"
         if principal_minors(A.transpose()) != pm:
             return "transposition changed a principal minor"
@@ -256,7 +245,7 @@ def _suite_equiv_recovery(rng: random.Random, n: int, trials: int) -> SuiteResul
         field = FIELD_Q if t % 2 == 0 else FIELD_QI
         A = rand_full_support(rng, size, field)
         d = rand_diag(rng, size, field)
-        B = diag_conjugate(A, d, field)
+        B = DiagonalCertificate(tuple(d), False).conjugate(A)
         cert = diagonal_equivalence(A, B)
         if cert is None:
             return "no certificate found for a planted conjugation"
@@ -331,7 +320,7 @@ def _suite_symmetric_fiber(rng: random.Random, n: int, trials: int) -> SuiteResu
         size = rng.randint(3, max(3, min(n, 6)))
         A = rand_symmetric_irreducible(rng, size)
         d = rand_diag(rng, size)
-        B = diag_conjugate(A, d)
+        B = DiagonalCertificate(tuple(d), False).conjugate(A)
         if classify_fiber(B).verdict != SINGLE_POINT:
             return "conjugated symmetric matrix classified MultiPoint"
         cert = recover_diag_from_fiber(A, B)
@@ -348,7 +337,7 @@ def _suite_hermitian_certify(rng: random.Random, n: int, trials: int) -> SuiteRe
         size = rng.randint(2, max(2, min(n, 6)))
         H = rand_hermitian(rng, size)
         d = rand_diag(rng, size, FIELD_QI)
-        A = diag_conjugate(H, d, FIELD_QI)
+        A = DiagonalCertificate(tuple(d), False).conjugate(H)
         if not stable_certify(A).certified:
             return "conjugated Hermitian matrix not certified"
         if hermitian_equivalence(A).verdict == "NotSymmetrizable":

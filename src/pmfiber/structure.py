@@ -18,13 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import SizeLimitError
 from .mpoly import MPoly
 from .scalars import Scalar
-from .symdet import (
-    AdjugateTable,
-    SquareMatrix,
-    adjugate_table,
-    det_fraction_free,
-    det_poly,
-)
+from .symdet import SquareMatrix, det_fraction_free, det_poly
 
 MAX_N_STRUCTURE = 12
 
@@ -176,22 +170,12 @@ class StructureReport:
         return self.product_matches and all(self.blocks_irreducible)
 
 
-def _block_adjugate_nonzero(block_matrix: SquareMatrix) -> bool:
-    G: AdjugateTable = adjugate_table(block_matrix)
-    return all(
-        not G.entries[i][j].is_zero()
-        for i in range(block_matrix.n)
-        for j in range(block_matrix.n)
-    )
-
-
 def structure_check(A: SquareMatrix, max_n: int = MAX_N_STRUCTURE) -> StructureReport:
     """Frobenius form plus exact verification of the induced factorization.
 
-    Verifies det(diag(x)+A) equals the product of the block pencils, and
-    witnesses each diagonal block's irreducibility by its all-nonzero
-    adjugate table (the polynomial factors are then irreducible as well with
-    no need to factor anything).
+    The one exact check is that det(diag(x)+A) equals the product of the
+    block pencils.  Each diagonal block's irreducibility is the strong
+    connectivity of its support digraph, reported per block.
     """
     n = A.n
     if n > max_n:
@@ -202,9 +186,7 @@ def structure_check(A: SquareMatrix, max_n: int = MAX_N_STRUCTURE) -> StructureR
     product = MPoly.const(n, 1)
     for factor in factors:
         product = product * factor
-    blocks_irreducible = tuple(
-        _block_adjugate_nonzero(A.block(block)) for block in form.blocks
-    )
+    blocks_irreducible = tuple(is_irreducible(A.block(block)) for block in form.blocks)
     return StructureReport(form, factors, f, product == f, blocks_irreducible)
 
 

@@ -377,22 +377,14 @@ def adjugate_pencil_product_ok(G: AdjugateTable, pencil: DeterminantalPencil) ->
     return True
 
 
-def matrix_from_adjugate(
-    H: AdjugateTable,
-    f: MPoly,
-    field: Optional[str] = None,
-    max_n: int = MAX_N_ADJUGATE,
-) -> SquareMatrix:
-    """Recover B with adj(diag(x) + B) = H and det(diag(x) + B) = f.
+def _read_matrix(H: AdjugateTable, f: MPoly, field: Optional[str]) -> SquareMatrix:
+    """The only B that adj(diag(x) + B) = H and det(diag(x) + B) = f allow.
 
     B_ii is the coefficient of prod_{k != i} x_k in f; off-diagonal B_ij is
-    minus the coefficient of prod_{k not in {i,j}} x_k in H_ij.  The result is
-    verified by recomputing its adjugate table and determinantal pencil.
+    minus the coefficient of prod_{k not in {i,j}} x_k in H_ij.  Nothing is
+    verified here.
     """
     n = H.n
-    _check_size(n, max_n, "matrix_from_adjugate")
-    if f.n != n:
-        raise ValueError("pencil polynomial has wrong variable count")
     full = frozenset(range(n))
     rows: List[List[Scalar]] = []
     for i in range(n):
@@ -403,7 +395,25 @@ def matrix_from_adjugate(
             else:
                 row.append(-coefficient_of(H.entries[i][j], full - {i, j}))
         rows.append(row)
-    B = matrix(rows, field)
+    return matrix(rows, field)
+
+
+def matrix_from_adjugate(
+    H: AdjugateTable,
+    f: MPoly,
+    field: Optional[str] = None,
+    max_n: int = MAX_N_ADJUGATE,
+) -> SquareMatrix:
+    """Recover B with adj(diag(x) + B) = H and det(diag(x) + B) = f.
+
+    The entries are read off H and f (see ``_read_matrix``); the result is
+    verified by recomputing its adjugate table and determinantal pencil.
+    """
+    n = H.n
+    _check_size(n, max_n, "matrix_from_adjugate")
+    if f.n != n:
+        raise ValueError("pencil polynomial has wrong variable count")
+    B = _read_matrix(H, f, field)
     if adjugate_table(B, max_n=max_n).entries != H.entries:
         raise VerificationError("recovered matrix does not reproduce the adjugate table")
     if det_poly(B).fpoly != f:

@@ -1,0 +1,103 @@
+"""Differential tests of fiber classification against the naive oracles.
+
+A witness is checked inside the library once, by its defining claim: equal
+pencil determinants and no diagonal certificate.  These tests check the same
+claim from outside, with the permutation-sum oracle for the minors, on
+unfiltered draws at n = 4..6: planted cuts (symmetrizable and degenerate
+draws included), relabeled block upper triangular matrices and dense
+matrices.  The only failure classify_fiber may report is the degenerate cut
+whose swaps all stay diagonally equivalent to the input.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pmfiber import (
+    MULTI_POINT,
+    VerificationError,
+    classify_fiber,
+    diagonal_equivalence,
+    matrix,
+    structure_check,
+)
+
+import oracles
+
+SIZES = st.integers(4, 6)
+PM12 = st.sampled_from([-2, -1, 1, 2])
+SMALL_INT = st.integers(-2, 2)
+
+
+@st.composite
+def planted_cuts(draw):
+    """Dense diagonal blocks on X and X^c, rank-one blocks across."""
+    n = draw(SIZES)
+    perm = draw(st.permutations(range(n)))
+    k = draw(st.integers(2, n - 2))
+    X, Xc = sorted(perm[:k]), sorted(perm[k:])
+    rows = [[0] * n for _ in range(n)]
+    for part in (X, Xc):
+        for i in part:
+            for j in part:
+                rows[i][j] = draw(PM12)
+    u, z = [draw(PM12) for _ in X], [draw(PM12) for _ in X]
+    v, w = [draw(PM12) for _ in Xc], [draw(PM12) for _ in Xc]
+    for a, i in enumerate(X):
+        for b, j in enumerate(Xc):
+            rows[i][j] = u[a] * v[b]
+            rows[j][i] = w[b] * z[a]
+    return rows
+
+
+@st.composite
+def block_upper(draw):
+    """Block upper triangular with random block sizes, then relabeled."""
+    n = draw(SIZES)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    block_of = [b for b, s in enumerate(sizes) for _ in range(s)]
+    rows = [
+        [draw(SMALL_INT) if block_of[i] <= block_of[j] else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    perm = draw(st.permutations(range(n)))
+    return [[rows[u][v] for v in perm] for u in perm]
+
+
+@st.composite
+def dense(draw):
+    n = draw(SIZES)
+    return [[draw(SMALL_INT) for _ in range(n)] for _ in range(n)]
+
+
+def _check_classification(rows):
+    A = matrix(rows)
+    assert structure_check(A).all_ok
+    try:
+        result = classify_fiber(A)
+    except VerificationError as exc:
+        assert "diagonally equivalent" in str(exc)
+        return
+    if result.verdict == MULTI_POINT:
+        W = result.witness
+        assert oracles.all_principal_minors(W.rows_list()) == oracles.all_principal_minors(rows)
+        assert diagonal_equivalence(A, W) is None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(planted_cuts())
+def test_planted_cut_classification(rows):
+    _check_classification(rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(block_upper())
+def test_block_upper_classification(rows):
+    _check_classification(rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dense())
+def test_dense_classification(rows):
+    _check_classification(rows)

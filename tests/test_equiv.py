@@ -269,3 +269,9 @@ def test_recover_diag_rejects_wrong_fiber():
     B = matrix([[0, 2, 1], [2, 0, 1], [1, 1, 1]])
     with pytest.raises((VerificationError, PreconditionError)):
         recover_diag_from_fiber(A, B)
+
+
+def test_non_real_ratio_rejected():
+    # e_1 = e_0 * a_01 / conj(a_10) = i is not real: no Hermitian scaling.
+    A = matrix([[0, gaussian(0, 1)], [1, 0]], FIELD_QI)
+    assert hermitian_equivalence(A).verdict == VERDICT_NOT_SYMMETRIZABLE

@@ -332,3 +332,13 @@ def test_stable_certify_names_failing_block():
 def test_stable_certify_size_limit():
     with pytest.raises(SizeLimitError):
         stable_certify(identity_matrix(13))
+
+
+def test_stable_certify_rejects_a_wrong_block_product(monkeypatch):
+    from pmfiber import structure
+
+    A = matrix([[2, 1, 0], [1, 3, 0], [0, 0, 5]])
+    real = structure.block_det_poly
+    monkeypatch.setattr(structure, "block_det_poly", lambda M, block: real(M, block) * 2)
+    with pytest.raises(VerificationError, match="do not multiply back"):
+        stable_certify(A)
