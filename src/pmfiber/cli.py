@@ -5,12 +5,13 @@ with entries written in the exact scalar grammar ("3", "-1/2", "2+3i").  Every
 subcommand prints a single JSON document to stdout and exits 0 for a completed
 analysis (negative verdicts included), 2 for malformed input or violated
 preconditions, 3 for size-limit refusals, and 4 when an internal verification
-check fails.
+check fails or any other exception escapes (a bug; the error names its type).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,33 +48,37 @@ from .symdet import (
 
 
 def _load_matrix(path: str) -> SquareMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ParseError("matrix file must be a JSON object")
-    missing = [key for key in ("n", "field", "entries") if key not in doc]
-    if missing:
-        raise ParseError(f"matrix file missing keys: {', '.join(missing)}")
-    n, field, entries = doc["n"], doc["field"], doc["entries"]
-    if not isinstance(n, int) or n < 1:
-        raise ParseError("n must be a positive integer")
-    if field not in FIELDS:
-        raise ParseError(f"field must be one of {list(FIELDS)}")
-    if (
-        not isinstance(entries, list)
-        or len(entries) != n
-        or any(not isinstance(row, list) or len(row) != n for row in entries)
-    ):
-        raise ParseError("entries must be an n x n array")
-    rows = []
-    for row in entries:
-        parsed = []
-        for cell in row:
-            if not isinstance(cell, (str, int)):
-                raise ParseError(f"entry {cell!r} must be a string scalar")
-            parsed.append(scalar_parse(str(cell), field))
-        rows.append(parsed)
-    return matrix(rows, field)
+    """The matrix in a JSON file; any malformed content is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ParseError("matrix file must be a JSON object")
+        missing = [key for key in ("n", "field", "entries") if key not in doc]
+        if missing:
+            raise ParseError(f"matrix file missing keys: {', '.join(missing)}")
+        n, field, entries = doc["n"], doc["field"], doc["entries"]
+        if not isinstance(n, int) or n < 1:
+            raise ParseError("n must be a positive integer")
+        if field not in FIELDS:
+            raise ParseError(f"field must be one of {list(FIELDS)}")
+        if (
+            not isinstance(entries, list)
+            or len(entries) != n
+            or any(not isinstance(row, list) or len(row) != n for row in entries)
+        ):
+            raise ParseError("entries must be an n x n array")
+        rows = []
+        for row in entries:
+            parsed = []
+            for cell in row:
+                if not isinstance(cell, (str, int)):
+                    raise ParseError(f"entry {cell!r} must be a string scalar")
+                parsed.append(scalar_parse(str(cell), field))
+            rows.append(parsed)
+        return matrix(rows, field)
+    except (ValueError, RecursionError) as exc:  # JSON syntax or nesting, digit limits
+        raise ParseError(str(exc)) from exc
 
 
 def _matrix_doc(A: SquareMatrix) -> Dict:
@@ -348,6 +353,7 @@ def _cmd_selftest(args) -> Tuple[Dict, int]:
     }, 0 if all_ok else 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmfiber",
@@ -408,10 +414,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc, code = args.handler(args)
     except SizeLimitError as exc:
         doc, code = {"command": args.command, "error": str(exc)}, 3
+    except (ParseError, PreconditionError, OSError) as exc:
+        doc, code = {"command": args.command, "error": str(exc)}, 2
     except (VerificationError, ExactDivisionError) as exc:
         doc, code = {"command": args.command, "error": str(exc)}, 4
-    except (ParseError, PreconditionError, ValueError, OSError) as exc:
-        doc, code = {"command": args.command, "error": str(exc)}, 2
+    except Exception as exc:  # a bug, never reported as bad input
+        doc, code = {"command": args.command, "error": f"{type(exc).__name__}: {exc}"}, 4
     print(json.dumps(doc, indent=2))
     return code
 

@@ -25,7 +25,7 @@ from .scalars import (
     scalar_im,
     sqrt_in_field,
 )
-from .symdet import SquareMatrix, adjugate_table, matrix
+from .symdet import SquareMatrix, matrix
 
 VERDICT_OVER_FIELD = "SymmetricEquivalentOverField"
 VERDICT_OVER_EXTENSION = "SymmetricEquivalentOverQuadraticExtension"
@@ -222,26 +222,13 @@ def hermitian_equivalence(A: SquareMatrix) -> SymmetrizabilityResult:
     return SymmetrizabilityResult(VERDICT_OVER_EXTENSION, e, None)
 
 
-def _constant_ratio(p, q) -> Scalar:
-    """The constant c with p == c * q, for nonzero q; raises if not constant."""
-    if q.is_zero():
-        raise VerificationError("ratio against the zero polynomial")
-    exp, coeff = next(iter(q.terms.items()))
-    num = p.terms.get(exp)
-    if num is None:
-        raise VerificationError("polynomial ratio is not constant")
-    c = div_exact(num, coeff)
-    if p != q * c:
-        raise VerificationError("polynomial ratio is not constant")
-    return c
-
-
 def recover_diag_from_fiber(A: SquareMatrix, B: SquareMatrix) -> DiagonalCertificate:
     """For symmetric irreducible A and B in its fiber, the verified conjugator.
 
-    Ratios of corresponding adjugate entries along the first row are constants
-    (irreducibility keeps every entry nonzero); d_j is the ratio G_1j / H_1j
-    with d_1 = 1, and B = D*A*D^-1 is verified exactly before returning.
+    B in the fiber of such an A is D*A*D^-1 for a diagonal D that is unique
+    once d_1 = 1 (irreducibility joins every index to the first), which is
+    the certificate diagonal_equivalence finds; a B outside the fiber has
+    none, and that is an error here.
     """
     from .structure import is_irreducible
 
@@ -251,16 +238,7 @@ def recover_diag_from_fiber(A: SquareMatrix, B: SquareMatrix) -> DiagonalCertifi
         raise PreconditionError("first matrix must be symmetric")
     if not is_irreducible(A):
         raise PreconditionError("first matrix must be irreducible")
-    n = A.n
-    G = adjugate_table(A)
-    H = adjugate_table(B)
-    d: List[Scalar] = [1]
-    for j in range(1, n):
-        d.append(_constant_ratio(G.entries[0][j], H.entries[0][j]))
-    for candidate in (
-        DiagonalCertificate(tuple(d), transposed=False),
-        DiagonalCertificate(tuple(div_exact(1, x) for x in d), transposed=False),
-    ):
-        if candidate.verifies(A, B):
-            return candidate
-    raise VerificationError("recovered diagonal does not conjugate A onto B")
+    cert = diagonal_equivalence(A, B)
+    if cert is None:
+        raise VerificationError("recovered diagonal does not conjugate A onto B")
+    return cert

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: bad input (ParseError,
-PreconditionError) -> 2, SizeLimitError -> 3, VerificationError -> 4.
+PreconditionError) -> 2, SizeLimitError -> 3, VerificationError and any
+other exception -> 4.
 """
 
 

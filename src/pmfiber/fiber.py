@@ -5,8 +5,10 @@ Diagonal conjugation (with or without transposition) never changes the
 minors, so the interesting question is when the fiber is a single such
 equivalence class.  The classifier decides this exactly; where the answer
 is "no" it hands back a verified second fiber point, built either by
-swapping rank-one factors across a cut or by rewriting the strictly-upper
-pattern of a reducible matrix.
+swapping the rank-one factors of A's two cross blocks at a cut (and
+transposing one diagonal block) or by rewriting the strictly-upper pattern
+of a reducible matrix.  rank_one_split is the same cut seen in the adjugate
+table; no witness needs it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .equiv import (
 )
 from .errors import ExactDivisionError, PreconditionError, SizeLimitError, VerificationError
 from .mpoly import MPoly, exact_divide
-from .scalars import div_exact
+from .scalars import Scalar, div_exact
 from .structure import (
     FiberShape,
     fiber_shape,
@@ -34,8 +36,6 @@ from .structure import (
 from .symdet import (
     AdjugateTable,
     SquareMatrix,
-    _read_matrix,
-    adjugate_table,
     det_poly,
     matrix,
     rank_exact,
@@ -200,31 +200,6 @@ def rank_one_split(G: AdjugateTable, X: Sequence[int], attempts: int = 8) -> Fac
 # -- second fiber points ----------------------------------------------------------
 
 
-def _assemble_swap(G: AdjugateTable, split: FactorSplit, k: int, primary: bool) -> AdjugateTable:
-    """Swap factors across the cut {0..k-1} of a relabeled adjugate table.
-
-    primary keeps the X-block, transposes the X^c-block, and exchanges the
-    X^c-side factors (b <-> c); the fallback transposes the X-block, keeps
-    the X^c-block, and exchanges the X-side factors (a <-> d).
-    """
-    n = G.n
-    a, b, c, d = split.a, split.b, split.c, split.d
-    rows: List[Tuple[MPoly, ...]] = []
-    for u in range(n):
-        row: List[MPoly] = []
-        for v in range(n):
-            if u < k and v < k:
-                row.append(G.entry(u, v) if primary else G.entry(v, u))
-            elif u >= k and v >= k:
-                row.append(G.entry(v, u) if primary else G.entry(u, v))
-            elif u < k:
-                row.append(_alt(u) * (a[u] * c[v]) if primary else _alt(u) * (d[u] * b[v]))
-            else:
-                row.append(_alt(v) * (b[u] * d[v]) if primary else _alt(v) * (c[u] * a[v]))
-        rows.append(tuple(row))
-    return AdjugateTable(n, tuple(rows))
-
-
 def _inverse_order(order: Sequence[int]) -> List[int]:
     inv = [0] * len(order)
     for pos, orig in enumerate(order):
@@ -232,86 +207,94 @@ def _inverse_order(order: Sequence[int]) -> List[int]:
     return inv
 
 
-def _proportional(p: MPoly, q: MPoly) -> bool:
-    """True if p equals a nonzero field scalar times q."""
-    pt, qt = p.terms, q.terms
-    if not pt or not qt or set(pt) != set(qt):
-        return False
-    mono = min(pt)
-    ratio = div_exact(pt[mono], qt[mono])
-    return all(coeff == ratio * qt[exp] for exp, coeff in pt.items())
-
-
-def _relabeled_split(
-    A: SquareMatrix, Xs: Sequence[int], Xc: Sequence[int]
-) -> Tuple[List[int], SquareMatrix, int, AdjugateTable, MPoly, FactorSplit]:
-    """Relabel the cut to the leading block and factor the adjugate there."""
-    order = list(Xs) + list(Xc)
-    A_rel = A.permuted(order)
-    k = len(Xs)
-    G = adjugate_table(A_rel)
-    f = det_poly(A_rel).fpoly
-    split = rank_one_split(G, tuple(range(k)))
-    return order, A_rel, k, G, f, split
-
-
-def swap_factors_degenerate(A: SquareMatrix, X: Sequence[int]) -> bool:
-    """True when factor swapping across the cut X cannot leave the
-    diagonal-equivalence class of A.
-
-    Across a cut the adjugate factors entrywise into one-index pieces
-    (a_i, b_j above the diagonal blocks; c_j, d_i below).  If every b_j is
-    a constant multiple of c_j, any swapped table is a diagonal conjugate
-    of the original; if every a_i is a constant multiple of d_i, it is a
-    diagonal conjugate of the transposed table.  Either way the matrices
-    recovered from swapped tables all stay diagonally equivalent to A, so
-    cut_swap_witness has nothing to return.  Instance generators use this
-    to reject draws that the swap construction provably cannot separate.
-    """
+def _cut_sides(A: SquareMatrix, X: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """X and its complement, sorted, for a cut X of an irreducible A."""
     Xs, Xc = _split_indices(A.n, X)
     if rank_exact(A.submatrix(Xs, Xc)) > 1 or rank_exact(A.submatrix(Xc, Xs)) > 1:
         raise PreconditionError(f"X = {Xs} is not a cut")
     if not is_irreducible(A):
         raise PreconditionError("matrix must be irreducible")
-    _, _, _, _, _, split = _relabeled_split(A, Xs, Xc)
-    if all(_proportional(split.b[j], split.c[j]) for j in split.Xc):
-        return True
-    return all(_proportional(split.a[i], split.d[i]) for i in split.X)
+    return Xs, Xc
+
+
+def _swaps(A: SquareMatrix, Xs: Sequence[int], Xc: Sequence[int]) -> Tuple[SquareMatrix, SquareMatrix]:
+    """The primary and the fallback factor swap across the cut (Xs, Xc).
+
+    With A[X,X^c] = p q^T and A[X^c,X] = r s^T, the primary swap keeps
+    A[X,X], transposes A[X^c,X^c] and sets the cross blocks to p r^T and
+    q s^T; the fallback transposes A[X,X], keeps A[X^c,X^c] and sets them to
+    s q^T and r p^T.  p (resp. r) is the column, and q (resp. s) the row
+    divided by the entry, through the first nonzero entry of the block.
+    """
+    E = A.entries
+
+    def factors(rows, cols):
+        i0, j0 = next((i, j) for i in rows for j in cols if E[i][j])
+        return {i: E[i][j0] for i in rows}, {j: div_exact(E[i0][j], E[i0][j0]) for j in cols}
+
+    p, q = factors(Xs, Xc)
+    r, s = factors(Xc, Xs)
+
+    def swapped(up_x, up_c, low_c, low_x, transpose_x: bool) -> SquareMatrix:
+        rows: List[List[Scalar]] = [[0] * A.n for _ in range(A.n)]
+        for part, transpose in ((Xs, transpose_x), (Xc, not transpose_x)):
+            for i in part:
+                for j in part:
+                    rows[i][j] = E[j][i] if transpose else E[i][j]
+        for i in Xs:
+            for j in Xc:
+                rows[i][j] = up_x[i] * up_c[j]
+                rows[j][i] = low_c[j] * low_x[i]
+        return matrix(rows, A.field)
+
+    return swapped(p, r, q, s, False), swapped(s, q, r, p, True)
+
+
+def swap_factors_degenerate(A: SquareMatrix, X: Sequence[int]) -> bool:
+    """True when factor swapping across the cut X cannot leave the
+    diagonal-equivalence class of A: both swaps (see cut_swap_witness) are
+    diagonally equivalent to A, so cut_swap_witness has nothing to return.
+    Instance generators use this to reject draws that the swap construction
+    provably cannot separate.
+    """
+    Xs, Xc = _cut_sides(A, X)
+    return all(diagonal_equivalence(A, B) is not None for B in _swaps(A, Xs, Xc))
 
 
 def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
     """A second fiber point for an irreducible, non-symmetrizable A with cut X.
 
-    Relabels X to the leading positions, splits the adjugate across the cut,
-    reassembles it with factors exchanged, and reads off the matrix that
-    table and A's pencil determinant determine.  The claim itself is what
-    gets checked: the result has A's pencil determinant (so all of A's
-    principal minors, which are its coefficients) and no diagonal
-    equivalence to A.  How the swapped table came about needs no proof.
+    Up to relabeling A = [[M, p q^T], [r s^T, N]] across the cut, and the
+    rank-one update identity gives the principal minor on S in X, T in X^c as
+
+        det M_S det N_T - (s_S^T adj(M_S) p_S) (q_T^T adj(N_T) r_T),
+
+    which (N, q, r) -> (N^T, r, q) and (M, p, s) -> (M^T, s, p) both leave
+    unchanged.  The primary swap is the first, the fallback the second; the
+    first that is not diagonally equivalent to A is returned.  The claim
+    itself is what gets checked: the result has A's pencil determinant (so
+    all of A's principal minors, which are its coefficients) and no diagonal
+    equivalence to A.  How the swap came about needs no proof.
     """
     n = A.n
     if n < 4:
         raise PreconditionError("factor swapping needs n >= 4")
-    Xs, Xc = _split_indices(n, X)
-    if rank_exact(A.submatrix(Xs, Xc)) > 1 or rank_exact(A.submatrix(Xc, Xs)) > 1:
-        raise PreconditionError(f"X = {Xs} is not a cut")
-    if not is_irreducible(A):
-        raise PreconditionError("matrix must be irreducible")
+    Xs, Xc = _cut_sides(A, X)
     if symmetrizability(A).solvable:
         raise PreconditionError(
             "matrix is diagonally equivalent to a symmetric matrix; "
             "its fiber is a single class and no witness exists"
         )
-    order, A_rel, k, G, f, split = _relabeled_split(A, Xs, Xc)
-    inv = _inverse_order(order)
+    if n > MAX_N_CLASSIFY:
+        raise SizeLimitError(f"cut_swap_witness limited to n <= {MAX_N_CLASSIFY}, got n = {n}")
+    f = det_poly(A).fpoly
     failure = ""
-    for primary in (True, False):
-        B_rel = _read_matrix(_assemble_swap(G, split, k, primary), f, A.field)
-        if det_poly(B_rel).fpoly != f:
+    for B in _swaps(A, Xs, Xc):
+        if det_poly(B).fpoly != f:
             failure = "recovered matrix does not reproduce the pencil determinant"
             continue
-        if diagonal_equivalence(A_rel, B_rel) is None:
-            return B_rel.permuted(inv)
+        if diagonal_equivalence(A, B) is None:
+            return B
         failure = "swap produced a diagonally equivalent matrix"
     raise VerificationError(
         f"factor swap failed on both orientations ({failure}); "

@@ -110,9 +110,8 @@ def planted_cut_instance(rng: random.Random, n: int, max_tries: int = 60):
     X takes a random admissible size and placement; the off-diagonal blocks
     are outer products of nonzero vectors, which keeps the support digraph
     strongly connected, and the diagonal blocks are dense.  Draws that are
-    symmetrizable are rejected, as are draws whose cut factors are
-    scalar-proportional: on those the factor swap can only reproduce the
-    diagonal-equivalence class of the input (see swap_factors_degenerate),
+    symmetrizable are rejected, as are draws on which both factor swaps
+    stay diagonally equivalent to the input (see swap_factors_degenerate),
     so they carry no second fiber point reachable by swapping.
     """
     if n < 4:

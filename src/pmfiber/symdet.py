@@ -160,25 +160,37 @@ def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
 
 
 def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Row-reduction rank over the exact field."""
+    """Rank by fraction-free (Bareiss) row echelon elimination.
+
+    A column with no pivot left is skipped.  After a pivot on the column
+    list C, each remaining entry is a minor on the pivot rows and columns C
+    plus its own row and column, so the division by the previous pivot (the
+    minor on C alone) is exact, and stays in Z on integer input.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    all_int = all(type(x) is int for row in m for x in row)
+    div = int.__floordiv__ if all_int else div_exact
     rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
+    prev: Scalar = 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
         pivot_row = next((r for r in range(rank, nrows) if m[r][col]), None)
         if pivot_row is None:
-            col += 1
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
+        row_k = m[rank]
+        pivot = row_k[col]
         for r in range(rank + 1, nrows):
-            if m[r][col]:
-                factor = div_exact(m[r][col], pivot)
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+            row_i = m[r]
+            lead = row_i[col]
+            for j in range(col + 1, ncols):
+                row_i[j] = div(row_i[j] * pivot - lead * row_k[j], prev)
+            row_i[col] = 0
+        prev = pivot
         rank += 1
-        col += 1
     return rank
 
 
@@ -377,14 +389,22 @@ def adjugate_pencil_product_ok(G: AdjugateTable, pencil: DeterminantalPencil) ->
     return True
 
 
-def _read_matrix(H: AdjugateTable, f: MPoly, field: Optional[str]) -> SquareMatrix:
-    """The only B that adj(diag(x) + B) = H and det(diag(x) + B) = f allow.
+def matrix_from_adjugate(
+    H: AdjugateTable,
+    f: MPoly,
+    field: Optional[str] = None,
+    max_n: int = MAX_N_ADJUGATE,
+) -> SquareMatrix:
+    """Recover B with adj(diag(x) + B) = H and det(diag(x) + B) = f.
 
     B_ii is the coefficient of prod_{k != i} x_k in f; off-diagonal B_ij is
-    minus the coefficient of prod_{k not in {i,j}} x_k in H_ij.  Nothing is
-    verified here.
+    minus the coefficient of prod_{k not in {i,j}} x_k in H_ij.  The result
+    is verified by recomputing its adjugate table and determinantal pencil.
     """
     n = H.n
+    _check_size(n, max_n, "matrix_from_adjugate")
+    if f.n != n:
+        raise ValueError("pencil polynomial has wrong variable count")
     full = frozenset(range(n))
     rows: List[List[Scalar]] = []
     for i in range(n):
@@ -395,25 +415,7 @@ def _read_matrix(H: AdjugateTable, f: MPoly, field: Optional[str]) -> SquareMatr
             else:
                 row.append(-coefficient_of(H.entries[i][j], full - {i, j}))
         rows.append(row)
-    return matrix(rows, field)
-
-
-def matrix_from_adjugate(
-    H: AdjugateTable,
-    f: MPoly,
-    field: Optional[str] = None,
-    max_n: int = MAX_N_ADJUGATE,
-) -> SquareMatrix:
-    """Recover B with adj(diag(x) + B) = H and det(diag(x) + B) = f.
-
-    The entries are read off H and f (see ``_read_matrix``); the result is
-    verified by recomputing its adjugate table and determinantal pencil.
-    """
-    n = H.n
-    _check_size(n, max_n, "matrix_from_adjugate")
-    if f.n != n:
-        raise ValueError("pencil polynomial has wrong variable count")
-    B = _read_matrix(H, f, field)
+    B = matrix(rows, field)
     if adjugate_table(B, max_n=max_n).entries != H.entries:
         raise VerificationError("recovered matrix does not reproduce the adjugate table")
     if det_poly(B).fpoly != f:

@@ -6,7 +6,8 @@ claim from outside, with the permutation-sum oracle for the minors, on
 unfiltered draws at n = 4..6: planted cuts (symmetrizable and degenerate
 draws included), relabeled block upper triangular matrices and dense
 matrices.  The only failure classify_fiber may report is the degenerate cut
-whose swaps all stay diagonally equivalent to the input.
+whose swaps all stay diagonally equivalent to the input, and
+swap_factors_degenerate names exactly those cuts.
 """
 
 from hypothesis import given, settings
@@ -16,9 +17,13 @@ from pmfiber import (
     MULTI_POINT,
     VerificationError,
     classify_fiber,
+    cut_swap_witness,
     diagonal_equivalence,
+    find_cuts,
     matrix,
     structure_check,
+    swap_factors_degenerate,
+    symmetrizability,
 )
 
 import oracles
@@ -101,3 +106,30 @@ def test_block_upper_classification(rows):
 @given(dense())
 def test_dense_classification(rows):
     _check_classification(rows)
+
+
+def _keeps_one_block_and_transposes_the_other(A, W, X, Xc):
+    def block(M, part, transposed=False):
+        return [[M.entries[j][i] if transposed else M.entries[i][j] for j in part] for i in part]
+
+    return (block(W, X) == block(A, X) and block(W, Xc) == block(A, Xc, True)) or (
+        block(W, X) == block(A, X, True) and block(W, Xc) == block(A, Xc)
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(planted_cuts())
+def test_degenerate_cuts_are_the_failed_swaps(rows):
+    A = matrix(rows)
+    if symmetrizability(A).solvable:
+        return
+    for cut in find_cuts(A):
+        Xc = cut.complement(A.n)
+        try:
+            W = cut_swap_witness(A, cut.X)
+        except VerificationError as exc:
+            assert "diagonally equivalent" in str(exc)
+            assert swap_factors_degenerate(A, cut.X)
+            continue
+        assert not swap_factors_degenerate(A, cut.X)
+        assert _keeps_one_block_and_transposes_the_other(A, W, cut.X, Xc)

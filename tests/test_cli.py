@@ -333,3 +333,57 @@ def test_witness_on_a_long_cycle_reports_the_cut_cap(capsys, tmp_path):
     assert code == 3
     doc = json.loads(out)
     assert "error" in doc
+
+
+@pytest.mark.parametrize("exc_type", [KeyError, ValueError])
+def test_unexpected_exception_maps_to_4(capsys, a4_file, monkeypatch, exc_type):
+    # A bug inside a command is an internal failure, not bad input.
+    import pmfiber.cli as cli_mod
+
+    def boom(A):
+        raise exc_type("synthetic bug")
+
+    monkeypatch.setattr(cli_mod, "find_cuts", boom)
+    code, doc, _ = run_cli(capsys, "cuts", a4_file)
+    assert code == 4
+    assert doc["error"].startswith(exc_type.__name__)
+
+
+def test_exit_oversized_integer_literal(capsys, tmp_path):
+    # Python refuses to convert an integer literal this long: bad input, 2.
+    f = tmp_path / "huge.json"
+    f.write_text('{"n": 1, "field": "Q", "entries": [[' + "9" * 5000 + "]]}")
+    code, doc, _ = run_cli(capsys, "minors", str(f))
+    assert code == 2 and "error" in doc
+
+
+def test_exit_deeply_nested_json(capsys, tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100000 + "]" * 100000)
+    code, doc, _ = run_cli(capsys, "minors", str(f))
+    assert code == 2 and "error" in doc
+
+
+def _cut_rows(n, k):
+    """Dense diagonal blocks on {0..k-1} and the rest, rank-one blocks across."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if (i < k) == (j < k):
+                rows[i][j] = (i * 7 + j * 3) % 4 + 1
+            elif i < k:
+                rows[i][j] = (i + 1) * (j % 3 + 1)
+            else:
+                rows[i][j] = (j + 2) * (i % 2 + 1)
+    return rows
+
+
+def test_witness_cut_above_the_cap_exits_3(capsys, tmp_path):
+    # Preconditions hold (a cut of an irreducible, non-symmetrizable
+    # matrix), so the refusal is the size cap.
+    f = write_matrix(tmp_path / "cut13.json", _cut_rows(13, 2))
+    code, doc, _ = run_cli(capsys, "witness", "--cut", "1,2", f)
+    assert code == 3 and "error" in doc
+    f = write_matrix(tmp_path / "cut6.json", _cut_rows(6, 2))
+    code, doc, _ = run_cli(capsys, "witness", "--cut", "1,2", f)
+    assert code == 0 and doc["result"]["kind"] == "CutSwap"

@@ -142,6 +142,18 @@ def test_golden_witness_properties(golden_a4, golden_b4):
     assert diagonal_equivalence(golden_b4, W) is not None
 
 
+def test_golden_witness_swaps_the_cut_factors(golden_a4):
+    # A[X,X] kept, A[Xc,Xc] transposed; the cross blocks become p r^T and
+    # q s^T for A[X,Xc] = p q^T = (1,-3)^T (1,-2), A[Xc,X] = r s^T = (1,-1)^T (1,2).
+    W = cut_swap_witness(golden_a4, (0, 1))
+    assert W.rows_list() == [
+        [2, -1, 1, -1],
+        [1, 1, -3, 3],
+        [1, 2, 1, 2],
+        [-2, -4, 1, -1],
+    ]
+
+
 def test_witness_preconditions(golden_a4):
     with pytest.raises(PreconditionError):
         cut_swap_witness(matrix([[0, 1], [1, 0]]), (0,))

@@ -6,6 +6,8 @@ elimination per subset) face the same oracles on the same draws.  Draws are
 unfiltered: small integer entries make many principal minors vanish, which
 sends the walk down its zero-pivot path, and Fraction and Q(i) entries leave
 the integer fast path.  Fixed cases pin down the degenerate patterns.
+``rank_exact``, a fraction-free elimination too, faces ``oracles.rank_gauss``
+on rectangular blocks: dense, rank-one and with zero rows and columns.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmfiber import adjugate_table, det_poly, gaussian, matrix, principal_minors
+from pmfiber.symdet import rank_exact
 from pmfiber.structure import block_det_poly, frobenius_form
 
 import oracles
@@ -91,6 +94,31 @@ def test_block_det_poly_matches_oracle(drawn, data):
     chosen = data.draw(st.lists(st.integers(0, n - 1), unique=True) if n else st.just([]))
     for block in (sorted(chosen), *frobenius_form(matrix(rows)).blocks):
         _check_block(rows, point, list(block))
+
+
+@st.composite
+def rectangular(draw):
+    """Dense or rank-one (u v^T) blocks of any shape, some rows and columns
+    then zeroed, with int, Fraction or Q(i) entries."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = draw(ENTRIES)
+    if draw(st.booleans()):
+        rows = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    else:
+        u, v = [draw(entry) for _ in range(r)], [draw(entry) for _ in range(c)]
+        rows = [[a * b for b in v] for a in u]
+    zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0))))
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rectangular())
+def test_rank_matches_oracle_on_unfiltered_blocks(rows):
+    assert rank_exact(rows) == oracles.rank_gauss(rows)
 
 
 def _zero(n):
