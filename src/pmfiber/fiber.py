@@ -210,21 +210,20 @@ def _inverse_order(order: Sequence[int]) -> List[int]:
 def _cut_sides(A: SquareMatrix, X: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """X and its complement, sorted, for a cut X of an irreducible A."""
     Xs, Xc = _split_indices(A.n, X)
-    if rank_exact(A.submatrix(Xs, Xc)) > 1 or rank_exact(A.submatrix(Xc, Xs)) > 1:
+    if not is_cut(A, Xs):
         raise PreconditionError(f"X = {Xs} is not a cut")
     if not is_irreducible(A):
         raise PreconditionError("matrix must be irreducible")
     return Xs, Xc
 
 
-def _swaps(A: SquareMatrix, Xs: Sequence[int], Xc: Sequence[int]) -> Tuple[SquareMatrix, SquareMatrix]:
-    """The primary and the fallback factor swap across the cut (Xs, Xc).
+def _swap(A: SquareMatrix, Xs: Sequence[int], Xc: Sequence[int]) -> SquareMatrix:
+    """The factor swap across the cut (Xs, Xc), in A's own indices.
 
-    With A[X,X^c] = p q^T and A[X^c,X] = r s^T, the primary swap keeps
-    A[X,X], transposes A[X^c,X^c] and sets the cross blocks to p r^T and
-    q s^T; the fallback transposes A[X,X], keeps A[X^c,X^c] and sets them to
-    s q^T and r p^T.  p (resp. r) is the column, and q (resp. s) the row
-    divided by the entry, through the first nonzero entry of the block.
+    With A[X,X^c] = p q^T and A[X^c,X] = r s^T, it keeps A[X,X], transposes
+    A[X^c,X^c] and sets the cross blocks to p r^T and q s^T.  p (resp. r) is
+    the column, and q (resp. s) the row divided by the entry, through the
+    first nonzero entry of the block.
     """
     E = A.entries
 
@@ -234,31 +233,29 @@ def _swaps(A: SquareMatrix, Xs: Sequence[int], Xc: Sequence[int]) -> Tuple[Squar
 
     p, q = factors(Xs, Xc)
     r, s = factors(Xc, Xs)
-
-    def swapped(up_x, up_c, low_c, low_x, transpose_x: bool) -> SquareMatrix:
-        rows: List[List[Scalar]] = [[0] * A.n for _ in range(A.n)]
-        for part, transpose in ((Xs, transpose_x), (Xc, not transpose_x)):
-            for i in part:
-                for j in part:
-                    rows[i][j] = E[j][i] if transpose else E[i][j]
-        for i in Xs:
-            for j in Xc:
-                rows[i][j] = up_x[i] * up_c[j]
-                rows[j][i] = low_c[j] * low_x[i]
-        return matrix(rows, A.field)
-
-    return swapped(p, r, q, s, False), swapped(s, q, r, p, True)
+    rows: List[List[Scalar]] = [[0] * A.n for _ in range(A.n)]
+    for i in Xs:
+        for j in Xs:
+            rows[i][j] = E[i][j]
+    for i in Xc:
+        for j in Xc:
+            rows[i][j] = E[j][i]
+    for i in Xs:
+        for j in Xc:
+            rows[i][j] = p[i] * r[j]
+            rows[j][i] = q[j] * s[i]
+    return matrix(rows, A.field)
 
 
 def swap_factors_degenerate(A: SquareMatrix, X: Sequence[int]) -> bool:
     """True when factor swapping across the cut X cannot leave the
-    diagonal-equivalence class of A: both swaps (see cut_swap_witness) are
+    diagonal-equivalence class of A: the swap (see cut_swap_witness) is
     diagonally equivalent to A, so cut_swap_witness has nothing to return.
     Instance generators use this to reject draws that the swap construction
     provably cannot separate.
     """
     Xs, Xc = _cut_sides(A, X)
-    return all(diagonal_equivalence(A, B) is not None for B in _swaps(A, Xs, Xc))
+    return diagonal_equivalence(A, _swap(A, Xs, Xc)) is not None
 
 
 def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
@@ -269,9 +266,10 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
 
         det M_S det N_T - (s_S^T adj(M_S) p_S) (q_T^T adj(N_T) r_T),
 
-    which (N, q, r) -> (N^T, r, q) and (M, p, s) -> (M^T, s, p) both leave
-    unchanged.  The primary swap is the first, the fallback the second; the
-    first that is not diagonally equivalent to A is returned.  The claim
+    which (N, q, r) -> (N^T, r, q) leaves unchanged: that is the swap
+    [[M, p r^T], [q s^T, N^T]].  The other swap, (M, p, s) -> (M^T, s, p),
+    is its transpose, and diagonal equivalence (which allows transposition)
+    puts both in the same class, so one is all there is to try.  The claim
     itself is what gets checked: the result has A's pencil determinant (so
     all of A's principal minors, which are its coefficients) and no diagonal
     equivalence to A.  How the swap came about needs no proof.
@@ -287,15 +285,14 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
         )
     if n > MAX_N_CLASSIFY:
         raise SizeLimitError(f"cut_swap_witness limited to n <= {MAX_N_CLASSIFY}, got n = {n}")
-    f = det_poly(A).fpoly
-    failure = ""
-    for B in _swaps(A, Xs, Xc):
-        if det_poly(B).fpoly != f:
-            failure = "recovered matrix does not reproduce the pencil determinant"
-            continue
-        if diagonal_equivalence(A, B) is None:
-            return B
+    B = _swap(A, Xs, Xc)
+    if det_poly(B).fpoly != det_poly(A).fpoly:
+        failure = "recovered matrix does not reproduce the pencil determinant"
+    elif diagonal_equivalence(A, B) is None:
+        return B
+    else:
         failure = "swap produced a diagonally equivalent matrix"
+    # The transposed swap fails the same way, hence "both orientations".
     raise VerificationError(
         f"factor swap failed on both orientations ({failure}); "
         "factor swapping across this cut cannot leave the "

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: JSON documents, exit codes, stability."""
 
 import json
+import sys
 
 import pytest
 
@@ -350,10 +351,19 @@ def test_unexpected_exception_maps_to_4(capsys, a4_file, monkeypatch, exc_type):
 
 
 def test_exit_oversized_integer_literal(capsys, tmp_path):
-    # Python refuses to convert an integer literal this long: bad input, 2.
+    # Python refuses to convert an integer literal longer than its digit
+    # limit: bad input, 2.  The limit is set here rather than taken from the
+    # interpreter, whose default PYTHONINTMAXSTRDIGITS=0 turns off.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer digit limit")
     f = tmp_path / "huge.json"
     f.write_text('{"n": 1, "field": "Q", "entries": [[' + "9" * 5000 + "]]}")
-    code, doc, _ = run_cli(capsys, "minors", str(f))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, doc, _ = run_cli(capsys, "minors", str(f))
+    finally:
+        sys.set_int_max_str_digits(saved)
     assert code == 2 and "error" in doc
 
 
