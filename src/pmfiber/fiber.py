@@ -28,6 +28,7 @@ from .mpoly import MPoly, exact_divide
 from .scalars import Scalar, div_exact
 from .structure import (
     FiberShape,
+    block_pencils,
     fiber_shape,
     frobenius_form,
     is_irreducible,
@@ -308,7 +309,8 @@ def reducible_witness(A: SquareMatrix) -> SquareMatrix:
     the first block row's upper pattern by its 0/1 complement keeps all
     minors while forcing a different support.  Both postconditions are
     verified exactly: equal pencil determinants (whose coefficients are the
-    principal minors) and no diagonal equivalence to A.
+    principal minors), shown by equal Frobenius blocks with equal block
+    pencils (see block_pencils), and no diagonal equivalence to A.
     """
     form = frobenius_form(A)
     if len(form.blocks) == 1:
@@ -321,7 +323,7 @@ def reducible_witness(A: SquareMatrix) -> SquareMatrix:
         for j in range(k, n):
             rows[i][j] = 0 if P.entries[i][j] else 1
     B = matrix(rows, A.field).permuted(_inverse_order(form.order))
-    if det_poly(B).fpoly != det_poly(A).fpoly:
+    if block_pencils(B) != block_pencils(A):
         raise VerificationError("complement pattern changed a principal minor")
     if diagonal_equivalence(A, B) is not None:
         raise VerificationError("complement pattern is still diagonally equivalent")

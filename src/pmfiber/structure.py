@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, VerificationError
 from .mpoly import MPoly
 from .scalars import Scalar
 from .symdet import SquareMatrix, det_fraction_free, det_poly
@@ -155,6 +155,23 @@ def block_det_poly(A: SquareMatrix, block: Sequence[int]) -> MPoly:
             exp = tuple(1 if v in inside else 0 for v in range(n))
             terms[exp] = minor
     return MPoly(n, terms)
+
+
+def block_pencils(A: SquareMatrix) -> Dict[Tuple[int, ...], MPoly]:
+    """The pencil of each Frobenius block of A, keyed by the block.
+
+    The permuted form is checked to be block upper triangular, so
+    det(diag(x) + A) is the product of these pencils; two matrices with the
+    same blocks and block pencils have the same pencil, at the cost of the
+    sum of 2^|block| minors instead of 2^n.
+    """
+    form = frobenius_form(A)
+    P, end = form.permuted.entries, 0
+    for block in form.blocks:
+        start, end = end, end + len(block)
+        if any(P[i][j] for i in range(end, A.n) for j in range(start, end)):
+            raise VerificationError("Frobenius form is not block upper triangular")
+    return {block: block_det_poly(A, block) for block in form.blocks}
 
 
 @dataclass(frozen=True)

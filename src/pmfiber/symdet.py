@@ -249,61 +249,85 @@ def _check_size(n: int, max_n: int, what: str) -> None:
 
 def _minor_walk(
     A: SquareMatrix, full: bool
-) -> Iterator[Tuple[int, Scalar, List[int], List[List[Scalar]]]]:
+) -> Iterator[Tuple[int, Scalar, List[int], Optional[List[List[Scalar]]]]]:
     """Depth-first walk over every subset T of 0..n-1, each reached once.
 
-    Yields ``(mask, det A[T], R, M)`` per subset: ``mask`` has bit k set for
-    k in T, and ``M[a][b] = det A[T+R[a], T+R[b]]``, the bordered minor with
-    T's rows and columns first in increasing order, row R[a] and column R[b]
-    last.  With ``full`` R holds every index outside T; otherwise only the
-    indices above max(T), which is all that the principal minors of T's
-    descendants need.  The caller must not modify ``M``.
+    Yields ``(mask, det A[T], R, M)`` per subset, ``mask`` having bit k set
+    for k in T.  With ``full`` R holds every index outside T and
+    ``M[a][b] = det A[T+R[a], T+R[b]]`` (T's rows and columns first in
+    increasing order, row R[a] and column R[b] last); otherwise R holds the
+    indices above max(T), all that T's descendants need, and M is None.
+    The caller must not modify ``M``.
 
-    A child T+k (k > max(T)) gets its bordered minors from T's by Sylvester's
-    identity, an exact (fraction-free) division by det A[T]:
-
-        M_{T+k}(i,j) = (M_T(k,k) M_T(i,j) - M_T(i,k) M_T(k,j)) / det A[T]
-
-    and det A[T+k] = M_T(k,k).  When det A[T] = 0 the children come from the
-    nearest ancestor P with det A[P] != 0 (the empty set, determinant 1,
-    always qualifies) by the generalized identity: with K = (T+k) - P,
-    M_{T+k}(i,j) is the determinant of M_P on rows K+i and columns K+j,
-    divided by det A[P]^|K|.  Only the matrices of the nodes on the stack and
-    of their pivots are alive at any time.
+    Each node carries a Bareiss elimination of A on T and R: pivot rows I
+    and columns J from T, rows U = T - I and columns V = T - J without a
+    pivot (|U| = |V| is the rank deficiency of A[T]), ``W[x][y] =
+    det A[I+x, J+y]`` for x in U then R and y in V then R, p = det A[I, J],
+    and s the sign of listing T as I then U times that of J then V.  A
+    child T+k appends k to U and V and pivots on that block while it has a
+    nonzero entry: since W vanishes on U x V, at most two exact steps of
+    Sylvester's identity W'(x, y) = (W(u, v) W(x, y) - W(x, v) W(u, y)) / p.
+    So a node costs O(|R|^2) however many of its ancestors have a zero
+    determinant; while none has, U and V stay empty and the step is the
+    Schur-complement recursion of Griffin and Tsatsomeros with pivot (k, k).
     """
     # Every division is exact, so on integer input floor division is exact.
     all_int = all(type(x) is int for row in A.entries for x in row)
     div = int.__floordiv__ if all_int else div_exact
-    stack = [(0, -1, 1, list(range(A.n)), [list(r) for r in A.entries], None)]
+    # (mask, max(T), R, W, |U|, p, s)
+    stack = [(0, -1, list(range(A.n)), [list(r) for r in A.entries], 0, 1, 1)]
     while stack:
-        mask, last, d, R, M, pivot = stack.pop()
-        yield mask, d, R, M
-        # pivot: (det A[P], P's R, P's M, positions in P's R of T - P)
-        dP, RP, MP, K = (d, R, M, []) if d else pivot
+        mask, last, R, W, m, p, s = stack.pop()
+        d = 0 if m else p if s == 1 else -p
+        yield mask, d, R, _bordered(W, m, p, s, div) if full else None
         for a, k in enumerate(R):
             if k <= last:
                 continue
             keep = [b for b in range(len(R)) if b != a] if full else range(a + 1, len(R))
-            Kk = K + [RP.index(k)]
-            if d:
-                Ma, pkk = M[a], M[a][a]
-                child = [
-                    [div(pkk * Mb[c] - Mb[a] * Ma[c], d) for c in keep]
-                    for Mb in [M[b] for b in keep]
-                ]
-            else:
-                scale = dP ** len(Kk)
-                at = [RP.index(R[b]) for b in keep]
-                child = [
-                    [div(det_fraction_free(_submatrix(MP, Kk + [b], Kk + [c])), scale) for c in at]
-                    for b in at
-                ]
             child_R = [R[b] for b in keep]
-            stack.append((mask | 1 << k, k, M[a][a], child_R, child, (dP, RP, MP, Kk)))
+            if m == 0 and W[a][a]:
+                Wa, pkk = W[a], W[a][a]
+                child = [
+                    [div(pkk * Wb[c] - Wb[a] * Wa[c], p) for c in keep]
+                    for Wb in [W[b] for b in keep]
+                ]
+                stack.append((mask | 1 << k, k, child_R, child, 0, pkk, s))
+            else:
+                at = list(range(m)) + [m + a] + [m + b for b in keep]
+                child = [[W[x][y] for y in at] for x in at]
+                stack.append((mask | 1 << k, k, child_R) + _eliminate(child, m + 1, p, s, div))
 
 
-def _submatrix(M: List[List[Scalar]], rows: List[int], cols: List[int]) -> List[List[Scalar]]:
-    return [[M[x][y] for y in cols] for x in rows]
+def _eliminate(W: List[List[Scalar]], m: int, p: Scalar, s: int, div):
+    """Pivot on nonzero entries of W's leading m x m block while there are
+    any, dropping each pivot's row and column: ``(W, m, p, s)`` after.  A
+    pivot's row and column move from place u of U and v of V to the end of
+    I and J, which multiplies s by (-1)^(u+v)."""
+    while True:
+        found = next(((u, v) for u in range(m) for v in range(m) if W[u][v]), None)
+        if found is None:
+            return W, m, p, s
+        u, v = found
+        Wu, pivot = W[u], W[u][v]
+        W = [
+            [div(pivot * Wx[y] - Wx[v] * Wu[y], p) for y in range(len(Wx)) if y != v]
+            for x, Wx in enumerate(W)
+            if x != u
+        ]
+        m, p, s = m - 1, pivot, s * (-1) ** (u + v)
+
+
+def _bordered(W: List[List[Scalar]], m: int, p: Scalar, s: int, div) -> List[List[Scalar]]:
+    """det A[T+i, T+j] for i, j in R: s W(i, j) with no deficiency; with one
+    row u and column v left (W(u, v) = 0) Sylvester's identity gives
+    -s W(u, j) W(i, v) / p; with more, A[T+i, T+j] is singular."""
+    if m == 0:
+        return W if s == 1 else [[-x for x in row] for row in W]
+    size = len(W) - m
+    if m == 1:
+        Wu = W[0]
+        return [[div(-s * Wu[1 + j] * W[1 + i][0], p) for j in range(size)] for i in range(size)]
+    return [[0] * size for _ in range(size)]
 
 
 def _exponents(n: int) -> List[Tuple[int, ...]]:

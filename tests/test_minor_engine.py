@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmfiber import adjugate_table, det_poly, gaussian, matrix, principal_minors
+from pmfiber import MPoly, adjugate_table, det_poly, gaussian, matrix, principal_minors
+from pmfiber import symdet
 from pmfiber.symdet import rank_exact
-from pmfiber.structure import block_det_poly, frobenius_form
+from pmfiber.structure import block_det_poly, block_pencils, frobenius_form
 
 import oracles
 
@@ -96,6 +97,17 @@ def test_block_det_poly_matches_oracle(drawn, data):
         _check_block(rows, point, list(block))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices())
+def test_block_pencils_multiply_to_the_pencil(drawn):
+    rows, _ = drawn
+    A = matrix(rows)
+    product = MPoly.const(A.n, 1)
+    for factor in block_pencils(A).values():
+        product = product * factor
+    assert product == det_poly(A).fpoly
+
+
 @st.composite
 def rectangular(draw):
     """Dense or rank-one (u v^T) blocks of any shape, some rows and columns
@@ -140,8 +152,15 @@ def _singular_leading_block(n):
     return rows
 
 
+def _zero_row(n):
+    rows = _singular_leading_block(n)
+    rows[0] = [0] * n
+    return rows
+
+
 ZERO_PIVOT_CASES = {
     "zero": _zero(5),
+    "zero-row": _zero_row(6),
     "strictly-upper": _strictly_upper(5),
     "zero-diagonal": _zero_diagonal(5),
     "zero-diagonal-gaussian": [
@@ -163,6 +182,20 @@ def test_zero_pivot_cases_match_oracle(name):
         _check_adjugate(rows, point)
         _check_block(rows, point, list(range(n)))
         _check_block(rows, point, [0, 2, 3])
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_PIVOT_CASES))
+def test_zero_pivots_cost_the_walk_no_determinant(name, monkeypatch):
+    """A zero minor is one more elimination step on the walk's carried
+    matrix, not a determinant per bordered minor of its children."""
+    A = matrix(ZERO_PIVOT_CASES[name])
+
+    def refuse(rows):
+        raise AssertionError("the walk called det_fraction_free")
+
+    monkeypatch.setattr(symdet, "det_fraction_free", refuse)
+    det_poly(A)
+    adjugate_table(A)
 
 
 def test_singular_leading_block_has_a_zero_pivot():
