@@ -23,7 +23,9 @@ in integers on integer input and are exact over every supported field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SizeLimitError, VerificationError
@@ -165,13 +167,18 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
     A column with no pivot left is skipped.  After a pivot on the column
     list C, each remaining entry is a minor on the pivot rows and columns C
     plus its own row and column, so the division by the previous pivot (the
-    minor on C alone) is exact, and stays in Z on integer input.
+    minor on C alone) is exact, and stays in Z on integer input.  Scaling
+    a row by a nonzero number keeps the rank, so rational rows are first
+    multiplied by the lcm of their denominators.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    all_int = all(type(x) is int for row in m for x in row)
-    div = int.__floordiv__ if all_int else div_exact
+    rational = all(type(x) is int or type(x) is Fraction for row in m for x in row)
+    if rational and any(type(x) is Fraction for row in m for x in row):
+        scales = [lcm(*(x.denominator for x in row)) for row in m]
+        m = [[x.numerator * (c // x.denominator) for x in row] for row, c in zip(m, scales)]
+    div = int.__floordiv__ if rational else div_exact
     rank = 0
     prev: Scalar = 1
     for col in range(ncols):
