@@ -88,7 +88,11 @@ def _propagate(n: int, ratio: Callable[[int, int], Optional[Scalar]]) -> List[Sc
 
 
 def _solve_scaling(A: SquareMatrix, B: SquareMatrix) -> Optional[Tuple[Scalar, ...]]:
-    """Find d with B_ij = d_i A_ij / d_j, by ratio propagation per component."""
+    """Find d with B_ij = d_i A_ij / d_j, by ratio propagation per component.
+
+    Each component's first index gets d = 1.  With B = tau(A)^T this is the
+    cycle condition e_i a_ij = e_j tau(a_ji) of a symmetrizing scaling.
+    """
     n = A.n
     for i in range(n):
         for j in range(n):
@@ -143,35 +147,6 @@ class SymmetrizabilityResult:
         return self.verdict != VERDICT_NOT_SYMMETRIZABLE
 
 
-def _solve_cycle_condition(
-    A: SquareMatrix, hermitian: bool
-) -> Optional[Tuple[Scalar, ...]]:
-    """Solve e_i * a_ij = e_j * tau(a_ji) with all e_i nonzero, tau = conj or id.
-
-    Returns the component-normalized e-vector, or None.  In the Hermitian
-    case every propagated ratio must stay real (e is a vector of |d_i|^2).
-    """
-    n = A.n
-    tau = conj if hermitian else (lambda x: x)
-    for i in range(n):
-        for j in range(n):
-            if bool(A.entries[i][j]) != bool(A.entries[j][i]):
-                return None
-
-    def ratio(i: int, j: int) -> Optional[Scalar]:
-        # e_j = e_i * a_ij / tau(a_ji)
-        return div_exact(A.entries[i][j], tau(A.entries[j][i])) if A.entries[i][j] else None
-
-    e = _propagate(n, ratio)
-    if hermitian and not all(is_rational(x) for x in e):
-        return None
-    for i in range(n):
-        for j in range(n):
-            if i != j and e[i] * A.entries[i][j] != e[j] * tau(A.entries[j][i]):
-                return None
-    return tuple(normalize_scalar(x) for x in e)
-
-
 def _witness_from_roots(
     A: SquareMatrix, roots: Tuple[Scalar, ...], hermitian: bool
 ) -> DiagonalCertificate:
@@ -192,7 +167,7 @@ def symmetrizability(A: SquareMatrix) -> SymmetrizabilityResult:
     (several independent non-squares may in fact need a tower; no radicals
     are constructed either way).
     """
-    e = _solve_cycle_condition(A, hermitian=False)
+    e = _solve_scaling(A, A.transpose())
     if e is None:
         return SymmetrizabilityResult(VERDICT_NOT_SYMMETRIZABLE, None, None)
     roots = [sqrt_in_field(x, A.field) for x in e]
@@ -212,8 +187,12 @@ def hermitian_equivalence(A: SquareMatrix) -> SymmetrizabilityResult:
     """
     if any(scalar_im(A.entries[i][i]) != 0 for i in range(A.n)):
         return SymmetrizabilityResult(VERDICT_NOT_SYMMETRIZABLE, None, None)
-    e = _solve_cycle_condition(A, hermitian=True)
-    if e is None or any(x <= 0 for x in e):
+    n = A.n
+    adjoint = SquareMatrix(
+        tuple(tuple(conj(A.entries[j][i]) for j in range(n)) for i in range(n)), A.field
+    )
+    e = _solve_scaling(A, adjoint)
+    if e is None or not all(is_rational(x) and x > 0 for x in e):
         return SymmetrizabilityResult(VERDICT_NOT_SYMMETRIZABLE, None, None)
     roots = [sqrt_in_field(x, FIELD_Q) for x in e]
     if all(r is not None for r in roots):

@@ -23,12 +23,12 @@ from .equiv import (
     hermitian_equivalence,
     symmetrizability,
 )
-from .errors import ExactDivisionError, PreconditionError, SizeLimitError, VerificationError
+from .errors import ExactDivisionError, PreconditionError, VerificationError
 from .mpoly import MPoly, exact_divide
 from .scalars import Scalar, div_exact
 from .structure import (
     FiberShape,
-    block_pencils,
+    FrobeniusForm,
     fiber_shape,
     frobenius_form,
     is_irreducible,
@@ -37,13 +37,11 @@ from .structure import (
 from .symdet import (
     AdjugateTable,
     SquareMatrix,
+    check_size,
     det_poly,
     matrix,
     rank_exact,
 )
-
-MAX_N_CUTS = 16
-MAX_N_CLASSIFY = 12
 
 SINGLE_POINT = "SinglePoint"
 MULTI_POINT = "MultiPoint"
@@ -90,12 +88,11 @@ def is_cut(A: SquareMatrix, X: Sequence[int]) -> bool:
     return r1 <= 1 and r2 <= 1
 
 
-def find_cuts(A: SquareMatrix, max_n: int = MAX_N_CUTS) -> List[CutCertificate]:
+def find_cuts(A: SquareMatrix) -> List[CutCertificate]:
     """All cuts of A, each partition reported once by the side containing
     index 0 (the lexicographically smaller representative), sorted."""
     n = A.n
-    if n > max_n:
-        raise SizeLimitError(f"find_cuts limited to n <= {max_n}, got n = {n}")
+    check_size("find_cuts", n)
     cuts: List[CutCertificate] = []
     for mask in range(1, 1 << n, 2):  # representatives contain index 0
         size = mask.bit_count()
@@ -155,7 +152,10 @@ def _generic_values(attempt: int, count: int) -> List[int]:
     return _primes(attempt - 1 + count)[attempt - 1 :]
 
 
-def rank_one_split(G: AdjugateTable, X: Sequence[int], attempts: int = 8) -> FactorSplit:
+_SPLIT_ATTEMPTS = 8
+
+
+def rank_one_split(G: AdjugateTable, X: Sequence[int]) -> FactorSplit:
     """Split the two off-diagonal blocks of G into products of one-index factors.
 
     The X^c-side factors are read off a single row (resp. column) of G at a
@@ -167,7 +167,7 @@ def rank_one_split(G: AdjugateTable, X: Sequence[int], attempts: int = 8) -> Fac
     Xs, Xc = _split_indices(n, X)
     i0, j0 = Xs[0], Xc[0]
     failure = "every generic evaluation point vanished"
-    for attempt in range(attempts):
+    for attempt in range(_SPLIT_ATTEMPTS):
         values = _generic_values(attempt, len(Xs))
         sub = dict(zip(Xs, values))
         b = {j: G.entry(i0, j).substitute_many(sub) for j in Xc}
@@ -284,8 +284,7 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
             "matrix is diagonally equivalent to a symmetric matrix; "
             "its fiber is a single class and no witness exists"
         )
-    if n > MAX_N_CLASSIFY:
-        raise SizeLimitError(f"cut_swap_witness limited to n <= {MAX_N_CLASSIFY}, got n = {n}")
+    check_size("cut_swap_witness", n)
     B = _swap(A, Xs, Xc)
     if det_poly(B).fpoly != det_poly(A).fpoly:
         failure = "recovered matrix does not reproduce the pencil determinant"
@@ -301,6 +300,24 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
     )
 
 
+def _same_block_form(form: FrobeniusForm, B: SquareMatrix) -> bool:
+    """True when, in the order of A's Frobenius form, A is zero below its
+    diagonal blocks and B equals A on and below them, entry for entry.
+
+    Both are then block upper triangular with the same diagonal blocks, and
+    a block triangular determinant is the product of its diagonal blocks,
+    so det(diag(x) + B) = det(diag(x) + A) at O(n^2) cost.
+    """
+    P, Q = form.permuted.entries, B.permuted(form.order).entries
+    end = 0
+    for block in form.blocks:
+        start, end = end, end + len(block)
+        for i in range(start, end):
+            if any(P[i][:start]) or Q[i][:end] != P[i][:end]:
+                return False
+    return True
+
+
 def reducible_witness(A: SquareMatrix) -> SquareMatrix:
     """A second fiber point for a reducible matrix.
 
@@ -309,8 +326,8 @@ def reducible_witness(A: SquareMatrix) -> SquareMatrix:
     the first block row's upper pattern by its 0/1 complement keeps all
     minors while forcing a different support.  Both postconditions are
     verified exactly: equal pencil determinants (whose coefficients are the
-    principal minors), shown by equal Frobenius blocks with equal block
-    pencils (see block_pencils), and no diagonal equivalence to A.
+    principal minors), shown by the block form (see _same_block_form), and
+    no diagonal equivalence to A.
     """
     form = frobenius_form(A)
     if len(form.blocks) == 1:
@@ -323,7 +340,7 @@ def reducible_witness(A: SquareMatrix) -> SquareMatrix:
         for j in range(k, n):
             rows[i][j] = 0 if P.entries[i][j] else 1
     B = matrix(rows, A.field).permuted(_inverse_order(form.order))
-    if block_pencils(B) != block_pencils(A):
+    if not _same_block_form(form, B):
         raise VerificationError("complement pattern changed a principal minor")
     if diagonal_equivalence(A, B) is not None:
         raise VerificationError("complement pattern is still diagonally equivalent")
@@ -346,7 +363,7 @@ class FiberClassification:
     note: str
 
 
-def classify_fiber(A: SquareMatrix, max_n: int = MAX_N_CLASSIFY) -> FiberClassification:
+def classify_fiber(A: SquareMatrix) -> FiberClassification:
     """Decide whether the fiber of A is a single class, with proof either way.
 
     Reducible matrices always get a witness.  Irreducible matrices of size
@@ -356,8 +373,7 @@ def classify_fiber(A: SquareMatrix, max_n: int = MAX_N_CLASSIFY) -> FiberClassif
     are reported under their own reason code.
     """
     n = A.n
-    if n > max_n:
-        raise SizeLimitError(f"classify_fiber limited to n <= {max_n}, got n = {n}")
+    check_size("classify_fiber", n)
     if not is_irreducible(A):
         return FiberClassification(
             MULTI_POINT,
@@ -459,7 +475,7 @@ class StableCertificate:
         return self.verdict == "Certified"
 
 
-def stable_certify(A: SquareMatrix, max_n: int = MAX_N_CLASSIFY) -> StableCertificate:
+def stable_certify(A: SquareMatrix) -> StableCertificate:
     """Certify stability of the pencil determinant by block Hermitian scaling.
 
     Each irreducible diagonal block that is diagonally equivalent to a
@@ -468,10 +484,8 @@ def stable_certify(A: SquareMatrix, max_n: int = MAX_N_CLASSIFY) -> StableCertif
     determinant.  Certified therefore implies stability; NotCertified names
     the first block with no Hermitian scaling.
     """
-    n = A.n
-    if n > max_n:
-        raise SizeLimitError(f"stable_certify limited to n <= {max_n}, got n = {n}")
-    checked = structure_check(A, max_n=max_n)
+    check_size("stable_certify", A.n)
+    checked = structure_check(A)
     if not checked.product_matches:
         raise VerificationError(
             "block factors do not multiply back to the pencil determinant"

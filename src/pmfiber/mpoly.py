@@ -96,11 +96,6 @@ class MPoly:
     def is_multiaffine(self) -> bool:
         return all(all(e <= 1 for e in exp) for exp in self.terms)
 
-    def variables(self) -> frozenset:
-        return frozenset(
-            k for k in range(self.n) if any(exp[k] for exp in self.terms)
-        )
-
     def coefficient(self, exp: Exponent) -> Scalar:
         return self.terms.get(tuple(exp), 0)
 

@@ -15,12 +15,9 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import SizeLimitError, VerificationError
 from .mpoly import MPoly
 from .scalars import Scalar
-from .symdet import SquareMatrix, det_fraction_free, det_poly
-
-MAX_N_STRUCTURE = 12
+from .symdet import SquareMatrix, check_size, det_fraction_free, det_poly
 
 
 @dataclass(frozen=True)
@@ -157,23 +154,6 @@ def block_det_poly(A: SquareMatrix, block: Sequence[int]) -> MPoly:
     return MPoly(n, terms)
 
 
-def block_pencils(A: SquareMatrix) -> Dict[Tuple[int, ...], MPoly]:
-    """The pencil of each Frobenius block of A, keyed by the block.
-
-    The permuted form is checked to be block upper triangular, so
-    det(diag(x) + A) is the product of these pencils; two matrices with the
-    same blocks and block pencils have the same pencil, at the cost of the
-    sum of 2^|block| minors instead of 2^n.
-    """
-    form = frobenius_form(A)
-    P, end = form.permuted.entries, 0
-    for block in form.blocks:
-        start, end = end, end + len(block)
-        if any(P[i][j] for i in range(end, A.n) for j in range(start, end)):
-            raise VerificationError("Frobenius form is not block upper triangular")
-    return {block: block_det_poly(A, block) for block in form.blocks}
-
-
 @dataclass(frozen=True)
 class StructureReport:
     form: FrobeniusForm
@@ -187,7 +167,7 @@ class StructureReport:
         return self.product_matches and all(self.blocks_irreducible)
 
 
-def structure_check(A: SquareMatrix, max_n: int = MAX_N_STRUCTURE) -> StructureReport:
+def structure_check(A: SquareMatrix) -> StructureReport:
     """Frobenius form plus exact verification of the induced factorization.
 
     The one exact check is that det(diag(x)+A) equals the product of the
@@ -195,8 +175,7 @@ def structure_check(A: SquareMatrix, max_n: int = MAX_N_STRUCTURE) -> StructureR
     connectivity of its support digraph, reported per block.
     """
     n = A.n
-    if n > max_n:
-        raise SizeLimitError(f"structure_check limited to n <= {max_n}, got n = {n}")
+    check_size("structure_check", n)
     form = frobenius_form(A)
     factors = tuple(block_det_poly(A, block) for block in form.blocks)
     f = det_poly(A).fpoly
@@ -222,10 +201,8 @@ class FiberShape:
     free_positions: Tuple[Tuple[int, int], ...]
 
 
-def fiber_shape(A: SquareMatrix, max_n: int = MAX_N_STRUCTURE) -> FiberShape:
-    n = A.n
-    if n > max_n:
-        raise SizeLimitError(f"fiber_shape limited to n <= {max_n}, got n = {n}")
+def fiber_shape(A: SquareMatrix) -> FiberShape:
+    check_size("fiber_shape", A.n)
     form = frobenius_form(A)
     s = len(form.blocks)
     block_matrices = tuple(A.block(block) for block in form.blocks)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SizeLimitError, VerificationError
@@ -42,9 +43,29 @@ from .scalars import (
     scalar_format,
 )
 
-MAX_N_MINORS = 16
-MAX_N_ADJUGATE = 12
-MAX_N_VERIFY = 10
+# The largest n each size-limited entry point accepts; the work grows like
+# 2^n (minors, cuts) or n^2 2^n (adjugate table, identities).  This table is
+# the one place a cap is written.
+SIZE_LIMITS: Mapping[str, int] = MappingProxyType({
+    "principal_minors": 16,
+    "det_poly": 16,
+    "adjugate_table": 12,
+    "matrix_from_adjugate": 12,
+    "verify_identities": 10,
+    "find_cuts": 16,
+    "cut_swap_witness": 12,
+    "classify_fiber": 12,
+    "stable_certify": 12,
+    "structure_check": 12,
+    "fiber_shape": 12,
+})
+
+
+def check_size(name: str, n: int) -> None:
+    """Raise SizeLimitError when n exceeds the cap SIZE_LIMITS gives ``name``."""
+    cap = SIZE_LIMITS[name]
+    if n > cap:
+        raise SizeLimitError(f"{name} limited to n <= {cap}, got n = {n}")
 
 
 @dataclass(frozen=True)
@@ -249,11 +270,6 @@ class AdjugateTable:
         )
 
 
-def _check_size(n: int, max_n: int, what: str) -> None:
-    if n > max_n:
-        raise SizeLimitError(f"{what} limited to n <= {max_n}, got n = {n}")
-
-
 def _minor_walk(
     A: SquareMatrix, full: bool
 ) -> Iterator[Tuple[int, Scalar, List[int], Optional[List[List[Scalar]]]]]:
@@ -345,13 +361,13 @@ def _exponents(n: int) -> List[Tuple[int, ...]]:
     return exps
 
 
-def principal_minors(A: SquareMatrix, max_n: int = MAX_N_MINORS) -> PMVector:
+def principal_minors(A: SquareMatrix) -> PMVector:
     """Every principal minor, one fraction-free elimination per subset.
 
     ``det_poly`` reads the same minors off one walk of the minor engine.
     """
     n = A.n
-    _check_size(n, max_n, "principal_minors")
+    check_size("principal_minors", n)
     values: Dict[FrozenSet[int], Scalar] = {}
     for mask in range(1 << n):
         idx = [k for k in range(n) if mask >> k & 1]
@@ -359,18 +375,18 @@ def principal_minors(A: SquareMatrix, max_n: int = MAX_N_MINORS) -> PMVector:
     return PMVector(n, values)
 
 
-def det_poly(A: SquareMatrix, max_n: int = MAX_N_MINORS) -> DeterminantalPencil:
+def det_poly(A: SquareMatrix) -> DeterminantalPencil:
     """f(x) = det(diag(x) + A); coefficient on prod_{k in S} x_k is the minor
     of the complement of S."""
     n = A.n
-    _check_size(n, max_n, "det_poly")
+    check_size("det_poly", n)
     exps = _exponents(n)
     full = (1 << n) - 1
     terms = {exps[full ^ mask]: d for mask, d, _, _ in _minor_walk(A, full=False) if d}
     return DeterminantalPencil(A, MPoly(n, terms))
 
 
-def adjugate_table(A: SquareMatrix, max_n: int = MAX_N_ADJUGATE) -> AdjugateTable:
+def adjugate_table(A: SquareMatrix) -> AdjugateTable:
     """Adjugate of M = diag(x) + A, read off one full walk of the minor engine.
 
     The coefficient of prod_{k in S} x_k in entry (i,j) is entry (i,j) of
@@ -381,7 +397,7 @@ def adjugate_table(A: SquareMatrix, max_n: int = MAX_N_ADJUGATE) -> AdjugateTabl
     places in U multiply to -1.
     """
     n = A.n
-    _check_size(n, max_n, "adjugate_table")
+    check_size("adjugate_table", n)
     exps = _exponents(n)
     full = (1 << n) - 1
     terms: List[List[Dict[Tuple[int, ...], Scalar]]] = [[{} for _ in range(n)] for _ in range(n)]
@@ -420,12 +436,7 @@ def adjugate_pencil_product_ok(G: AdjugateTable, pencil: DeterminantalPencil) ->
     return True
 
 
-def matrix_from_adjugate(
-    H: AdjugateTable,
-    f: MPoly,
-    field: Optional[str] = None,
-    max_n: int = MAX_N_ADJUGATE,
-) -> SquareMatrix:
+def matrix_from_adjugate(H: AdjugateTable, f: MPoly, field: Optional[str] = None) -> SquareMatrix:
     """Recover B with adj(diag(x) + B) = H and det(diag(x) + B) = f.
 
     B_ii is the coefficient of prod_{k != i} x_k in f; off-diagonal B_ij is
@@ -433,7 +444,7 @@ def matrix_from_adjugate(
     is verified by recomputing its adjugate table and determinantal pencil.
     """
     n = H.n
-    _check_size(n, max_n, "matrix_from_adjugate")
+    check_size("matrix_from_adjugate", n)
     if f.n != n:
         raise ValueError("pencil polynomial has wrong variable count")
     full = frozenset(range(n))
@@ -447,7 +458,7 @@ def matrix_from_adjugate(
                 row.append(-coefficient_of(H.entries[i][j], full - {i, j}))
         rows.append(row)
     B = matrix(rows, field)
-    if adjugate_table(B, max_n=max_n).entries != H.entries:
+    if adjugate_table(B).entries != H.entries:
         raise VerificationError("recovered matrix does not reproduce the adjugate table")
     if det_poly(B).fpoly != f:
         raise VerificationError("recovered matrix does not reproduce the pencil determinant")
@@ -482,37 +493,6 @@ def laplace_expand(A: SquareMatrix, S: Iterable[int]) -> Scalar:
     return normalize_scalar(total)
 
 
-def two_line_sign(n: int, S: Iterable[int], T: Iterable[int]) -> int:
-    """Sign of the permutation sending sorted(S)->sorted(T), sorted(S^c)->sorted(T^c).
-
-    Computed both by inversion counting and by the closed form
-    (-1)^(sum S + sum T); the two must agree.
-    """
-    srows = sorted(set(S))
-    tcols = sorted(set(T))
-    if len(srows) != len(tcols):
-        raise ValueError("S and T must have equal size")
-    if srows and (srows[0] < 0 or srows[-1] >= n):
-        raise ValueError("S outside range")
-    if tcols and (tcols[0] < 0 or tcols[-1] >= n):
-        raise ValueError("T outside range")
-    scomp = [x for x in range(n) if x not in set(srows)]
-    tcomp = [x for x in range(n) if x not in set(tcols)]
-    image = [0] * n
-    for s, t in zip(srows, tcols):
-        image[s] = t
-    for s, t in zip(scomp, tcomp):
-        image[s] = t
-    inversions = sum(
-        1 for a in range(n) for b in range(a + 1, n) if image[a] > image[b]
-    )
-    by_inversions = -1 if inversions % 2 else 1
-    closed_form = -1 if (sum(srows) + sum(tcols)) % 2 else 1
-    if by_inversions != closed_form:
-        raise VerificationError("two-line sign formulas disagree")
-    return by_inversions
-
-
 # -- identity verification -------------------------------------------------------
 
 
@@ -544,11 +524,7 @@ class IdentityReport:
 IDENTITIES = ("dodgson", "resultant", "laplace", "adjugate")
 
 
-def verify_identities(
-    A: SquareMatrix,
-    identities: Sequence[str] = IDENTITIES,
-    max_n: int = MAX_N_VERIFY,
-) -> IdentityReport:
+def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -> IdentityReport:
     """Exact checks tying the adjugate table to the pencil determinant.
 
     dodgson:   Delta_ij(f) == G_ij * G_ji for every pair i != j
@@ -558,7 +534,7 @@ def verify_identities(
     adjugate:  G * (diag(x) + A) == f * I
     """
     n = A.n
-    _check_size(n, max_n, "verify_identities")
+    check_size("verify_identities", n)
     unknown = [name for name in identities if name not in IDENTITIES]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")

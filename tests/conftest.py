@@ -50,6 +50,21 @@ def golden_a6():
     return matrix(A6_ROWS)
 
 
+def cut_rows(n, k):
+    """Dense diagonal blocks on {0..k-1} and the rest, rank-one blocks across:
+    X = {0..k-1} is a cut of an irreducible, non-symmetrizable matrix."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if (i < k) == (j < k):
+                rows[i][j] = (i * 7 + j * 3) % 4 + 1
+            elif i < k:
+                rows[i][j] = (i + 1) * (j % 3 + 1)
+            else:
+                rows[i][j] = (j + 2) * (i % 2 + 1)
+    return rows
+
+
 def poly_of(n, coeffs):
     """Build a multiaffine MPoly from {0-based index tuple: coefficient}."""
     terms = {}

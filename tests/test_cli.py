@@ -8,7 +8,7 @@ import pytest
 from pmfiber import VerificationError
 from pmfiber.cli import main
 
-from conftest import A4_ROWS, A6_ROWS
+from conftest import A4_ROWS, A6_ROWS, cut_rows
 
 
 def write_matrix(path, rows, field="Q"):
@@ -374,26 +374,28 @@ def test_exit_deeply_nested_json(capsys, tmp_path):
     assert code == 2 and "error" in doc
 
 
-def _cut_rows(n, k):
-    """Dense diagonal blocks on {0..k-1} and the rest, rank-one blocks across."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if (i < k) == (j < k):
-                rows[i][j] = (i * 7 + j * 3) % 4 + 1
-            elif i < k:
-                rows[i][j] = (i + 1) * (j % 3 + 1)
-            else:
-                rows[i][j] = (j + 2) * (i % 2 + 1)
-    return rows
-
-
 def test_witness_cut_above_the_cap_exits_3(capsys, tmp_path):
     # Preconditions hold (a cut of an irreducible, non-symmetrizable
     # matrix), so the refusal is the size cap.
-    f = write_matrix(tmp_path / "cut13.json", _cut_rows(13, 2))
+    f = write_matrix(tmp_path / "cut13.json", cut_rows(13, 2))
     code, doc, _ = run_cli(capsys, "witness", "--cut", "1,2", f)
     assert code == 3 and "error" in doc
-    f = write_matrix(tmp_path / "cut6.json", _cut_rows(6, 2))
+    f = write_matrix(tmp_path / "cut6.json", cut_rows(6, 2))
     code, doc, _ = run_cli(capsys, "witness", "--cut", "1,2", f)
     assert code == 0 and doc["result"]["kind"] == "CutSwap"
+
+
+def test_witness_on_a_reducible_matrix_above_sixteen(capsys, tmp_path):
+    # Index 0 alone, then a 16-cycle: the reducible witness is proved by its
+    # block form, so no 17-variable pencil is ever built.
+    n = 17
+    rows = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows[0][1] = 2
+    for i in range(1, n):
+        rows[i][i % (n - 1) + 1] = 1
+    f = write_matrix(tmp_path / "red17.json", rows)
+    code, doc, _ = run_cli(capsys, "witness", f)
+    assert code == 0 and doc["result"]["kind"] == "ReduciblePattern"
+    W = doc["witness"]["entries"]
+    assert W[0] == ["1", "0"] + ["1"] * (n - 2)
+    assert W[1:] == [[str(x) for x in row] for row in rows[1:]]

@@ -33,7 +33,9 @@ from pmfiber.fiber import (
     REASON_SMALL_N,
     REASON_SYMMETRIZABLE,
 )
+from pmfiber import fiber
 from pmfiber.scalars import gaussian
+from pmfiber.structure import FrobeniusForm
 from pmfiber.symdet import identity_matrix
 
 import oracles
@@ -225,6 +227,41 @@ def test_reducible_witness_golden(golden_a6):
 def test_reducible_witness_requires_reducible(golden_a4):
     with pytest.raises(PreconditionError):
         reducible_witness(golden_a4)
+
+
+# Frobenius order 2, 0, 1: the form is [[6, 4, 5], [0, 1, 2], [0, 0, 3]].
+REDUCIBLE_3 = [[1, 2, 0], [0, 3, 0], [4, 5, 6]]
+
+
+@pytest.mark.parametrize(
+    "i, j, kept",
+    [(1, 1, False), (2, 1, False), (2, 0, False), (1, 2, True)],
+    ids=["diagonal-block", "below-a-block", "below-the-first-block", "strictly-upper"],
+)
+def test_reducible_witness_is_proved_by_its_block_form(monkeypatch, i, j, kept):
+    # Corrupt entry (i, j), in Frobenius order, of the matrix the witness is
+    # built from: only strictly-upper entries may change.
+    def build(rows, field=None):
+        rows = [list(row) for row in rows]
+        rows[i][j] = 7
+        return matrix(rows, field)
+
+    monkeypatch.setattr(fiber, "matrix", build)
+    A = matrix(REDUCIBLE_3)
+    if kept:
+        assert principal_minors(reducible_witness(A)) == principal_minors(A)
+    else:
+        with pytest.raises(VerificationError, match="changed a principal minor"):
+            reducible_witness(A)
+
+
+def test_reducible_witness_refuses_a_form_that_is_not_triangular(monkeypatch):
+    A = matrix(REDUCIBLE_3)
+    order = (1, 0, 2)
+    reversed_form = FrobeniusForm(order, ((1,), (0,), (2,)), A.permuted(order))
+    monkeypatch.setattr(fiber, "frobenius_form", lambda M: reversed_form)
+    with pytest.raises(VerificationError):
+        reducible_witness(A)
 
 
 # -- classification -----------------------------------------------------------------

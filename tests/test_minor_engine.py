@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmfiber import MPoly, adjugate_table, det_poly, gaussian, matrix, principal_minors
+from pmfiber import adjugate_table, det_poly, gaussian, matrix, principal_minors
 from pmfiber import symdet
 from pmfiber.symdet import rank_exact
-from pmfiber.structure import block_det_poly, block_pencils, frobenius_form
+from pmfiber.structure import block_det_poly, frobenius_form, structure_check
 
 import oracles
 
@@ -99,13 +99,9 @@ def test_block_det_poly_matches_oracle(drawn, data):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(matrices())
-def test_block_pencils_multiply_to_the_pencil(drawn):
+def test_block_factors_multiply_to_the_pencil(drawn):
     rows, _ = drawn
-    A = matrix(rows)
-    product = MPoly.const(A.n, 1)
-    for factor in block_pencils(A).values():
-        product = product * factor
-    assert product == det_poly(A).fpoly
+    assert structure_check(matrix(rows)).product_matches
 
 
 @st.composite

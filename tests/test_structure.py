@@ -15,9 +15,7 @@ from pmfiber import (
     matrix,
     structure_check,
 )
-from pmfiber import structure
-from pmfiber.errors import VerificationError
-from pmfiber.structure import FrobeniusForm, _strongly_connected_components, block_pencils
+from pmfiber.structure import _strongly_connected_components
 from pmfiber.symdet import identity_matrix
 
 from conftest import a6_factors, poly_of
@@ -130,15 +128,6 @@ def test_planted_blocks_recovered():
         form = frobenius_form(matrix(shuffled))
         assert len(form.blocks) == len(sizes)
         assert structure_check(matrix(shuffled)).all_ok
-
-
-def test_block_pencils_refuse_a_form_that_is_not_triangular(monkeypatch):
-    A = matrix([[1, 2, 0], [0, 3, 0], [4, 5, 6]])  # blocks {2}, {0}, {1} in that order
-    order = (1, 0, 2)
-    reversed_form = FrobeniusForm(order, ((1,), (0,), (2,)), A.permuted(order))
-    monkeypatch.setattr(structure, "frobenius_form", lambda M: reversed_form)
-    with pytest.raises(VerificationError):
-        block_pencils(A)
 
 
 def test_fiber_shape_free_positions(golden_a6):

@@ -31,7 +31,6 @@ from pmfiber.symdet import (
     identity_matrix,
     laplace_expand,
     rank_exact,
-    two_line_sign,
 )
 
 import oracles
@@ -281,18 +280,6 @@ def test_laplace_rejects_improper_subset(golden_a4):
         laplace_expand(golden_a4, [])
     with pytest.raises(PreconditionError):
         laplace_expand(golden_a4, [0, 1, 2, 3])
-
-
-def test_two_line_sign_matches_permutation_parity():
-    rng = random.Random(21)
-    for _ in range(40):
-        n = rng.randint(2, 6)
-        k = rng.randint(1, n - 1)
-        S = rng.sample(range(n), k)
-        T = rng.sample(range(n), k)
-        sign = two_line_sign(n, S, T)
-        closed = -1 if (sum(S) + sum(T)) % 2 else 1
-        assert sign == closed
 
 
 # -- identity verification ----------------------------------------------------------
