@@ -7,8 +7,11 @@ equivalence class.  The classifier decides this exactly; where the answer
 is "no" it hands back a verified second fiber point, built either by
 swapping the rank-one factors of A's two cross blocks at a cut (and
 transposing one diagonal block) or by rewriting the strictly-upper pattern
-of a reducible matrix.  rank_one_split is the same cut seen in the adjugate
-table; no witness needs it.
+of a reducible matrix.  Each witness is proved by its form, entry by entry
+(the swap form across the cut, or the block form of a reducible matrix),
+and by having no diagonal equivalence to A; no pencil is expanded, so the
+only exponential step left in the classifier is find_cuts.  rank_one_split
+is the same cut seen in the adjugate table; no witness needs it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .symdet import (
     AdjugateTable,
     SquareMatrix,
     check_size,
-    det_poly,
     matrix,
     rank_exact,
 )
@@ -259,6 +261,33 @@ def swap_factors_degenerate(A: SquareMatrix, X: Sequence[int]) -> bool:
     return diagonal_equivalence(A, _swap(A, Xs, Xc)) is not None
 
 
+def _same_swap_form(
+    A: SquareMatrix, B: SquareMatrix, Xs: Sequence[int], Xc: Sequence[int]
+) -> bool:
+    """True when B is A's swap across the cut (Xs, Xc) up to one scalar:
+    B[X,X] = A[X,X], B[X^c,X^c] = A[X^c,X^c]^T, and B_ij B_kl = A_ik A_jl
+    for i, l in X and j, k in X^c.
+
+    With A[X,X^c] = p q^T and A[X^c,X] = r s^T both nonzero (A is
+    irreducible), the last identity says that the cross blocks of B are
+    c p r^T and c^-1 q s^T for some c != 0.  B is then the swap conjugated
+    by the diagonal matrix with c on X and 1 on X^c, so it has every
+    principal minor of A, at O(|X|^2 |X^c|^2) cost.
+    """
+    E, F = A.entries, B.entries
+    return (
+        all(F[i][j] == E[i][j] for i in Xs for j in Xs)
+        and all(F[i][j] == E[j][i] for i in Xc for j in Xc)
+        and all(
+            F[i][j] * F[k][l] == E[i][k] * E[j][l]
+            for i in Xs
+            for j in Xc
+            for k in Xc
+            for l in Xs
+        )
+    )
+
+
 def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
     """A second fiber point for an irreducible, non-symmetrizable A with cut X.
 
@@ -270,13 +299,12 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
     which (N, q, r) -> (N^T, r, q) leaves unchanged: that is the swap
     [[M, p r^T], [q s^T, N^T]].  The other swap, (M, p, s) -> (M^T, s, p),
     is its transpose, and diagonal equivalence (which allows transposition)
-    puts both in the same class, so one is all there is to try.  The claim
-    itself is what gets checked: the result has A's pencil determinant (so
-    all of A's principal minors, which are its coefficients) and no diagonal
-    equivalence to A.  How the swap came about needs no proof.
+    puts both in the same class, so one is all there is to try.  The result
+    is proved by its swap form (see _same_swap_form), which fixes every
+    principal minor through that identity, and by having no diagonal
+    equivalence to A.
     """
-    n = A.n
-    if n < 4:
+    if A.n < 4:
         raise PreconditionError("factor swapping needs n >= 4")
     Xs, Xc = _cut_sides(A, X)
     if symmetrizability(A).solvable:
@@ -284,9 +312,8 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
             "matrix is diagonally equivalent to a symmetric matrix; "
             "its fiber is a single class and no witness exists"
         )
-    check_size("cut_swap_witness", n)
     B = _swap(A, Xs, Xc)
-    if det_poly(B).fpoly != det_poly(A).fpoly:
+    if not _same_swap_form(A, B, Xs, Xc):
         failure = "recovered matrix does not reproduce the pencil determinant"
     elif diagonal_equivalence(A, B) is None:
         return B
@@ -373,7 +400,6 @@ def classify_fiber(A: SquareMatrix) -> FiberClassification:
     are reported under their own reason code.
     """
     n = A.n
-    check_size("classify_fiber", n)
     if not is_irreducible(A):
         return FiberClassification(
             MULTI_POINT,

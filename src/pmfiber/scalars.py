@@ -295,6 +295,8 @@ _RE_BOTH = _re.compile(rf"^({_RAT_PAT})([+-])(\d+(?:/\d+)?)?i(?:/(\d+))?$")
 
 def _parse_rat(text: str) -> Rat:
     try:
+        if "/" not in text:
+            return int(text)
         return _norm_rat(Fraction(text))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None

@@ -21,12 +21,6 @@ from .symdet import SquareMatrix, check_size, det_fraction_free, det_poly
 
 
 @dataclass(frozen=True)
-class SupportDigraph:
-    n: int
-    adjacency: Tuple[Tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class FrobeniusForm:
     """order maps new position -> original index; blocks hold original indices."""
 
@@ -35,12 +29,12 @@ class FrobeniusForm:
     permuted: SquareMatrix
 
 
-def support_digraph(A: SquareMatrix) -> SupportDigraph:
+def _adjacency(A: SquareMatrix) -> Tuple[Tuple[int, ...], ...]:
+    """The support digraph: for each i, the j != i with A_ij != 0."""
     n = A.n
-    adjacency = tuple(
+    return tuple(
         tuple(j for j in range(n) if j != i and A.entries[i][j]) for i in range(n)
     )
-    return SupportDigraph(n, adjacency)
 
 
 def _strongly_connected_components(
@@ -102,8 +96,8 @@ def frobenius_form(A: SquareMatrix) -> FrobeniusForm:
     and all support edges point from earlier blocks to later ones.
     """
     n = A.n
-    graph = support_digraph(A)
-    comps = _strongly_connected_components(n, graph.adjacency)
+    adjacency = _adjacency(A)
+    comps = _strongly_connected_components(n, adjacency)
     comp_of = {}
     for c, comp in enumerate(comps):
         for v in comp:
@@ -111,7 +105,7 @@ def frobenius_form(A: SquareMatrix) -> FrobeniusForm:
     succ: List[set] = [set() for _ in comps]
     indegree = [0] * len(comps)
     for i in range(n):
-        for j in graph.adjacency[i]:
+        for j in adjacency[i]:
             a, b = comp_of[i], comp_of[j]
             if a != b and b not in succ[a]:
                 succ[a].add(b)
@@ -134,8 +128,7 @@ def frobenius_form(A: SquareMatrix) -> FrobeniusForm:
 
 
 def is_irreducible(A: SquareMatrix) -> bool:
-    graph = support_digraph(A)
-    return len(_strongly_connected_components(A.n, graph.adjacency)) == 1
+    return len(_strongly_connected_components(A.n, _adjacency(A))) == 1
 
 
 def block_det_poly(A: SquareMatrix, block: Sequence[int]) -> MPoly:

@@ -35,6 +35,7 @@ from .scalars import (
     FIELD_Q,
     FIELD_QI,
     FIELDS,
+    GaussianRational,
     Scalar,
     conj,
     div_exact,
@@ -53,8 +54,6 @@ SIZE_LIMITS: Mapping[str, int] = MappingProxyType({
     "matrix_from_adjugate": 12,
     "verify_identities": 10,
     "find_cuts": 16,
-    "cut_swap_witness": 12,
-    "classify_fiber": 12,
     "stable_certify": 12,
     "structure_check": 12,
     "fiber_shape": 12,
@@ -135,6 +134,13 @@ def matrix(rows: Sequence[Sequence[Scalar]], field: Optional[str] = None) -> Squ
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
+    for row in rows:
+        for x in row:
+            if type(x) not in (int, Fraction, GaussianRational):
+                raise ValueError(
+                    "matrix entries must be int, Fraction or GaussianRational, "
+                    f"got {type(x).__name__}"
+                )
     entries = tuple(tuple(normalize_scalar(x) for x in row) for row in rows)
     has_imag = any(not is_rational(x) for row in entries for x in row)
     if field is None:

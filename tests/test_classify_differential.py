@@ -1,8 +1,9 @@
 """Differential tests of fiber classification against the naive oracles.
 
-A witness is checked inside the library once, by its defining claim: equal
-pencil determinants and no diagonal certificate.  These tests check the same
-claim from outside, with the permutation-sum oracle for the minors, on
+Inside the library a witness is proved by its form (the swap form across a
+cut, or the block form of a reducible matrix) and by having no diagonal
+certificate; no pencil is expanded.  These tests check the claim itself
+from outside, equal principal minors by the permutation-sum oracle, on
 unfiltered draws at n = 4..6: planted cuts (symmetrizable and degenerate
 draws included), relabeled block upper triangular matrices and dense
 matrices.  The only failure classify_fiber may report is the degenerate cut

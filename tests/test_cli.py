@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pmfiber import VerificationError
+from pmfiber import VerificationError, det_poly, matrix, scalar_parse
 from pmfiber.cli import main
 
 from conftest import A4_ROWS, A6_ROWS, cut_rows
@@ -374,28 +374,50 @@ def test_exit_deeply_nested_json(capsys, tmp_path):
     assert code == 2 and "error" in doc
 
 
-def test_witness_cut_above_the_cap_exits_3(capsys, tmp_path):
-    # Preconditions hold (a cut of an irreducible, non-symmetrizable
-    # matrix), so the refusal is the size cap.
-    f = write_matrix(tmp_path / "cut13.json", cut_rows(13, 2))
+def test_witness_cut_has_no_cap(capsys, tmp_path):
+    # The swap is proved by its form, entry by entry, so no pencil is
+    # expanded: n = 13 and n = 20 both answer.
+    rows = cut_rows(13, 2)
+    f = write_matrix(tmp_path / "cut13.json", rows)
     code, doc, _ = run_cli(capsys, "witness", "--cut", "1,2", f)
-    assert code == 3 and "error" in doc
-    f = write_matrix(tmp_path / "cut6.json", cut_rows(6, 2))
+    assert code == 0 and doc["result"]["kind"] == "CutSwap"
+    W = matrix([[scalar_parse(x) for x in row] for row in doc["witness"]["entries"]])
+    assert det_poly(W).fpoly == det_poly(matrix(rows)).fpoly
+    f = write_matrix(tmp_path / "cut20.json", cut_rows(20, 2))
     code, doc, _ = run_cli(capsys, "witness", "--cut", "1,2", f)
     assert code == 0 and doc["result"]["kind"] == "CutSwap"
 
 
-def test_witness_on_a_reducible_matrix_above_sixteen(capsys, tmp_path):
-    # Index 0 alone, then a 16-cycle: the reducible witness is proved by its
-    # block form, so no 17-variable pencil is ever built.
-    n = 17
+def _reducible_rows(n):
+    """Index 0 alone, then an (n-1)-cycle."""
     rows = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
     rows[0][1] = 2
     for i in range(1, n):
         rows[i][i % (n - 1) + 1] = 1
+    return rows
+
+
+def test_witness_on_a_reducible_matrix_above_sixteen(capsys, tmp_path):
+    # The reducible witness is proved by its block form, so no 17-variable
+    # pencil is ever built.
+    n = 17
+    rows = _reducible_rows(n)
     f = write_matrix(tmp_path / "red17.json", rows)
     code, doc, _ = run_cli(capsys, "witness", f)
     assert code == 0 and doc["result"]["kind"] == "ReduciblePattern"
     W = doc["witness"]["entries"]
     assert W[0] == ["1", "0"] + ["1"] * (n - 2)
     assert W[1:] == [[str(x) for x in row] for row in rows[1:]]
+
+
+def test_classify_on_a_reducible_matrix_above_sixteen(capsys, tmp_path):
+    f = write_matrix(tmp_path / "red17.json", _reducible_rows(17))
+    code, doc, _ = run_cli(capsys, "classify", f)
+    assert code == 0 and doc["result"]["reason"] == "Reducible"
+
+
+def test_classify_on_an_irreducible_matrix_is_capped_by_find_cuts(capsys, tmp_path):
+    f = write_matrix(tmp_path / "cut17.json", cut_rows(17, 2))
+    code, doc, _ = run_cli(capsys, "classify", f)
+    assert code == 3
+    assert "find_cuts limited to n <= 16, got n = 17" in doc["error"]

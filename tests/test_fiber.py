@@ -1,6 +1,7 @@
 """Cuts, rank-one factor splits, swap witnesses, and fiber classification."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,6 @@ from pmfiber import (
     MULTI_POINT,
     PreconditionError,
     SINGLE_POINT,
-    SizeLimitError,
     VerificationError,
     adjugate_table,
     classify_fiber,
@@ -33,10 +33,9 @@ from pmfiber.fiber import (
     REASON_SMALL_N,
     REASON_SYMMETRIZABLE,
 )
-from pmfiber import fiber
+from pmfiber import fiber, structure, symdet
 from pmfiber.scalars import gaussian
 from pmfiber.structure import FrobeniusForm
-from pmfiber.symdet import identity_matrix
 
 import oracles
 
@@ -100,11 +99,6 @@ def test_planted_cut_found():
     ]
     cuts = find_cuts(matrix(rows))
     assert any(c.X == (0, 1) for c in cuts)
-
-
-def test_find_cuts_size_limit():
-    with pytest.raises(SizeLimitError):
-        find_cuts(identity_matrix(17))
 
 
 # -- rank-one factor split ----------------------------------------------------------
@@ -215,6 +209,62 @@ def test_swap_factors_degenerate_golden_negative(golden_a4):
         swap_factors_degenerate(golden_a4, (0, 2))  # not a cut
 
 
+def _corrupted_swap(kind):
+    """fiber._swap with one defect the swap-form proof has to catch; the
+    "scaled" form conjugates the true swap by 3 on X and is a fiber point."""
+    swap = fiber._swap
+
+    def build(A, Xs, Xc):
+        E, B = A.entries, swap(A, Xs, Xc).rows_list()
+        if kind == "transposed-M":
+            for i in Xs:
+                for k in Xs:
+                    B[i][k] = E[k][i]
+        elif kind == "untransposed-N":
+            for j in Xc:
+                for k in Xc:
+                    B[j][k] = E[j][k]
+        elif kind == "q-r-exchanged":  # cross blocks p q^T and r s^T, as in A
+            for i in Xs:
+                for j in Xc:
+                    B[i][j], B[j][i] = E[i][j], E[j][i]
+        elif kind == "one-cross-entry":
+            B[Xs[0]][Xc[0]] += 1
+        else:
+            for i in Xs:
+                for j in Xc:
+                    B[i][j], B[j][i] = 3 * B[i][j], Fraction(B[j][i], 3)
+        return matrix(B)
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "kind, kept",
+    [("transposed-M", False), ("untransposed-N", False), ("q-r-exchanged", False),
+     ("one-cross-entry", False), ("scaled", True)],
+)
+def test_cut_witness_is_proved_by_its_swap_form(monkeypatch, golden_a4, kind, kept):
+    monkeypatch.setattr(fiber, "_swap", _corrupted_swap(kind))
+    if kept:
+        W = cut_swap_witness(golden_a4, (0, 1))
+        assert principal_minors(W) == principal_minors(golden_a4)
+    else:
+        with pytest.raises(VerificationError, match="does not reproduce the pencil"):
+            cut_swap_witness(golden_a4, (0, 1))
+
+
+def test_cut_swap_witness_expands_no_pencil(monkeypatch, golden_a4, golden_b4):
+    def boom(A):
+        raise AssertionError("det_poly called")
+
+    for module in (symdet, structure, fiber):
+        if hasattr(module, "det_poly"):
+            monkeypatch.setattr(module, "det_poly", boom)
+    W = cut_swap_witness(golden_a4, (0, 1))
+    assert diagonal_equivalence(golden_b4, W) is not None
+
+
 # -- reducible witness --------------------------------------------------------------
 
 
@@ -317,11 +367,6 @@ def test_classify_reducible_wins_over_cut():
     assert res.reason == REASON_REDUCIBLE
 
 
-def test_classify_size_limit():
-    with pytest.raises(SizeLimitError):
-        classify_fiber(identity_matrix(13))
-
-
 # -- symmetric fiber description ----------------------------------------------------
 
 
@@ -378,14 +423,7 @@ def test_stable_certify_names_failing_block():
     assert cert.failing_block == (2,)
 
 
-def test_stable_certify_size_limit():
-    with pytest.raises(SizeLimitError):
-        stable_certify(identity_matrix(13))
-
-
 def test_stable_certify_rejects_a_wrong_block_product(monkeypatch):
-    from pmfiber import structure
-
     A = matrix([[2, 1, 0], [1, 3, 0], [0, 0, 5]])
     real = structure.block_det_poly
     monkeypatch.setattr(structure, "block_det_poly", lambda M, block: real(M, block) * 2)

@@ -8,17 +8,13 @@ import pkgutil
 import pytest
 
 import pmfiber
-from pmfiber import MPoly, SizeLimitError, matrix
+from pmfiber import MPoly, SizeLimitError
 from pmfiber.symdet import SIZE_LIMITS, AdjugateTable, identity_matrix
-
-from conftest import cut_rows
 
 
 def _call(name, n):
     if name == "matrix_from_adjugate":
         return pmfiber.matrix_from_adjugate(AdjugateTable(n, ()), MPoly.zero(n))
-    if name == "cut_swap_witness":  # its preconditions are checked first
-        return pmfiber.cut_swap_witness(matrix(cut_rows(n, 2)), (0, 1))
     return getattr(pmfiber, name)(identity_matrix(n))
 
 

@@ -2,11 +2,8 @@
 
 import random
 
-import pytest
-
 from pmfiber import (
     MPoly,
-    SizeLimitError,
     block_det_poly,
     det_poly,
     fiber_shape,
@@ -16,7 +13,6 @@ from pmfiber import (
     structure_check,
 )
 from pmfiber.structure import _strongly_connected_components
-from pmfiber.symdet import identity_matrix
 
 from conftest import a6_factors, poly_of
 
@@ -141,8 +137,3 @@ def test_fiber_shape_irreducible(golden_a4):
     shape = fiber_shape(golden_a4)
     assert shape.blocks == ((0, 1, 2, 3),)
     assert shape.free_positions == ()
-
-
-def test_structure_size_limit():
-    with pytest.raises(SizeLimitError):
-        structure_check(identity_matrix(13))

@@ -14,7 +14,6 @@ from pmfiber import (
     FIELD_QI,
     MPoly,
     PreconditionError,
-    SizeLimitError,
     VerificationError,
     adjugate_table,
     det_poly,
@@ -28,7 +27,6 @@ from pmfiber.symdet import (
     AdjugateTable,
     adjugate_pencil_product_ok,
     det_fraction_free,
-    identity_matrix,
     laplace_expand,
     rank_exact,
 )
@@ -44,6 +42,14 @@ def rand_rows(rng, n, field=FIELD_Q):
         return rng.randint(-5, 5)
 
     return [[cell() for _ in range(n)] for _ in range(n)]
+
+
+def test_matrix_rejects_inexact_entries():
+    # A float would be taken as its binary fraction and declared over Q.
+    for entry, kind in ((0.1, "float"), (True, "bool"), ("1", "str")):
+        with pytest.raises(ValueError, match=f"got {kind}$"):
+            matrix([[1, entry], [0, 1]])
+    assert matrix([[1, Fraction(1, 2)], [gaussian(0, 1), 2]]).field == FIELD_QI
 
 
 # -- determinants against the oracle -----------------------------------------------
@@ -118,12 +124,6 @@ def test_golden_det_values(golden_a4, golden_a6):
 def test_golden_a4_diagonal_minors(golden_a4):
     pm = principal_minors(golden_a4)
     assert [pm.value([k]) for k in range(4)] == [2, 1, 1, -1]
-
-
-def test_minors_size_limit():
-    big = identity_matrix(17)
-    with pytest.raises(SizeLimitError):
-        principal_minors(big)
 
 
 # -- determinantal pencil -----------------------------------------------------------
@@ -299,13 +299,3 @@ def test_verify_identities_all_pass():
 def test_verify_identities_unknown_name(golden_a4):
     with pytest.raises(ValueError):
         verify_identities(golden_a4, ("dodgson", "nonsense"))
-
-
-def test_verify_identities_size_limit():
-    with pytest.raises(SizeLimitError):
-        verify_identities(identity_matrix(11))
-
-
-def test_adjugate_size_limit():
-    with pytest.raises(SizeLimitError):
-        adjugate_table(identity_matrix(13))
