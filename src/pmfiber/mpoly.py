@@ -33,8 +33,6 @@ from .scalars import (
     scalar_re,
 )
 
-MAX_VARS = 16
-
 Exponent = Tuple[int, ...]
 
 
@@ -44,8 +42,8 @@ class MPoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Optional[Mapping[Exponent, Scalar]] = None):
-        if not 0 <= n <= MAX_VARS:
-            raise ValueError(f"variable count {n} outside 0..{MAX_VARS}")
+        if n < 0:
+            raise ValueError(f"variable count {n} is negative")
         clean: Dict[Exponent, Scalar] = {}
         if terms:
             entries = list(chain.from_iterable(terms))
@@ -89,9 +87,6 @@ class MPoly:
     def degree(self, k: int) -> int:
         """Degree in variable k (0 for the zero polynomial)."""
         return max((exp[k] for exp in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(exp) for exp in self.terms), default=0)
 
     def is_multiaffine(self) -> bool:
         return all(all(e <= 1 for e in exp) for exp in self.terms)

@@ -343,19 +343,15 @@ def scalar_parse(text: str, field: str = FIELD_QI) -> Scalar:
     return value
 
 
-def _format_rat(x: Rat) -> str:
-    return str(x)
-
-
 def scalar_format(x: Scalar) -> str:
     """Canonical text form; round-trips through scalar_parse."""
     if isinstance(x, GaussianRational):
         if x.im == 0:
-            return _format_rat(x.re)
+            return str(x.re)
         mag = x.im if x.im > 0 else -x.im
-        imag = "i" if mag == 1 else f"{_format_rat(mag)}i"
+        imag = "i" if mag == 1 else f"{mag}i"
         if x.re == 0:
             return imag if x.im > 0 else f"-{imag}"
         sign = "+" if x.im > 0 else "-"
-        return f"{_format_rat(x.re)}{sign}{imag}"
-    return _format_rat(_norm_rat(x))
+        return f"{x.re}{sign}{imag}"
+    return str(_norm_rat(x))

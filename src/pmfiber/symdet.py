@@ -15,17 +15,20 @@ The pencil and the adjugate table come from one minor engine: a
 depth-first walk over subsets that carries the bordered minors
 det(A[T+i, T+j]) and updates them by Sylvester's identity with exact
 (Bareiss) division, the exact form of the Schur-complement recursion of
-Griffin and Tsatsomeros.  Single determinants, and the principal minor
-vector (one per subset), use fraction-free (Bareiss) elimination.  Both stay
-in integers on integer input and are exact over every supported field.
+Griffin and Tsatsomeros.  Single determinants, the principal minor vector
+(one per subset) and exact ranks read one fraction-free (Bareiss) row
+echelon kernel: ``det_fraction_free`` stops at the first column without a
+pivot, ``rank_exact`` counts the pivots.  The walk and the kernel stay in
+integers on integer input (the kernel clears rational denominators first)
+and are exact over every supported field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -77,9 +80,6 @@ class SquareMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> Tuple[Scalar, ...]:
-        return self.entries[i]
 
     def rows_list(self) -> List[List[Scalar]]:
         return [list(r) for r in self.entries]
@@ -159,62 +159,52 @@ def identity_matrix(n: int, field: str = FIELD_Q) -> SquareMatrix:
 # -- exact elimination ----------------------------------------------------------
 
 
-def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Bareiss determinant; every division is exact (stays in Z on Z input)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev: Scalar = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = div_exact(row_i[j] * pivot - lead * row_k[j], prev)
-            row_i[k] = 0
-        prev = pivot
-    return normalize_scalar(sign * m[n - 1][n - 1])
+def _division(types: set):
+    """Division for a fraction-free elimination, whose quotients are exact:
+    floor division when every entry type is ``int``, else ``div_exact``."""
+    return int.__floordiv__ if types <= {int} else div_exact
 
 
-def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank by fraction-free (Bareiss) row echelon elimination.
+def _echelon(rows: Sequence[Sequence[Scalar]]) -> Iterator[Scalar]:
+    """Fraction-free (Bareiss) row echelon elimination, one value per column.
 
-    A column with no pivot left is skipped.  After a pivot on the column
-    list C, each remaining entry is a minor on the pivot rows and columns C
-    plus its own row and column, so the division by the previous pivot (the
-    minor on C alone) is exact, and stays in Z on integer input.  Scaling
-    a row by a nonzero number keeps the rank, so rational rows are first
-    multiplied by the lcm of their denominators.
+    A column with no nonzero entry outside the pivot rows yields 0 and is
+    skipped; otherwise the first row with one is swapped up to pivot, and
+    the column yields a nonzero value.  After a pivot on the column list C,
+    each remaining entry is a minor on the pivot rows and columns C plus its
+    own row and column, so the division by the previous pivot (the minor on
+    C alone) is exact.  The input is only read up to the first pivot; there
+    its entry types are scanned, once, and it is copied, rational rows
+    multiplied by the lcm of their denominators, so on rational input the
+    elimination runs in Z with floor division.  Once every row holds a
+    pivot the elimination stops, and the value yielded then is the
+    determinant of the input's rows on C: the last pivot times the sign of
+    the row swaps, over the product of the row scales.  Each reader stops
+    where it needs to.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rational = all(type(x) is int or type(x) is Fraction for row in m for x in row)
-    if rational and any(type(x) is Fraction for row in m for x in row):
-        scales = [lcm(*(x.denominator for x in row)) for row in m]
-        m = [[x.numerator * (c // x.denominator) for x in row] for row, c in zip(m, scales)]
-    div = int.__floordiv__ if rational else div_exact
-    rank = 0
-    prev: Scalar = 1
+    m = rows
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    rank, sign, prev, scale, div = 0, 1, 1, 1, None
     for col in range(ncols):
-        if rank == nrows:
-            break
-        pivot_row = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot_row is None:
+        r = rank
+        while r < nrows and not m[r][col]:
+            r += 1
+        if r == nrows:
+            yield 0
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        if div is None:
+            types = set(map(type, chain.from_iterable(rows)))
+            if Fraction in types and types <= {int, Fraction}:
+                lcms = [lcm(*(x.denominator for x in row)) for row in rows]
+                m = [[x.numerator * (c // x.denominator) for x in row] for row, c in zip(rows, lcms)]
+                scale, types = prod(lcms), {int}
+            else:
+                m = [list(row) for row in rows]
+            div = _division(types)
+        if r != rank:
+            m[rank], m[r] = m[r], m[rank]
+            sign = -sign
         row_k = m[rank]
         pivot = row_k[col]
         for r in range(rank + 1, nrows):
@@ -222,10 +212,29 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
             lead = row_i[col]
             for j in range(col + 1, ncols):
                 row_i[j] = div(row_i[j] * pivot - lead * row_k[j], prev)
-            row_i[col] = 0
         prev = pivot
         rank += 1
-    return rank
+        if rank == nrows:
+            yield normalize_scalar(sign * pivot if scale == 1 else Fraction(sign * pivot, scale))
+            return
+        yield pivot
+
+
+def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Determinant of a square matrix from ``_echelon``, the kernel behind
+    ``rank_exact`` too: 0 at the first column without a pivot, else the
+    value at the last column."""
+    d: Scalar = 1
+    for d in _echelon(rows):
+        if not d:
+            return 0
+    return d
+
+
+def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Rank of a rectangular matrix: the columns with a pivot in ``_echelon``,
+    the kernel behind ``det_fraction_free`` too."""
+    return sum(1 for d in _echelon(rows) if d)
 
 
 # -- principal minors and the determinantal pencil -------------------------------
@@ -300,9 +309,7 @@ def _minor_walk(
     determinant; while none has, U and V stay empty and the step is the
     Schur-complement recursion of Griffin and Tsatsomeros with pivot (k, k).
     """
-    # Every division is exact, so on integer input floor division is exact.
-    all_int = all(type(x) is int for row in A.entries for x in row)
-    div = int.__floordiv__ if all_int else div_exact
+    div = _division(set(map(type, chain.from_iterable(A.entries))))
     # (mask, max(T), R, W, |U|, p, s)
     stack = [(0, -1, list(range(A.n)), [list(r) for r in A.entries], 0, 1, 1)]
     while stack:

@@ -6,8 +6,10 @@ elimination per subset) face the same oracles on the same draws.  Draws are
 unfiltered: small integer entries make many principal minors vanish, which
 sends the walk down its zero-pivot path, and Fraction and Q(i) entries leave
 the integer fast path.  Fixed cases pin down the degenerate patterns.
-``rank_exact``, a fraction-free elimination too, faces ``oracles.rank_gauss``
-on rectangular blocks: dense, rank-one and with zero rows and columns.
+``rank_exact`` and ``det_fraction_free``, two readers of one fraction-free
+row echelon kernel, face ``oracles.rank_gauss`` and ``oracles.det_perm`` on
+rectangular blocks and their leading square blocks: dense, rank-one and with
+zero rows and columns.
 """
 
 from fractions import Fraction
@@ -16,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmfiber import adjugate_table, det_poly, gaussian, matrix, principal_minors
+from pmfiber import GaussianRational, adjugate_table, det_poly, gaussian, matrix, principal_minors
 from pmfiber import symdet
-from pmfiber.symdet import rank_exact
+from pmfiber.symdet import det_fraction_free, rank_exact
 from pmfiber.structure import block_det_poly, frobenius_form, structure_check
 
 import oracles
@@ -123,10 +125,22 @@ def rectangular(draw):
     ]
 
 
+def _is_canonical(x):
+    """An int, a non-integral Fraction, or a GaussianRational with im != 0."""
+    if type(x) is GaussianRational:
+        return x.im != 0 and _is_canonical(x.re) and _is_canonical(x.im)
+    return type(x) is int or type(x) is Fraction and x.denominator != 1
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(rectangular())
-def test_rank_matches_oracle_on_unfiltered_blocks(rows):
+def test_rank_and_det_match_oracle_on_unfiltered_blocks(rows):
     assert rank_exact(rows) == oracles.rank_gauss(rows)
+    k = min(len(rows), len(rows[0]) if rows else 0)
+    square = [row[:k] for row in rows[:k]]
+    d = det_fraction_free(square)
+    assert oracles.to_pair(d) == oracles.det_perm(square)
+    assert _is_canonical(d), repr(d)
 
 
 def _zero(n):
