@@ -25,6 +25,7 @@ from .scalars import (
     scalar_im,
     sqrt_in_field,
 )
+from .structure import is_irreducible
 from .symdet import SquareMatrix, matrix
 
 VERDICT_OVER_FIELD = "SymmetricEquivalentOverField"
@@ -209,8 +210,6 @@ def recover_diag_from_fiber(A: SquareMatrix, B: SquareMatrix) -> DiagonalCertifi
     the certificate diagonal_equivalence finds; a B outside the fiber has
     none, and that is an error here.
     """
-    from .structure import is_irreducible
-
     if A.n != B.n:
         raise PreconditionError("matrices must have equal size")
     if not A.is_symmetric():

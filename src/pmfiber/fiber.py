@@ -10,8 +10,10 @@ transposing one diagonal block) or by rewriting the strictly-upper pattern
 of a reducible matrix.  Each witness is proved by its form, entry by entry
 (the swap form across the cut, or the block form of a reducible matrix),
 and by having no diagonal equivalence to A; no pencil is expanded, so the
-only exponential step left in the classifier is find_cuts.  rank_one_split
-is the same cut seen in the adjugate table; no witness needs it.
+only exponential step left in the classifier is find_cuts, and in the
+symmetric and stable descriptions block_det_poly, capped by block size.
+rank_one_split is the same cut seen in the adjugate table; no witness
+needs it.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .mpoly import MPoly, exact_divide
 from .scalars import Scalar, div_exact
 from .structure import (
     FiberShape,
-    FrobeniusForm,
     fiber_shape,
     frobenius_form,
     is_irreducible,
+    same_block_form,
     structure_check,
 )
 from .symdet import (
@@ -327,24 +329,6 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
     )
 
 
-def _same_block_form(form: FrobeniusForm, B: SquareMatrix) -> bool:
-    """True when, in the order of A's Frobenius form, A is zero below its
-    diagonal blocks and B equals A on and below them, entry for entry.
-
-    Both are then block upper triangular with the same diagonal blocks, and
-    a block triangular determinant is the product of its diagonal blocks,
-    so det(diag(x) + B) = det(diag(x) + A) at O(n^2) cost.
-    """
-    P, Q = form.permuted.entries, B.permuted(form.order).entries
-    end = 0
-    for block in form.blocks:
-        start, end = end, end + len(block)
-        for i in range(start, end):
-            if any(P[i][:start]) or Q[i][:end] != P[i][:end]:
-                return False
-    return True
-
-
 def reducible_witness(A: SquareMatrix) -> SquareMatrix:
     """A second fiber point for a reducible matrix.
 
@@ -353,8 +337,8 @@ def reducible_witness(A: SquareMatrix) -> SquareMatrix:
     the first block row's upper pattern by its 0/1 complement keeps all
     minors while forcing a different support.  Both postconditions are
     verified exactly: equal pencil determinants (whose coefficients are the
-    principal minors), shown by the block form (see _same_block_form), and
-    no diagonal equivalence to A.
+    principal minors), shown by the block form (see
+    structure.same_block_form), and no diagonal equivalence to A.
     """
     form = frobenius_form(A)
     if len(form.blocks) == 1:
@@ -367,7 +351,7 @@ def reducible_witness(A: SquareMatrix) -> SquareMatrix:
         for j in range(k, n):
             rows[i][j] = 0 if P.entries[i][j] else 1
     B = matrix(rows, A.field).permuted(_inverse_order(form.order))
-    if not _same_block_form(form, B):
+    if not same_block_form(form, B):
         raise VerificationError("complement pattern changed a principal minor")
     if diagonal_equivalence(A, B) is not None:
         raise VerificationError("complement pattern is still diagonally equivalent")
@@ -506,16 +490,14 @@ def stable_certify(A: SquareMatrix) -> StableCertificate:
 
     Each irreducible diagonal block that is diagonally equivalent to a
     Hermitian matrix contributes a real stable factor.  The one exact check
-    is structure_check's: the block factors multiply back to the full pencil
-    determinant.  Certified therefore implies stability; NotCertified names
-    the first block with no Hermitian scaling.
+    is structure_check's: A is block upper triangular in its Frobenius
+    order, so the pencil determinant is the product of the block factors.
+    Certified therefore implies stability; NotCertified names the first
+    block with no Hermitian scaling.
     """
-    check_size("stable_certify", A.n)
     checked = structure_check(A)
     if not checked.product_matches:
-        raise VerificationError(
-            "block factors do not multiply back to the pencil determinant"
-        )
+        raise VerificationError("A is not block upper triangular in its Frobenius order")
     blocks = checked.form.blocks
     reports = tuple(hermitian_equivalence(A.block(block)) for block in blocks)
     failing: Optional[Tuple[int, ...]] = None

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .mpoly import MPoly
 from .scalars import Scalar
-from .symdet import SquareMatrix, check_size, det_fraction_free, det_poly
+from .symdet import SquareMatrix, check_size, det_fraction_free
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,32 @@ def is_irreducible(A: SquareMatrix) -> bool:
     return len(_strongly_connected_components(A.n, _adjacency(A))) == 1
 
 
+def same_block_form(form: FrobeniusForm, B: SquareMatrix) -> bool:
+    """True when, in the order of A's Frobenius form, A is zero below its
+    diagonal blocks and B equals A on and below them, entry for entry.
+
+    Both are then block upper triangular with the same diagonal blocks, and
+    a block triangular determinant is the product of its diagonal blocks,
+    so det(diag(x) + B) = det(diag(x) + A) = the product of the block
+    pencils, at O(n^2) cost.  With B = A it proves the factorization alone.
+    """
+    P, Q = form.permuted.entries, B.permuted(form.order).entries
+    end = 0
+    for block in form.blocks:
+        start, end = end, end + len(block)
+        for i in range(start, end):
+            if any(P[i][:start]) or Q[i][:end] != P[i][:end]:
+                return False
+    return True
+
+
 def block_det_poly(A: SquareMatrix, block: Sequence[int]) -> MPoly:
     """det(diag(x_k : k in block) + A[block, block]) embedded in all n variables."""
     n = A.n
     idx = list(block)
     terms: Dict[Tuple[int, ...], Scalar] = {}
     k = len(idx)
+    check_size("block_det_poly", k)
     for mask in range(1 << k):
         inside = {idx[t] for t in range(k) if mask >> t & 1}
         outside = [v for v in idx if v not in inside]
@@ -151,7 +171,6 @@ def block_det_poly(A: SquareMatrix, block: Sequence[int]) -> MPoly:
 class StructureReport:
     form: FrobeniusForm
     factors: Tuple[MPoly, ...]
-    fpoly: MPoly
     product_matches: bool
     blocks_irreducible: Tuple[bool, ...]
 
@@ -163,20 +182,16 @@ class StructureReport:
 def structure_check(A: SquareMatrix) -> StructureReport:
     """Frobenius form plus exact verification of the induced factorization.
 
-    The one exact check is that det(diag(x)+A) equals the product of the
-    block pencils.  Each diagonal block's irreducibility is the strong
-    connectivity of its support digraph, reported per block.
+    The one exact check is that A is block upper triangular in the form's
+    order (same_block_form with A itself), so det(diag(x)+A) is the product
+    of the block pencils without expanding it.  Each diagonal block's
+    irreducibility is the strong connectivity of its support digraph,
+    reported per block.
     """
-    n = A.n
-    check_size("structure_check", n)
     form = frobenius_form(A)
     factors = tuple(block_det_poly(A, block) for block in form.blocks)
-    f = det_poly(A).fpoly
-    product = MPoly.const(n, 1)
-    for factor in factors:
-        product = product * factor
     blocks_irreducible = tuple(is_irreducible(A.block(block)) for block in form.blocks)
-    return StructureReport(form, factors, f, product == f, blocks_irreducible)
+    return StructureReport(form, factors, same_block_form(form, A), blocks_irreducible)
 
 
 @dataclass(frozen=True)
@@ -195,7 +210,6 @@ class FiberShape:
 
 
 def fiber_shape(A: SquareMatrix) -> FiberShape:
-    check_size("fiber_shape", A.n)
     form = frobenius_form(A)
     s = len(form.blocks)
     block_matrices = tuple(A.block(block) for block in form.blocks)

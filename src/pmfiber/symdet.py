@@ -48,8 +48,8 @@ from .scalars import (
 )
 
 # The largest n each size-limited entry point accepts; the work grows like
-# 2^n (minors, cuts) or n^2 2^n (adjugate table, identities).  This table is
-# the one place a cap is written.
+# 2^n (minors, cuts; a block's pencil, with n its size) or n^2 2^n
+# (adjugate table, identities).  This table is the one place a cap is written.
 SIZE_LIMITS: Mapping[str, int] = MappingProxyType({
     "principal_minors": 16,
     "det_poly": 16,
@@ -57,9 +57,7 @@ SIZE_LIMITS: Mapping[str, int] = MappingProxyType({
     "matrix_from_adjugate": 12,
     "verify_identities": 10,
     "find_cuts": 16,
-    "stable_certify": 12,
-    "structure_check": 12,
-    "fiber_shape": 12,
+    "block_det_poly": 12,
 })
 
 

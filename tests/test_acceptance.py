@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from pmfiber import (
+    DiagonalCertificate,
     MPoly,
     MULTI_POINT,
     SINGLE_POINT,
@@ -75,15 +76,6 @@ def rand_nonzero(rng, field):
             v = rng.randint(-4, 4)
         if v:
             return v
-
-
-def conjugated(A, d):
-    n = A.n
-    rows = [
-        [d[i] * div_exact(A.entries[i][j], d[j]) if A.entries[i][j] else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    return matrix(rows, A.field)
 
 
 def test_criterion_1(capsys):
@@ -180,7 +172,7 @@ def test_criterion_4(capsys):
                 field,
             )
             d = [rand_nonzero(rng, field) for _ in range(n)]
-            B = conjugated(A, d)
+            B = DiagonalCertificate(tuple(d), False).conjugate(A)
             pm = principal_minors(A)
             if principal_minors(B) != pm:
                 failures.append((t, "conjugation changed a minor"))
@@ -303,7 +295,7 @@ def test_criterion_8(capsys):
                 Fraction(rng.choice([x for x in range(-3, 4) if x]), rng.randint(1, 3))
                 for _ in range(n)
             ]
-            B = conjugated(A, d)
+            B = DiagonalCertificate(tuple(d), False).conjugate(A)
             if classify_fiber(B).verdict != SINGLE_POINT:
                 failures.append((t, "classified MultiPoint"))
                 continue
@@ -359,7 +351,7 @@ def test_criterion_9(capsys):
             n = rng.randint(2, 5)
             H = rand_hermitian(rng, n)
             d = [rand_nonzero(rng, FIELD_QI) for _ in range(n)]
-            A = conjugated(H, d)
+            A = DiagonalCertificate(tuple(d), False).conjugate(H)
             if not stable_certify(A).certified:
                 failures.append(("conjugated", t))
 

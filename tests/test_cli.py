@@ -421,3 +421,42 @@ def test_classify_on_an_irreducible_matrix_is_capped_by_find_cuts(capsys, tmp_pa
     code, doc, _ = run_cli(capsys, "classify", f)
     assert code == 3
     assert "find_cuts limited to n <= 16, got n = 17" in doc["error"]
+
+
+def _block_rows(sizes, upper):
+    """Tridiagonal (so irreducible) symmetric diagonal blocks of the given
+    sizes; with ``upper``, every entry above the blocks is 1."""
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            rows[i][i] = i % 5 - 2
+            if i + 1 < start + size:
+                rows[i][i + 1] = rows[i + 1][i] = i % 3 + 1
+            if upper:
+                for j in range(start + size, n):
+                    rows[i][j] = 1
+        start += size
+    return rows
+
+
+@pytest.mark.parametrize(
+    "command, upper",
+    [("structure", True), ("fibershape", True), ("stablecert", True), ("symfiber", False)],
+)
+def test_block_commands_answer_a_reducible_twenty(capsys, tmp_path, command, upper):
+    # Only the diagonal blocks' pencils are expanded, and their cap is by
+    # block size, so n = 20 with blocks of 12 and 8 answers; symfiber takes
+    # the symmetric, block diagonal, variant.
+    f = write_matrix(tmp_path / "red20.json", _block_rows([12, 8], upper))
+    code, doc, _ = run_cli(capsys, command, f)
+    assert code == 0
+    assert doc["result"]["blocks"] == [list(range(1, 13)), list(range(13, 21))]
+
+
+def test_structure_caps_the_block_pencil(capsys, tmp_path):
+    f = write_matrix(tmp_path / "cut13.json", cut_rows(13, 2))
+    code, doc, _ = run_cli(capsys, "structure", f)
+    assert code == 3
+    assert "block_det_poly limited to n <= 12, got n = 13" in doc["error"]

@@ -423,9 +423,10 @@ def test_stable_certify_names_failing_block():
     assert cert.failing_block == (2,)
 
 
-def test_stable_certify_rejects_a_wrong_block_product(monkeypatch):
-    A = matrix([[2, 1, 0], [1, 3, 0], [0, 0, 5]])
-    real = structure.block_det_poly
-    monkeypatch.setattr(structure, "block_det_poly", lambda M, block: real(M, block) * 2)
-    with pytest.raises(VerificationError, match="do not multiply back"):
+def test_stable_certify_rejects_a_form_that_is_not_triangular(monkeypatch):
+    A = matrix(REDUCIBLE_3)
+    order = (1, 0, 2)
+    reversed_form = FrobeniusForm(order, ((1,), (0,), (2,)), A.permuted(order))
+    monkeypatch.setattr(structure, "frobenius_form", lambda M: reversed_form)
+    with pytest.raises(VerificationError, match="not block upper triangular"):
         stable_certify(A)

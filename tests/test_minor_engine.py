@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmfiber import GaussianRational, adjugate_table, det_poly, gaussian, matrix, principal_minors
+from pmfiber import (
+    GaussianRational,
+    MPoly,
+    adjugate_table,
+    det_poly,
+    gaussian,
+    matrix,
+    principal_minors,
+)
 from pmfiber import symdet
 from pmfiber.symdet import det_fraction_free, rank_exact
 from pmfiber.structure import block_det_poly, frobenius_form, structure_check
@@ -103,7 +111,13 @@ def test_block_det_poly_matches_oracle(drawn, data):
 @given(matrices())
 def test_block_factors_multiply_to_the_pencil(drawn):
     rows, _ = drawn
-    assert structure_check(matrix(rows)).product_matches
+    A = matrix(rows)
+    report = structure_check(A)
+    product = MPoly.const(A.n, 1)
+    for factor in report.factors:
+        product = product * factor
+    assert product == det_poly(A).fpoly
+    assert report.product_matches
 
 
 @st.composite

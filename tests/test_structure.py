@@ -12,6 +12,7 @@ from pmfiber import (
     matrix,
     structure_check,
 )
+from pmfiber import structure, symdet
 from pmfiber.structure import _strongly_connected_components
 
 from conftest import a6_factors, poly_of
@@ -85,6 +86,18 @@ def test_structure_check_product(golden_a6):
     for f in report.factors:
         product = product * f
     assert product == det_poly(golden_a6).fpoly
+
+
+def test_structure_check_expands_no_pencil(monkeypatch, golden_a6):
+    def boom(A):
+        raise AssertionError("det_poly called")
+
+    for module in (symdet, structure):
+        if hasattr(module, "det_poly"):
+            monkeypatch.setattr(module, "det_poly", boom)
+    report = structure_check(golden_a6)
+    assert report.all_ok
+    assert list(report.factors) == a6_factors()
 
 
 def test_frobenius_order_is_permutation(golden_a6):
