@@ -1,5 +1,7 @@
 """One size-limit table: every capped entry point refuses n = cap + 1 with
-the table's message, and no public callable takes a per-call size knob."""
+the table's message, and no public callable takes a per-call size knob.
+The block-structure entry points are capped by their largest Frobenius
+block, through block_det_poly, so they are given one irreducible block."""
 
 import importlib
 import inspect
@@ -8,11 +10,16 @@ import pkgutil
 import pytest
 
 import pmfiber
+from conftest import cut_rows
 from pmfiber import MPoly, SizeLimitError
-from pmfiber.symdet import SIZE_LIMITS, AdjugateTable, identity_matrix
+from pmfiber.symdet import SIZE_LIMITS, AdjugateTable, identity_matrix, matrix
+
+BLOCK_CAPPED = ("fiber_shape", "stable_certify", "structure_check")
 
 
 def _call(name, n):
+    if name in BLOCK_CAPPED:
+        return getattr(pmfiber, name)(matrix(cut_rows(n, 2)))
     if name == "matrix_from_adjugate":
         return pmfiber.matrix_from_adjugate(AdjugateTable(n, ()), MPoly.zero(n))
     if name == "block_det_poly":
@@ -20,12 +27,13 @@ def _call(name, n):
     return getattr(pmfiber, name)(identity_matrix(n))
 
 
-@pytest.mark.parametrize("name", sorted(SIZE_LIMITS))
+@pytest.mark.parametrize("name", sorted(SIZE_LIMITS) + sorted(BLOCK_CAPPED))
 def test_each_entry_point_refuses_one_above_its_cap(name):
-    cap = SIZE_LIMITS[name]
+    limit = "block_det_poly" if name in BLOCK_CAPPED else name
+    cap = SIZE_LIMITS[limit]
     with pytest.raises(SizeLimitError) as info:
         _call(name, cap + 1)
-    assert str(info.value) == f"{name} limited to n <= {cap}, got n = {cap + 1}"
+    assert str(info.value) == f"{limit} limited to n <= {cap}, got n = {cap + 1}"
 
 
 def _public_callables():
