@@ -6,6 +6,10 @@ subcommand prints a single JSON document to stdout and exits 0 for a completed
 analysis (negative verdicts included), 2 for malformed input or violated
 preconditions, 3 for size-limit refusals, and 4 when an internal verification
 check fails or any other exception escapes (a bug; the error names its type).
+
+main loads the command's matrix file, calls its handler with the matrix, and
+prints {"command": name} followed by the handler's body, or by {"error": ...}
+when either raises; no handler reads the matrix file or writes "command".
 """
 
 from __future__ import annotations
@@ -122,46 +126,38 @@ def _parse_cut(text: str, n: int) -> Tuple[int, ...]:
     return tuple(sorted(i - 1 for i in indices))
 
 
-# -- handlers (each returns (document, exit code)) ---------------------------------
+# -- handlers (each returns (body, exit code); main adds the envelope) ------------
 
 
-def _cmd_minors(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_minors(A: SquareMatrix, args) -> Tuple[Dict, int]:
     pm = principal_minors(A)
     table = {",".join(str(i + 1) for i in subset): scalar_format(value)
              for subset, value in pm.items_canonical()}
     return {
-        "command": "minors",
         "result": {"n": A.n, "field": A.field, "minors": table},
     }, 0
 
 
-def _cmd_detpoly(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_detpoly(A: SquareMatrix, args) -> Tuple[Dict, int]:
     f = det_poly(A).fpoly
     return {
-        "command": "detpoly",
         "result": {"n": A.n, "field": A.field},
         "polynomials": {"f": _poly_doc(f, args)},
     }, 0
 
 
-def _cmd_adjugate(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_adjugate(A: SquareMatrix, args) -> Tuple[Dict, int]:
     G = adjugate_table(A)
     grid = [[_poly_doc(G.entry(i, j), args) for j in range(A.n)] for i in range(A.n)]
     return {
-        "command": "adjugate",
         "result": {"n": A.n, "field": A.field},
         "polynomials": {"adjugate": grid},
     }, 0
 
 
-def _cmd_cuts(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_cuts(A: SquareMatrix, args) -> Tuple[Dict, int]:
     cuts = find_cuts(A)
     return {
-        "command": "cuts",
         "result": {
             "n": A.n,
             "count": len(cuts),
@@ -178,11 +174,9 @@ def _cmd_cuts(args) -> Tuple[Dict, int]:
     }, 0
 
 
-def _cmd_classify(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_classify(A: SquareMatrix, args) -> Tuple[Dict, int]:
     res = classify_fiber(A)
     doc = {
-        "command": "classify",
         "result": {
             "verdict": res.verdict,
             "reason": res.reason,
@@ -197,8 +191,7 @@ def _cmd_classify(args) -> Tuple[Dict, int]:
     return doc, 0
 
 
-def _cmd_witness(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_witness(A: SquareMatrix, args) -> Tuple[Dict, int]:
     if args.cut is not None:
         X = _parse_cut(args.cut, A.n)
         W = cut_swap_witness(A, X)
@@ -215,28 +208,23 @@ def _cmd_witness(args) -> Tuple[Dict, int]:
         W = cut_swap_witness(A, cuts[0].X)
         kind, cut = "CutSwap", _subset_doc(cuts[0].X)
     return {
-        "command": "witness",
         "result": {"kind": kind, "cut": cut},
         "witness": _matrix_doc(W),
     }, 0
 
 
-def _cmd_equiv(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_equiv(A: SquareMatrix, args) -> Tuple[Dict, int]:
     B = _load_matrix(args.other)
     cert = diagonal_equivalence(A, B)
     return {
-        "command": "equiv",
         "result": {"equivalent": cert is not None},
         "certificate": _certificate_doc(cert),
     }, 0
 
 
-def _cmd_structure(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_structure(A: SquareMatrix, args) -> Tuple[Dict, int]:
     report = structure_check(A)
     return {
-        "command": "structure",
         "result": {
             "n": A.n,
             "irreducible": len(report.form.blocks) == 1,
@@ -249,11 +237,9 @@ def _cmd_structure(args) -> Tuple[Dict, int]:
     }, 0 if report.all_ok else 4
 
 
-def _cmd_fibershape(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_fibershape(A: SquareMatrix, args) -> Tuple[Dict, int]:
     shape = fiber_shape(A)
     return {
-        "command": "fibershape",
         "result": {
             "n": A.n,
             "blocks": [_subset_doc(b) for b in shape.blocks],
@@ -263,31 +249,19 @@ def _cmd_fibershape(args) -> Tuple[Dict, int]:
     }, 0
 
 
-def _cmd_symmetrize(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
-    result = symmetrizability(A)
+def _cmd_scaling(solve, A: SquareMatrix, args) -> Tuple[Dict, int]:
+    """symmetrize and hermitize: the same document over their own solver."""
+    result = solve(A)
     return {
-        "command": "symmetrize",
         "result": {"verdict": result.verdict},
         "certificate": _symmetrizability_doc(result),
     }, 0
 
 
-def _cmd_hermitize(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
-    result = hermitian_equivalence(A)
-    return {
-        "command": "hermitize",
-        "result": {"verdict": result.verdict},
-        "certificate": _symmetrizability_doc(result),
-    }, 0
-
-
-def _cmd_symfiber(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_symfiber(A: SquareMatrix, args) -> Tuple[Dict, int]:
     desc = symmetric_fiber_describe(A)
     result = {"irreducible": desc.irreducible, "note": desc.note}
-    doc = {"command": "symfiber", "result": result}
+    doc = {"result": result}
     if desc.shape is not None:
         result["blocks"] = [_subset_doc(b) for b in desc.shape.blocks]
         result["free_positions"] = [[p + 1, q + 1] for p, q in desc.shape.free_positions]
@@ -297,11 +271,9 @@ def _cmd_symfiber(args) -> Tuple[Dict, int]:
     return doc, 0
 
 
-def _cmd_stablecert(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_stablecert(A: SquareMatrix, args) -> Tuple[Dict, int]:
     cert = stable_certify(A)
     return {
-        "command": "stablecert",
         "result": {
             "verdict": cert.verdict,
             "blocks": [_subset_doc(b) for b in cert.blocks],
@@ -313,8 +285,7 @@ def _cmd_stablecert(args) -> Tuple[Dict, int]:
     }, 0
 
 
-def _cmd_verify(args) -> Tuple[Dict, int]:
-    A = _load_matrix(args.matrix)
+def _cmd_verify(A: SquareMatrix, args) -> Tuple[Dict, int]:
     identities = (args.identity,) if args.identity else IDENTITIES
     report = verify_identities(A, identities)
     by_name: Dict[str, Dict[str, int]] = {}
@@ -323,18 +294,16 @@ def _cmd_verify(args) -> Tuple[Dict, int]:
         slot["checks"] += 1
         slot["passed"] += 1 if check.ok else 0
     return {
-        "command": "verify",
         "result": {"n": A.n, "all_ok": report.all_ok},
         "report": by_name,
     }, 0 if report.all_ok else 4
 
 
-def _cmd_selftest(args) -> Tuple[Dict, int]:
+def _cmd_selftest(A: None, args) -> Tuple[Dict, int]:
     suites = args.suite if args.suite else None
     results = run_selftest(n=args.n, trials=args.trials, seed=args.seed, suites=suites)
     all_ok = all(r.ok for r in results)
     return {
-        "command": "selftest",
         "result": {
             "n": args.n,
             "trials": args.trials,
@@ -381,14 +350,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add("classify", _cmd_classify, "single-point or multi-point fiber verdict")
     witness = add("witness", _cmd_witness, "construct a second fiber point")
     witness.add_argument("--cut", help="comma-separated 1-based indices forcing the cut")
-    equiv = sub.add_parser("equiv", help="diagonal equivalence certificate between two matrices")
-    equiv.add_argument("matrix", help="path to the first matrix JSON file")
+    equiv = add("equiv", _cmd_equiv, "diagonal equivalence certificate between two matrices")
     equiv.add_argument("other", help="path to the second matrix JSON file")
-    equiv.set_defaults(handler=_cmd_equiv)
     add("structure", _cmd_structure, "triangularized block structure and pencil factors", polys=True)
     add("fibershape", _cmd_fibershape, "block template shared by the whole fiber", polys=True)
-    add("symmetrize", _cmd_symmetrize, "diagonal scaling to a symmetric matrix")
-    add("hermitize", _cmd_hermitize, "diagonal scaling to a Hermitian matrix")
+    add("symmetrize", functools.partial(_cmd_scaling, symmetrizability),
+        "diagonal scaling to a symmetric matrix")
+    add("hermitize", functools.partial(_cmd_scaling, hermitian_equivalence),
+        "diagonal scaling to a Hermitian matrix")
     add("symfiber", _cmd_symfiber, "fiber description for a symmetric matrix", polys=True)
     add("stablecert", _cmd_stablecert, "blockwise stability certificate", polys=True)
     verify = add("verify", _cmd_verify, "exact adjugate/pencil identity checks")
@@ -411,16 +380,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, code = args.handler(args)
+        A = _load_matrix(args.matrix) if args.command != "selftest" else None
+        body, code = args.handler(A, args)
     except SizeLimitError as exc:
-        doc, code = {"command": args.command, "error": str(exc)}, 3
+        body, code = {"error": str(exc)}, 3
     except (ParseError, PreconditionError, OSError) as exc:
-        doc, code = {"command": args.command, "error": str(exc)}, 2
+        body, code = {"error": str(exc)}, 2
     except (VerificationError, ExactDivisionError) as exc:
-        doc, code = {"command": args.command, "error": str(exc)}, 4
+        body, code = {"error": str(exc)}, 4
     except Exception as exc:  # a bug, never reported as bad input
-        doc, code = {"command": args.command, "error": f"{type(exc).__name__}: {exc}"}, 4
-    print(json.dumps(doc, indent=2))
+        body, code = {"error": f"{type(exc).__name__}: {exc}"}, 4
+    print(json.dumps({"command": args.command, **body}, indent=2))
     return code
 
 

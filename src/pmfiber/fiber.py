@@ -12,8 +12,10 @@ of a reducible matrix.  Each witness is proved by its form, entry by entry
 and by having no diagonal equivalence to A; no pencil is expanded, so the
 only exponential step left in the classifier is find_cuts, and in the
 symmetric and stable descriptions block_det_poly, capped by block size.
-rank_one_split is the same cut seen in the adjugate table; no witness
-needs it.
+find_cuts runs no elimination: one reader, _rank_one_factors, tests a cross
+block for rank at most one by the 2x2 minors through its first nonzero
+entry, and the same reader hands the swap its factors.  rank_one_split is
+the same cut seen in the adjugate table; no witness needs it.
 """
 
 from __future__ import annotations
@@ -87,9 +89,31 @@ def cut_ranks(A: SquareMatrix, X: Sequence[int]) -> Tuple[int, int]:
     return rank_exact(A.submatrix(Xs, Xc)), rank_exact(A.submatrix(Xc, Xs))
 
 
+def _rank_one_factors(
+    E: Sequence[Sequence[Scalar]], rows: Sequence[int], cols: Sequence[int]
+) -> Optional[Tuple[Dict[int, Scalar], Dict[int, Scalar]]]:
+    """The block E[rows, cols] as p q^T, or None when its rank is 2 or more.
+
+    Through the first nonzero entry (i0, j0) in row-major order, the block
+    has rank at most one exactly when E_ij E_i0j0 = E_ij0 E_i0j for every
+    i, j; then p is column j0 and q is row i0 divided by E_i0j0.  A zero
+    block gives empty p and q.  No elimination runs, and a block of rank 2
+    or more is refused at its first failing entry.
+    """
+    pivot = next(((i, j) for i in rows for j in cols if E[i][j]), None)
+    if pivot is None:
+        return {}, {}
+    i0, j0 = pivot
+    e, top = E[i0][j0], E[i0]
+    if any(E[i][j] * e != E[i][j0] * top[j] for i in rows for j in cols):
+        return None
+    return {i: E[i][j0] for i in rows}, {j: div_exact(top[j], e) for j in cols}
+
+
 def is_cut(A: SquareMatrix, X: Sequence[int]) -> bool:
-    r1, r2 = cut_ranks(A, X)
-    return r1 <= 1 and r2 <= 1
+    Xs, Xc = _split_indices(A.n, X)
+    E = A.entries
+    return _rank_one_factors(E, Xs, Xc) is not None and _rank_one_factors(E, Xc, Xs) is not None
 
 
 def find_cuts(A: SquareMatrix) -> List[CutCertificate]:
@@ -97,6 +121,7 @@ def find_cuts(A: SquareMatrix) -> List[CutCertificate]:
     index 0 (the lexicographically smaller representative), sorted."""
     n = A.n
     check_size("find_cuts", n)
+    E = A.entries
     cuts: List[CutCertificate] = []
     for mask in range(1, 1 << n, 2):  # representatives contain index 0
         size = mask.bit_count()
@@ -104,13 +129,10 @@ def find_cuts(A: SquareMatrix) -> List[CutCertificate]:
             continue
         X = tuple(k for k in range(n) if mask >> k & 1)
         Xc = tuple(k for k in range(n) if not mask >> k & 1)
-        r1 = rank_exact(A.submatrix(X, Xc))
-        if r1 > 1:
-            continue
-        r2 = rank_exact(A.submatrix(Xc, X))
-        if r2 > 1:
-            continue
-        cuts.append(CutCertificate(X, r1, r2))
+        upper = _rank_one_factors(E, X, Xc)
+        lower = None if upper is None else _rank_one_factors(E, Xc, X)
+        if lower is not None:
+            cuts.append(CutCertificate(X, 1 if upper[0] else 0, 1 if lower[0] else 0))
     cuts.sort(key=lambda c: c.X)
     return cuts
 
@@ -228,16 +250,11 @@ def _swap(A: SquareMatrix, Xs: Sequence[int], Xc: Sequence[int]) -> SquareMatrix
     With A[X,X^c] = p q^T and A[X^c,X] = r s^T, it keeps A[X,X], transposes
     A[X^c,X^c] and sets the cross blocks to p r^T and q s^T.  p (resp. r) is
     the column, and q (resp. s) the row divided by the entry, through the
-    first nonzero entry of the block.
+    first nonzero entry of the block (see _rank_one_factors).
     """
     E = A.entries
-
-    def factors(rows, cols):
-        i0, j0 = next((i, j) for i in rows for j in cols if E[i][j])
-        return {i: E[i][j0] for i in rows}, {j: div_exact(E[i0][j], E[i0][j0]) for j in cols}
-
-    p, q = factors(Xs, Xc)
-    r, s = factors(Xc, Xs)
+    p, q = _rank_one_factors(E, Xs, Xc)
+    r, s = _rank_one_factors(E, Xc, Xs)
     rows: List[List[Scalar]] = [[0] * A.n for _ in range(A.n)]
     for i in Xs:
         for j in Xs:
@@ -341,7 +358,7 @@ def reducible_witness(A: SquareMatrix) -> SquareMatrix:
     structure.same_block_form), and no diagonal equivalence to A.
     """
     form = frobenius_form(A)
-    if len(form.blocks) == 1:
+    if len(form.blocks) < 2:
         raise PreconditionError("matrix is irreducible")
     n = A.n
     k = len(form.blocks[0])

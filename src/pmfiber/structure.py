@@ -128,7 +128,8 @@ def frobenius_form(A: SquareMatrix) -> FrobeniusForm:
 
 
 def is_irreducible(A: SquareMatrix) -> bool:
-    return len(_strongly_connected_components(A.n, _adjacency(A))) == 1
+    """At most one strong component, so the 0x0 matrix is irreducible too."""
+    return len(_strongly_connected_components(A.n, _adjacency(A))) <= 1
 
 
 def same_block_form(form: FrobeniusForm, B: SquareMatrix) -> bool:

@@ -230,6 +230,39 @@ def test_selftest_document(capsys):
     assert [r["name"] for r in doc["report"]] == ["dodgson", "equiv_recovery"]
 
 
+# -- the envelope -------------------------------------------------------------------
+
+COMMANDS = [
+    "minors", "detpoly", "adjugate", "cuts", "classify", "witness", "equiv", "structure",
+    "fibershape", "symmetrize", "hermitize", "symfiber", "stablecert", "verify", "selftest",
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_document_opens_with_its_command(capsys, tmp_path, a4_file, command):
+    # On success and on a missing matrix file alike, "command" comes first;
+    # an error document holds nothing else but "error".
+    missing = str(tmp_path / "nope.json")
+    if command == "selftest":
+        runs = [(["selftest", "--n", "4", "--trials", "1", "--suite", "dodgson"], 0)]
+    elif command == "equiv":
+        runs = [([command, a4_file, a4_file], 0), ([command, missing, a4_file], 2),
+                ([command, a4_file, missing], 2)]
+    else:
+        if command == "symfiber":  # needs a symmetric matrix: A4 plus its transpose
+            sym = [[A4_ROWS[i][j] + A4_ROWS[j][i] for j in range(4)] for i in range(4)]
+            a4_file = write_matrix(tmp_path / "sym.json", sym)
+        runs = [([command, a4_file], 0), ([command, missing], 2)]
+    for argv, expected in runs:
+        code, doc, _ = run_cli(capsys, *argv)
+        assert code == expected, argv
+        assert next(iter(doc)) == "command" and doc["command"] == command
+        if expected:
+            assert list(doc) == ["command", "error"]
+        else:
+            assert "error" not in doc
+
+
 # -- output stability ---------------------------------------------------------------
 
 

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmfiber import (
     MULTI_POINT,
@@ -35,7 +38,7 @@ from pmfiber.fiber import (
 )
 from pmfiber import fiber, structure, symdet
 from pmfiber.scalars import gaussian
-from pmfiber.structure import FrobeniusForm
+from pmfiber.structure import FrobeniusForm, is_irreducible
 
 import oracles
 
@@ -99,6 +102,71 @@ def test_planted_cut_found():
     ]
     cuts = find_cuts(matrix(rows))
     assert any(c.X == (0, 1) for c in cuts)
+
+
+SMALL_INT = st.integers(-2, 2)
+FRACTION = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+GAUSSIAN = st.builds(gaussian, SMALL_INT, SMALL_INT)
+
+
+@st.composite
+def cut_candidates(draw):
+    """Unfiltered n = 4..7 matrices over Z, Q or Q(i); most draws plant a
+    rank-one or zero block on each side of a random split."""
+    n = draw(st.integers(4, 7))
+    entry = draw(st.sampled_from([SMALL_INT, FRACTION, GAUSSIAN]))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    perm = draw(st.permutations(range(n)))
+    k = draw(st.integers(2, n - 2))
+    for P, Q in ((perm[:k], perm[k:]), (perm[k:], perm[:k])):
+        plant = draw(st.sampled_from(["none", "rank-one", "zero"]))
+        if plant == "none":
+            continue
+        u, v = [draw(entry) for _ in P], [draw(entry) for _ in Q]
+        for a, i in enumerate(P):
+            for b, j in enumerate(Q):
+                rows[i][j] = 0 if plant == "zero" else u[a] * v[b]
+    return rows
+
+
+def _brute_force_cuts(rows):
+    """Every X with 0 in X and 2 <= |X| <= n-2, with both cross ranks, by
+    oracles.rank_gauss."""
+    n = len(rows)
+    found = []
+    for k in range(2, n - 1):
+        for rest in combinations(range(1, n), k - 1):
+            X = (0,) + rest
+            Xc = tuple(j for j in range(n) if j not in X)
+            r1 = oracles.rank_gauss([[rows[i][j] for j in Xc] for i in X])
+            r2 = oracles.rank_gauss([[rows[i][j] for j in X] for i in Xc])
+            found.append((X, r1, r2))
+    return sorted(found)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cut_candidates())
+def test_find_cuts_matches_brute_force_ranks(rows):
+    A = matrix(rows)
+    candidates = _brute_force_cuts(rows)
+    expected = [c for c in candidates if c[1] <= 1 and c[2] <= 1]
+    assert [(c.X, c.rank_xxc, c.rank_xcx) for c in find_cuts(A)] == expected
+    for X, _, _ in candidates:
+        r1, r2 = cut_ranks(A, X)
+        assert is_cut(A, X) == (r1 <= 1 and r2 <= 1)
+
+
+def test_cut_reading_runs_no_elimination(monkeypatch, golden_a4, golden_b4):
+    # Whether a cross block has rank <= 1 is read off one pivot's 2x2 minors.
+    def boom(rows):
+        raise AssertionError("rank_exact called")
+
+    monkeypatch.setattr(fiber, "rank_exact", boom)
+    cuts = find_cuts(golden_a4)
+    assert [(c.X, c.rank_xxc, c.rank_xcx) for c in cuts] == [((0, 1), 1, 1)]
+    res = classify_fiber(golden_a4)
+    assert res.reason == REASON_HAS_CUT
+    assert diagonal_equivalence(golden_b4, res.witness) is not None
 
 
 # -- rank-one factor split ----------------------------------------------------------
@@ -341,6 +409,17 @@ def test_classify_small_matrices():
     B = matrix([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
     res3 = classify_fiber(B)
     assert res3.verdict == SINGLE_POINT and res3.reason == REASON_SMALL_N
+
+
+def test_classify_the_empty_matrix():
+    # No strong component at all: irreducible, with nothing to swap.
+    A = matrix([])
+    assert is_irreducible(A)
+    res = classify_fiber(A)
+    assert res.verdict == SINGLE_POINT and res.reason == REASON_SMALL_N
+    assert symmetric_fiber_describe(A).irreducible
+    with pytest.raises(PreconditionError):
+        reducible_witness(A)
 
 
 def test_classify_no_cut():
