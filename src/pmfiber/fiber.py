@@ -394,11 +394,15 @@ class FiberClassification:
 def classify_fiber(A: SquareMatrix) -> FiberClassification:
     """Decide whether the fiber of A is a single class, with proof either way.
 
-    Reducible matrices always get a witness.  Irreducible matrices of size
-    n >= 4 are a single class exactly when they have no cut or are
-    diagonally equivalent to a symmetric matrix; otherwise the factor-swap
-    witness exhibits a second class.  Sizes n <= 3 admit no cut at all and
-    are reported under their own reason code.
+    Reducible matrices always get a witness.  An irreducible matrix is
+    reported a single class when n <= 3 (no cut exists, own reason code),
+    when it has no cut, or when it is diagonally equivalent to a symmetric
+    matrix.  Otherwise only the first cut of ``find_cuts`` is tried: its
+    factor swap is returned as the witness of a second class, and when that
+    swap is diagonally equivalent to A, ``cut_swap_witness`` raises
+    ``VerificationError`` (CLI exit 4) instead of returning a verdict, though
+    the fiber may be a single class.  That is the README's "honest edge
+    case"; ROADMAP item 1 plans a proven verdict for it.
     """
     n = A.n
     if not is_irreducible(A):

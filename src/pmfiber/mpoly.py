@@ -18,7 +18,7 @@ keys, so ``terms`` keeps its exponent-tuple form everywhere else.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ExactDivisionError
@@ -376,10 +376,6 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
 # -- canonical text form -------------------------------------------------------
 
 
-def _grlex_key(exp: Exponent):
-    return (-sum(exp), tuple(-e for e in exp))
-
-
 def _monomial_text(exp: Exponent, names: Sequence[str]) -> str:
     parts = []
     for k, e in enumerate(exp):
@@ -391,30 +387,36 @@ def _monomial_text(exp: Exponent, names: Sequence[str]) -> str:
 
 
 def poly_text(p: MPoly, names: Optional[Sequence[str]] = None) -> str:
-    """Canonical form: terms in descending graded-lex order, explicit * and ^."""
+    """Canonical form: terms in descending graded-lex order, explicit * and ^.
+
+    Descending grlex is descending lex order, then a stable sort by
+    descending degree, so neither sort needs a per-term key function.
+    """
     if p.is_zero():
         return "0"
     if names is None:
         names = [f"x{k + 1}" for k in range(p.n)]
+    terms = p.terms
+    order = sorted(terms, reverse=True)
+    order.sort(key=sum, reverse=True)
+    if p.n and max(map(max, terms)) > 1:
+        monos = [_monomial_text(exp, names) for exp in order]
+    else:
+        monos = ["*".join(compress(names, exp)) for exp in order]
     pieces = []
-    for exp in sorted(p.terms, key=_grlex_key):
-        coeff = p.terms[exp]
-        mono = _monomial_text(exp, names)
-        if not is_rational(coeff):
-            body = f"({scalar_format(coeff)})"
-            sign = "+"
+    for exp, mono in zip(order, monos):
+        coeff = terms[exp]
+        if type(coeff) is int:
+            sign, body = ("-", str(-coeff)) if coeff < 0 else ("+", str(coeff))
+        elif is_rational(coeff):
+            sign, body = ("-", scalar_format(-coeff)) if coeff < 0 else ("+", scalar_format(coeff))
         else:
-            sign = "-" if coeff < 0 else "+"
-            mag = -coeff if coeff < 0 else coeff
-            body = scalar_format(mag)
+            sign, body = "+", f"({scalar_format(coeff)})"
         if mono:
-            text = mono if body == "1" else f"{body}*{mono}"
-        else:
-            text = body
-        if not pieces:
-            pieces.append(text if sign == "+" else f"-{text}")
-        else:
-            pieces.append(f"{sign} {text}")
+            body = mono if body == "1" else f"{body}*{mono}"
+        pieces.append(f"{sign} {body}")
+    first = pieces[0]
+    pieces[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
     return " ".join(pieces)
 
 

@@ -18,9 +18,10 @@ det(A[T+i, T+j]) and updates them by Sylvester's identity with exact
 Griffin and Tsatsomeros.  Single determinants, the principal minor vector
 (one per subset) and exact ranks read one fraction-free (Bareiss) row
 echelon kernel: ``det_fraction_free`` stops at the first column without a
-pivot, ``rank_exact`` counts the pivots.  The walk and the kernel stay in
-integers on integer input (the kernel clears rational denominators first)
-and are exact over every supported field.
+pivot, ``rank_exact`` counts the pivots.  The kernel clears each row's
+denominators first and then runs in Z on rational input and in Z[i], on
+pairs of int parts, on Q(i) input; the walk stays in integers on integer
+input.  Both are exact over every supported field.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .scalars import (
     Scalar,
     conj,
     div_exact,
+    gaussian,
     is_rational,
     normalize_scalar,
     scalar_format,
@@ -158,8 +160,10 @@ def identity_matrix(n: int, field: str = FIELD_Q) -> SquareMatrix:
 
 
 def _division(types: set):
-    """Division for a fraction-free elimination, whose quotients are exact:
-    floor division when every entry type is ``int``, else ``div_exact``."""
+    """Division for the minor walk's fraction-free steps, whose quotients are
+    exact: floor division when every entry type is ``int``, else
+    ``div_exact``.  ``_echelon`` needs neither: it clears denominators and
+    runs in Z or Z[i]."""
     return int.__floordiv__ if types <= {int} else div_exact
 
 
@@ -172,18 +176,18 @@ def _echelon(rows: Sequence[Sequence[Scalar]]) -> Iterator[Scalar]:
     each remaining entry is a minor on the pivot rows and columns C plus its
     own row and column, so the division by the previous pivot (the minor on
     C alone) is exact.  The input is only read up to the first pivot; there
-    its entry types are scanned, once, and it is copied, rational rows
-    multiplied by the lcm of their denominators, so on rational input the
-    elimination runs in Z with floor division.  Once every row holds a
-    pivot the elimination stops, and the value yielded then is the
-    determinant of the input's rows on C: the last pivot times the sign of
-    the row swaps, over the product of the row scales.  Each reader stops
-    where it needs to.
+    its entry types are scanned, once, and it is copied, each row multiplied
+    by the lcm of its denominators, so the elimination runs in Z with floor
+    division on rational input and, through ``_gaussian_echelon``, in Z[i]
+    on Q(i) input.  Once every row holds a pivot the elimination stops, and
+    the value yielded then is the determinant of the input's rows on C: the
+    last pivot times the sign of the row swaps, over the product of the row
+    scales.  Each reader stops where it needs to.
     """
     m = rows
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    rank, sign, prev, scale, div = 0, 1, 1, 1, None
+    rank, sign, prev, scale = 0, 1, 1, 1
     for col in range(ncols):
         r = rank
         while r < nrows and not m[r][col]:
@@ -191,15 +195,17 @@ def _echelon(rows: Sequence[Sequence[Scalar]]) -> Iterator[Scalar]:
         if r == nrows:
             yield 0
             continue
-        if div is None:
+        if m is rows:  # the first pivot: scan the entry types and copy
             types = set(map(type, chain.from_iterable(rows)))
-            if Fraction in types and types <= {int, Fraction}:
+            if GaussianRational in types:
+                yield from _gaussian_echelon(rows, col)
+                return
+            if Fraction in types:
                 lcms = [lcm(*(x.denominator for x in row)) for row in rows]
                 m = [[x.numerator * (c // x.denominator) for x in row] for row, c in zip(rows, lcms)]
-                scale, types = prod(lcms), {int}
+                scale = prod(lcms)
             else:
                 m = [list(row) for row in rows]
-            div = _division(types)
         if r != rank:
             m[rank], m[r] = m[r], m[rank]
             sign = -sign
@@ -209,13 +215,75 @@ def _echelon(rows: Sequence[Sequence[Scalar]]) -> Iterator[Scalar]:
             row_i = m[r]
             lead = row_i[col]
             for j in range(col + 1, ncols):
-                row_i[j] = div(row_i[j] * pivot - lead * row_k[j], prev)
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
         prev = pivot
         rank += 1
         if rank == nrows:
             yield normalize_scalar(sign * pivot if scale == 1 else Fraction(sign * pivot, scale))
             return
         yield pivot
+
+
+def _gaussian_echelon(rows: Sequence[Sequence[Scalar]], start: int) -> Iterator[Scalar]:
+    """``_echelon`` on rows with Q(i) entries, from its first pivot column
+    ``start`` on.
+
+    Each row is multiplied by the lcm of the denominators of its entries'
+    real and imaginary parts and kept as two parallel ``int`` lists, real
+    parts R and imaginary parts I, so each Bareiss step runs on pairs of
+    ints.  Its quotient by the previous pivot q is exact in Z[i], so it is
+    the product with conj(q) floor-divided, part by part, by |q|^2, or by q
+    itself when q is real.  A ``GaussianRational`` is built only for the
+    values yielded.
+    """
+    entries = list(chain.from_iterable(rows))
+    re = [x.re if type(x) is GaussianRational else x for x in entries]
+    im = [x.im if type(x) is GaussianRational else 0 for x in entries]
+    nrows, ncols = len(rows), len(rows[0])
+    R = [re[i : i + ncols] for i in range(0, len(re), ncols)]
+    I = [im[i : i + ncols] for i in range(0, len(im), ncols)]
+    scale = 1
+    if Fraction in set(map(type, re + im)):
+        lcms = [lcm(*(x.denominator for x in Rr + Ir)) for Rr, Ir in zip(R, I)]
+        R = [[x.numerator * (c // x.denominator) for x in Rr] for Rr, c in zip(R, lcms)]
+        I = [[x.numerator * (c // x.denominator) for x in Ir] for Ir, c in zip(I, lcms)]
+        scale = prod(lcms)
+    rank, sign, qr, qi = 0, 1, 1, 0
+    for col in range(start, ncols):
+        r = rank
+        while r < nrows and not (R[r][col] or I[r][col]):
+            r += 1
+        if r == nrows:
+            yield 0
+            continue
+        if r != rank:
+            R[rank], R[r] = R[r], R[rank]
+            I[rank], I[r] = I[r], I[rank]
+            sign = -sign
+        Rk, Ik = R[rank], I[rank]
+        pr, pi = Rk[col], Ik[col]
+        # (x p - l k) / q = (x P - k L) / d with P = p conj(q), L = l conj(q)
+        # and d = |q|^2, or P = p, L = l and d = q when q is real.
+        Pr, Pi, d = (pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi) if qi else (pr, pi, qr)
+        for r in range(rank + 1, nrows):
+            Rr, Ir = R[r], I[r]
+            lr, li = Rr[col], Ir[col]
+            Lr, Li = (lr * qr + li * qi, li * qr - lr * qi) if qi else (lr, li)
+            for j in range(col + 1, ncols):
+                xr = Rr[j]
+                xi = Ir[j]
+                kr = Rk[j]
+                ki = Ik[j]
+                Rr[j] = (xr * Pr - xi * Pi - kr * Lr + ki * Li) // d
+                Ir[j] = (xr * Pi + xi * Pr - kr * Li - ki * Lr) // d
+        qr, qi = pr, pi
+        rank += 1
+        if rank == nrows:
+            if scale != 1:
+                pr, pi = Fraction(pr, scale), Fraction(pi, scale)
+            yield gaussian(sign * pr, sign * pi)
+            return
+        yield gaussian(pr, pi)
 
 
 def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -249,8 +317,9 @@ class PMVector:
         return self.values[frozenset(subset)]
 
     def items_canonical(self) -> List[Tuple[Tuple[int, ...], Scalar]]:
-        keys = sorted(self.values, key=lambda s: (len(s), tuple(sorted(s))))
-        return [(tuple(sorted(s)), self.values[s]) for s in keys]
+        """(sorted subset, minor) pairs by subset size, then lexicographically."""
+        keyed = sorted([(len(s), tuple(sorted(s)), v) for s, v in self.values.items()])
+        return [(subset, v) for _, subset, v in keyed]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PMVector):

@@ -143,3 +143,54 @@ def poly_mul_pairs(p_terms, q_terms):
             exp = tuple(a + b for a, b in zip(e1, e2))
             out[exp] = cadd(out.get(exp, ZERO), cmul(to_pair(c1), to_pair(c2)))
     return {exp: c for exp, c in out.items() if c != ZERO}
+
+
+def scalar_text(x) -> str:
+    """Canonical text of a scalar, read off its pair: p, p/q, bi, a+bi, a-bi."""
+    re, im = to_pair(x)
+    if not im:
+        return str(re)
+    mag = abs(im)
+    imag = "i" if mag == 1 else f"{mag}i"
+    if not re:
+        return imag if im > 0 else f"-{imag}"
+    return f"{re}{'+' if im > 0 else '-'}{imag}"
+
+
+def _grlex_key(exp):
+    return (-sum(exp), tuple(-e for e in exp))
+
+
+def _monomial_text(exp, names) -> str:
+    parts = []
+    for k, e in enumerate(exp):
+        if e == 1:
+            parts.append(names[k])
+        elif e > 1:
+            parts.append(f"{names[k]}^{e}")
+    return "*".join(parts)
+
+
+def poly_text_reference(terms, n, names=None) -> str:
+    """Canonical text of a {exponent tuple: scalar} map with nonzero
+    coefficients: terms sorted by an explicit descending graded-lex key,
+    each monomial written factor by factor, non-real coefficients in
+    parentheses after a plus sign."""
+    if not terms:
+        return "0"
+    if names is None:
+        names = [f"x{k + 1}" for k in range(n)]
+    pieces = []
+    for exp in sorted(terms, key=_grlex_key):
+        re, im = to_pair(terms[exp])
+        mono = _monomial_text(exp, names)
+        if im:
+            sign, body = "+", f"({scalar_text((re, im))})"
+        else:
+            sign, body = ("-" if re < 0 else "+"), str(abs(re))
+        text = (mono if body == "1" else f"{body}*{mono}") if mono else body
+        if not pieces:
+            pieces.append(text if sign == "+" else f"-{text}")
+        else:
+            pieces.append(f"{sign} {text}")
+    return " ".join(pieces)

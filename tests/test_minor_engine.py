@@ -5,7 +5,9 @@ subsets; ``principal_minors`` and ``block_det_poly`` (one Bareiss
 elimination per subset) face the same oracles on the same draws.  Draws are
 unfiltered: small integer entries make many principal minors vanish, which
 sends the walk down its zero-pivot path, and Fraction and Q(i) entries leave
-the integer fast path.  Fixed cases pin down the degenerate patterns.
+the integer fast path.  A matrix draws its entries from one of int,
+Fraction, Gaussian integers, Q(i) with Fraction parts, or a mix of all four
+within each row.  Fixed cases pin down the degenerate patterns.
 ``rank_exact`` and ``det_fraction_free``, two readers of one fraction-free
 row echelon kernel, face ``oracles.rank_gauss`` and ``oracles.det_perm`` on
 rectangular blocks and their leading square blocks: dense, rank-one and with
@@ -28,6 +30,7 @@ from pmfiber import (
     principal_minors,
 )
 from pmfiber import symdet
+from pmfiber.scalars import is_rational
 from pmfiber.symdet import det_fraction_free, rank_exact
 from pmfiber.structure import block_det_poly, frobenius_form, structure_check
 
@@ -36,7 +39,9 @@ import oracles
 SMALL_INT = st.integers(-2, 2)
 FRACTION = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 GAUSSIAN = st.builds(gaussian, SMALL_INT, SMALL_INT)
-ENTRIES = st.sampled_from([SMALL_INT, FRACTION, GAUSSIAN])
+GAUSSIAN_FRACTION = st.builds(gaussian, FRACTION, FRACTION)
+MIXED = st.one_of(SMALL_INT, FRACTION, GAUSSIAN, GAUSSIAN_FRACTION)
+ENTRIES = st.sampled_from([SMALL_INT, FRACTION, GAUSSIAN, GAUSSIAN_FRACTION, MIXED])
 
 
 @st.composite
@@ -227,3 +232,30 @@ def test_singular_leading_block_has_a_zero_pivot():
     assert principal_minors(A).value([0, 1]) == 0
     assert principal_minors(A).value([0]) != 0
 
+
+I = gaussian(0, 1)
+
+NON_REAL_PIVOT_CASES = {
+    # pivots 1, then det [[1, i], [1, 2]] = 2 - i: the third step divides
+    # by a non-real pivot, through its norm
+    "gaussian-integer": [[1, I, 0, 2], [1, 2, 1, 0], [0, 1, I, 1], [2, 0, 1, gaussian(1, 1)]],
+    # every row mixes int, Fraction and Q(i) entries with Fraction parts,
+    # so each row is scaled by its own lcm; the second pivot is non-real too
+    "mixed-rows": [
+        [Fraction(1, 2), gaussian(Fraction(1, 3), 2), 3],
+        [2, gaussian(0, Fraction(1, 5)), Fraction(-2, 3)],
+        [gaussian(Fraction(3, 4), -1), 1, Fraction(1, 7)],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_REAL_PIVOT_CASES))
+def test_non_real_pivots_match_oracle(name):
+    rows = NON_REAL_PIVOT_CASES[name]
+    assert not is_rational(list(symdet._echelon(rows))[1]), "second pivot is real"
+    d = det_fraction_free(rows)
+    assert oracles.to_pair(d) == oracles.det_perm(rows)
+    assert _is_canonical(d), repr(d)
+    assert rank_exact(rows) == oracles.rank_gauss(rows) == len(rows)
+    assert rank_exact(rows[:2] + rows[:1]) == 2
+    _check_minors_and_pencil(rows, [gaussian(1, k) for k in range(len(rows))])

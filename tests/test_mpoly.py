@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmfiber import (
     ExactDivisionError,
@@ -144,6 +146,35 @@ def test_poly_text_gaussian_coefficients():
     p = gaussian(0, 1) * x + gaussian(1, -1)
     text = poly_text(p)
     assert "i" in text and "x1" in text
+
+
+COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    st.builds(
+        gaussian,
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+    ),
+)
+
+
+@st.composite
+def polys_and_names(draw):
+    """Polynomials in 0..4 variables, multiaffine or with exponents up to 3,
+    with int, Fraction or Q(i) coefficients, and default or custom names."""
+    n = draw(st.integers(0, 4))
+    top = draw(st.sampled_from([1, 3]))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, top)] * n), COEFFS, max_size=12))
+    names = draw(st.none() | st.lists(st.sampled_from(["a", "b", "zz"]), min_size=n, max_size=n))
+    return MPoly(n, terms), names
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(polys_and_names())
+def test_poly_text_matches_reference(drawn):
+    p, names = drawn
+    assert poly_text(p, names) == oracles.poly_text_reference(p.terms, p.n, names)
 
 
 def test_poly_subset_map_golden():
