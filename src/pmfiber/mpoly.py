@@ -9,17 +9,22 @@ lexicographic order and writes explicit ``*`` and ``^``.
 Variables are indexed 0..n-1 internally and printed 1-based as x1..xn.
 Exponents are non-negative ints; the constructor rejects anything else.
 
-The product packs each operand's exponent tuples into integers once, with
-a field per variable wide enough that adding two packed keys never carries,
-multiplies term pairs on the packed keys, and unpacks only the result's
-keys, so ``terms`` keeps its exponent-tuple form everywhere else.
+One product kernel computes a signed sum of products, sum(sign * p * q)
+over pairs (sign, p, q); ``MPoly.__mul__`` is its one-pair case, and the
+Rayleigh difference, the affine resultant and ``product_sum`` pass it
+several pairs.  It packs each operand's exponent tuples into integers once,
+with a field per variable wide enough that adding two packed keys never
+carries, accumulates every pair's term products on the packed keys, drops
+the keys whose sum cancels, and unpacks only the keys left, so ``terms``
+keeps its exponent-tuple form everywhere else and an identity checked as a
+sum that must vanish unpacks nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ExactDivisionError
 from .scalars import (
@@ -29,8 +34,6 @@ from .scalars import (
     div_exact,
     is_rational,
     scalar_format,
-    scalar_im,
-    scalar_re,
 )
 
 Exponent = Tuple[int, ...]
@@ -144,7 +147,7 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, MPoly):
             self._check_compatible(other)
-            return MPoly._raw(self.n, _product_terms(self.n, self.terms, other.terms))
+            return MPoly._raw(self.n, _product_terms(self.n, [(1, self.terms, other.terms)]))
         if _is_scalar(other):
             if not other:
                 return MPoly.zero(self.n)
@@ -240,69 +243,94 @@ def _is_scalar(x) -> bool:
 
 
 def _product_terms(
-    n: int, pt: Mapping[Exponent, Scalar], qt: Mapping[Exponent, Scalar]
+    n: int, pairs: Iterable[Tuple[int, Mapping[Exponent, Scalar], Mapping[Exponent, Scalar]]]
 ) -> Dict[Exponent, Scalar]:
-    """The clean term dict of the product of two term dicts in n variables.
+    """The clean term dict of sum(sign * p * q) over signed pairs of term
+    dicts ``(sign, p, q)`` in n variables, sign being 1 or -1.
 
     Exponent tuples are packed into integers with a fixed-width field per
-    variable, wide enough for the largest exponent sum, so adding two keys
-    adds every field without carries.  Fields are one byte wide whenever the
-    sum stays below 256, so packing and unpacking run as bytes conversions;
-    wider sums fall back to bit shifts.  Over Q(i) the real and imaginary
+    variable, wide enough for the largest exponent sum of any pair, so adding
+    two keys adds every field without carries.  Fields are one byte wide
+    whenever the sums stay below 256, so packing and unpacking run as bytes
+    conversions; wider sums fall back to bit shifts.  Every pair's products
+    go into one accumulator on the packed keys, and keys whose sum cancels
+    are dropped before anything is unpacked, so a sum that vanishes unpacks
+    no key and builds no coefficient.  Over Q(i) the real and imaginary
     parts are accumulated as plain rationals and each result coefficient is
     built once.
     """
-    if not pt or not qt:
+    pairs = [(sign, p, q) for sign, p, q in pairs if p and q]
+    if not pairs:
         return {}
-    top = max(map(max, pt)) + max(map(max, qt)) if n else 0
+    top = 0
+    if n:
+        top = max(max(chain.from_iterable(p)) + max(chain.from_iterable(q)) for _, p, q in pairs)
     if top < 256:
 
-        def pack(terms):
-            return [(int.from_bytes(bytes(exp), "little"), c) for exp, c in terms.items()]
+        def keys(terms) -> List[int]:
+            return [int.from_bytes(bytes(exp), "little") for exp in terms]
 
-        def exp_of(key: int) -> Exponent:
-            return tuple(key.to_bytes(n, "little"))
+        def exp_of(k: int) -> Exponent:
+            return tuple(k.to_bytes(n, "little"))
 
     else:
         w = top.bit_length()
         shifts = range(0, w * n, w)
         mask = (1 << w) - 1
 
-        def pack(terms):
-            return [
-                (sum(e << s for e, s in zip(exp, shifts)), c) for exp, c in terms.items()
-            ]
+        def keys(terms) -> List[int]:
+            return [sum(e << s for e, s in zip(exp, shifts)) for exp in terms]
 
-        def exp_of(key: int) -> Exponent:
-            return tuple((key >> s) & mask for s in shifts)
+        def exp_of(k: int) -> Exponent:
+            return tuple((k >> s) & mask for s in shifts)
 
-    a, b = pack(pt), pack(qt)
-    if any(type(c) is GaussianRational for _, c in a + b):
-        a = [(k, scalar_re(c), scalar_im(c)) for k, c in a]
-        b = [(k, scalar_re(c), scalar_im(c)) for k, c in b]
+    if any(type(c) is GaussianRational for _, p, q in pairs for c in chain(p.values(), q.values())):
         parts: Dict[int, list] = {}  # packed key -> [re, im]
         get = parts.get
-        for k1, r1, i1 in a:
-            for k2, r2, i2 in b:
-                k = k1 + k2
-                acc = get(k)
-                if acc is None:
-                    parts[k] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
-                else:
-                    acc[0] += r1 * r2 - i1 * i2
-                    acc[1] += r1 * i2 + i1 * r2
+        for sign, p, q in pairs:
+            a, b = [
+                [(k, c.re, c.im) if type(c) is GaussianRational else (k, c, 0) for k, c in items]
+                for items in (zip(keys(p), p.values()), zip(keys(q), q.values()))
+            ]
+            if sign < 0:
+                a = [(k, -r, -i) for k, r, i in a]
+            for k1, r1, i1 in a:
+                for k2, r2, i2 in b:
+                    k = k1 + k2
+                    acc = get(k)
+                    if acc is None:
+                        parts[k] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+                    else:
+                        acc[0] += r1 * r2 - i1 * i2
+                        acc[1] += r1 * i2 + i1 * r2
         make = GaussianRational._make
         sums = ((k, make(r, i)) for k, (r, i) in parts.items() if r or i)
     else:
         out: Dict[int, Scalar] = {}
         get = out.get
-        for k1, c1 in a:
-            for k2, c2 in b:
-                k = k1 + k2
-                acc = get(k)
-                out[k] = c1 * c2 if acc is None else acc + c1 * c2
+        for sign, p, q in pairs:
+            a = list(zip(keys(p), p.values() if sign > 0 else [-c for c in p.values()]))
+            b = list(zip(keys(q), q.values()))
+            for k1, c1 in a:
+                for k2, c2 in b:
+                    k = k1 + k2
+                    acc = get(k)
+                    out[k] = c1 * c2 if acc is None else acc + c1 * c2
         sums = ((k, _norm_rat(c)) for k, c in out.items() if c)
     return {exp_of(k): c for k, c in sums}
+
+
+def product_sum(n: int, pairs: Iterable[Tuple[int, MPoly, MPoly]]) -> MPoly:
+    """sum(sign * p * q) over signed pairs ``(sign, p, q)`` of polynomials in
+    n variables, sign being 1 or -1, through the one product kernel.  An
+    identity ``sum(...) == 0`` is checked exactly by ``not product_sum(...)``.
+    """
+    terms = []
+    for sign, p, q in pairs:
+        if p.n != n or q.n != n:
+            raise ValueError(f"mixed variable counts: {p.n}, {q.n} vs {n}")
+        terms.append((sign, p.terms, q.terms))
+    return MPoly._raw(n, _product_terms(n, terms))
 
 
 # -- module operations ------------------------------------------------------
@@ -332,10 +360,15 @@ def rayleigh_difference(f: MPoly, i: int, j: int) -> MPoly:
         raise ValueError("rayleigh_difference needs two distinct variables")
     if f.degree(i) > 1 or f.degree(j) > 1:
         raise ValueError("rayleigh_difference requires degree <= 1 in both variables")
-    f0, di = f.substitute(i, 0), f.derivative(i)
+    return product_sum(f.n, _rayleigh_pairs(f.substitute(i, 0), f.derivative(i), j))
+
+
+def _rayleigh_pairs(f0: MPoly, fi: MPoly, j: int) -> List[Tuple[int, MPoly, MPoly]]:
+    """Delta_ij(f) = b*c - a*d as signed pairs, from f0 = f|_{x_i=0} and
+    fi = df/dx_i: a, c are f0 at x_j = 0 and its x_j-derivative, b, d fi's."""
     a, c = f0.substitute(j, 0), f0.derivative(j)
-    b, d = di.substitute(j, 0), di.derivative(j)
-    return b * c - a * d
+    b, d = fi.substitute(j, 0), fi.derivative(j)
+    return [(1, b, c), (-1, a, d)]
 
 
 def affine_resultant(g: MPoly, h: MPoly, k: int) -> MPoly:
@@ -346,7 +379,12 @@ def affine_resultant(g: MPoly, h: MPoly, k: int) -> MPoly:
     g._check_compatible(h)
     if g.degree(k) > 1 or h.degree(k) > 1:
         raise ValueError("affine_resultant requires degree <= 1 in the variable")
-    return g.substitute(k, 0) * h.derivative(k) - h.substitute(k, 0) * g.derivative(k)
+    return product_sum(g.n, _resultant_pairs(g, h.substitute(k, 0), h.derivative(k), k))
+
+
+def _resultant_pairs(g: MPoly, h0: MPoly, hk: MPoly, k: int) -> List[Tuple[int, MPoly, MPoly]]:
+    """res_{x_k}(g, h) as signed pairs, from h0 = h|_{x_k=0} and hk = dh/dx_k."""
+    return [(1, g.substitute(k, 0), hk), (-1, h0, g.derivative(k))]
 
 
 def exact_divide(p: MPoly, q: MPoly) -> MPoly:

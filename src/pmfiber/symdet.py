@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SizeLimitError, VerificationError
-from .mpoly import MPoly, affine_resultant, coefficient_of, rayleigh_difference
+from .mpoly import MPoly, _rayleigh_pairs, _resultant_pairs, coefficient_of, product_sum
 from .scalars import (
     FIELD_Q,
     FIELD_QI,
@@ -463,7 +463,7 @@ def det_poly(A: SquareMatrix) -> DeterminantalPencil:
     exps = _exponents(n)
     full = (1 << n) - 1
     terms = {exps[full ^ mask]: d for mask, d, _, _ in _minor_walk(A, full=False) if d}
-    return DeterminantalPencil(A, MPoly(n, terms))
+    return DeterminantalPencil(A, MPoly._raw(n, terms))
 
 
 def adjugate_table(A: SquareMatrix) -> AdjugateTable:
@@ -491,29 +491,26 @@ def adjugate_table(A: SquareMatrix) -> AdjugateTable:
                         row[i][exps[without_i]] = d
                 elif Ma[b]:
                     row[j][exps[without_i ^ 1 << j]] = -Ma[b]
-    return AdjugateTable(n, tuple(tuple(MPoly(n, t) for t in row) for row in terms))
+    return AdjugateTable(n, tuple(tuple(MPoly._raw(n, t) for t in row) for row in terms))
 
 
 def adjugate_pencil_product_ok(G: AdjugateTable, pencil: DeterminantalPencil) -> bool:
-    """Exact check of G * (diag(x) + A) == f * I."""
+    """Exact check of G * (diag(x) + A) == f * I, each entry (i, j) as one
+    signed sum of products that must vanish:
+    sum_k G_ik * (A_kj + [k == j] x_j) - [i == j] f."""
     A, f = pencil.base, pencil.fpoly
     n = A.n
-    for i in range(n):
-        for j in range(n):
-            total = MPoly.zero(n)
-            for k in range(n):
-                g = G.entries[i][k]
-                if g.is_zero():
-                    continue
-                a = A.entries[k][j]
-                if a:
-                    total = total + g * a
-                if k == j:
-                    total = total + g * MPoly.var(n, j)
-            expected = f if i == j else MPoly.zero(n)
-            if total != expected:
-                return False
-    return True
+    M = [[MPoly.const(n, a) for a in row] for row in A.entries]
+    for j in range(n):
+        M[j][j] = M[j][j] + MPoly.var(n, j)
+    one = MPoly.const(n, 1)
+    return all(
+        not product_sum(
+            n, [(1, G.entries[i][k], M[k][j]) for k in range(n)] + ([(-1, f, one)] if i == j else [])
+        )
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def matrix_from_adjugate(H: AdjugateTable, f: MPoly, field: Optional[str] = None) -> SquareMatrix:
@@ -556,16 +553,34 @@ def laplace_expand(A: SquareMatrix, S: Iterable[int]) -> Scalar:
         raise PreconditionError("row subset must be proper and nonempty")
     if srows[0] < 0 or srows[-1] >= n:
         raise ValueError("row subset outside matrix range")
-    comp = [r for r in range(n) if r not in set(srows)]
-    k = len(srows)
+    return _laplace_sum(A, tuple(srows), {})
+
+
+def _laplace_sum(
+    A: SquareMatrix,
+    srows: Tuple[int, ...],
+    minors: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Scalar],
+) -> Scalar:
+    """``laplace_expand`` on a sorted proper row subset.  Each det A[R, C] is
+    read from ``minors``, keyed by (R, C), or computed and stored there, so
+    expansions sharing the dict compute each minor once (the upper blocks
+    of S are the lower blocks of its complement)."""
+    n = A.n
+    comp = tuple(r for r in range(n) if r not in srows)
     sum_s = sum(srows)
+
+    def minor(rows, cols):
+        d = minors.get((rows, cols))
+        if d is None:
+            d = minors[rows, cols] = det_fraction_free(A.submatrix(rows, cols))
+        return d
+
     total: Scalar = 0
-    for T in combinations(range(n), k):
-        upper = det_fraction_free(A.submatrix(srows, T))
+    for T in combinations(range(n), len(srows)):
+        upper = minor(srows, T)
         if not upper:
             continue
-        tcomp = [c for c in range(n) if c not in set(T)]
-        lower = det_fraction_free(A.submatrix(comp, tcomp))
+        lower = minor(comp, tuple(c for c in range(n) if c not in T))
         if not lower:
             continue
         sign = -1 if (sum_s + sum(T)) % 2 else 1
@@ -612,6 +627,14 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
     laplace:   the two-sided expansion equals det(A) (all S for n <= 8,
                size <= 2 representatives above that)
     adjugate:  G * (diag(x) + A) == f * I
+
+    Each polynomial identity is checked exactly, as signed sums of products
+    that must vanish, so the terms that cancel are never built:
+    b*c - a*d - G_ij*G_ji for dodgson, with f = a + b*x_i + c*x_j + d*x_i*x_j;
+    G_ij|_{x_k=0} * df/dx_k - f|_{x_k=0} * dG_ij/dx_k - G_ik*G_kj for
+    resultant; one sum per entry for adjugate (``adjugate_pencil_product_ok``).
+    f|_{x_k=0} and df/dx_k are computed once per k, and the Laplace
+    expansions share one table of the minors det A[R, C], local to the call.
     """
     n = A.n
     check_size("verify_identities", n)
@@ -620,15 +643,18 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
         raise ValueError(f"unknown identities: {unknown}")
     pencil = det_poly(A)
     f = pencil.fpoly
-    G = adjugate_table(A)
+    table = adjugate_table(A)
+    G = table.entries
+    f0 = [f.substitute(k, 0) for k in range(n)]
+    fd = [f.derivative(k) for k in range(n)]
     checks: List[IdentityCheck] = []
     if "dodgson" in identities:
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
-                ok = rayleigh_difference(f, i, j) == G.entries[i][j] * G.entries[j][i]
-                checks.append(IdentityCheck("dodgson", (i, j), ok))
+                pairs = _rayleigh_pairs(f0[i], fd[i], j) + [(-1, G[i][j], G[j][i])]
+                checks.append(IdentityCheck("dodgson", (i, j), not product_sum(n, pairs)))
     if "resultant" in identities:
         for i in range(n):
             for j in range(n):
@@ -637,24 +663,20 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
                 for k in range(n):
                     if k == i or k == j:
                         continue
-                    lhs = affine_resultant(G.entries[i][j], f, k)
-                    ok = lhs == G.entries[i][k] * G.entries[k][j]
-                    checks.append(IdentityCheck("resultant", (i, j, k), ok))
+                    pairs = _resultant_pairs(G[i][j], f0[k], fd[k], k) + [(-1, G[i][k], G[k][j])]
+                    checks.append(IdentityCheck("resultant", (i, j, k), not product_sum(n, pairs)))
     if "laplace" in identities and n >= 2:
         d = det_fraction_free(A.rows_list())
         if n <= 8:
-            subsets = [
-                list(S)
-                for k in range(1, n)
-                for S in combinations(range(n), k)
-            ]
+            subsets = [S for k in range(1, n) for S in combinations(range(n), k)]
         else:
-            small = [list(S) for k in (1, 2) for S in combinations(range(n), k)]
-            subsets = small + [[x for x in range(n) if x not in set(S)] for S in small]
+            small = [S for k in (1, 2) for S in combinations(range(n), k)]
+            subsets = small + [tuple(x for x in range(n) if x not in S) for S in small]
+        minors: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Scalar] = {}
         for S in subsets:
-            ok = laplace_expand(A, S) == d
-            checks.append(IdentityCheck("laplace", tuple(S), ok))
+            ok = _laplace_sum(A, S, minors) == d
+            checks.append(IdentityCheck("laplace", S, ok))
     if "adjugate" in identities:
-        ok = adjugate_pencil_product_ok(G, pencil)
+        ok = adjugate_pencil_product_ok(table, pencil)
         checks.append(IdentityCheck("adjugate", (), ok))
     return IdentityReport(n, tuple(checks))

@@ -17,7 +17,7 @@ from pmfiber import (
     poly_text,
     rayleigh_difference,
 )
-from pmfiber.mpoly import coefficient_of, exact_divide
+from pmfiber.mpoly import _product_terms, coefficient_of, exact_divide, product_sum
 
 import oracles
 from conftest import linear, poly_of
@@ -316,3 +316,79 @@ def test_subtraction_matches_adding_the_negation():
     assert (p - Fraction(-1, 2)).terms == {(1, 1): 3, (1, 0): 1 + i}
     with pytest.raises(ValueError):
         x - MPoly.var(3, 0)
+
+
+# -- the signed product sum --------------------------------------------------------
+
+
+@st.composite
+def signed_pairs(draw):
+    """n in 0..3 and up to four signed pairs of raw term dicts (zero
+    coefficients kept), exponents small or large enough that sums reach the
+    bit-shift packing; sometimes a pair is followed by its cancelling twin."""
+    n = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 3) | st.integers(100, 300)] * n)
+    terms = st.dictionaries(exps, st.integers(-4, 4) | COEFFS, max_size=5)
+    pairs = draw(st.lists(st.tuples(st.sampled_from((1, -1)), terms, terms), max_size=4))
+    if pairs and draw(st.booleans()):
+        sign, p, q = draw(st.sampled_from(pairs))
+        pairs.append((-sign, q, p))
+    return n, pairs
+
+
+def _signed_oracle_sum(pairs):
+    total = {}
+    for sign, p, q in pairs:
+        for exp, (re, im) in oracles.poly_mul_pairs(p, q).items():
+            old = total.get(exp, (0, 0))
+            total[exp] = (old[0] + sign * re, old[1] + sign * im)
+    return {exp: c for exp, c in total.items() if c != (0, 0)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(signed_pairs())
+def test_product_sum_equals_the_sum_of_separate_products(drawn):
+    n, pairs = drawn
+    polys = [(sign, MPoly(n, p), MPoly(n, q)) for sign, p, q in pairs]
+    got = product_sum(n, polys)
+    _assert_canonical(got)
+    separate = MPoly.zero(n)
+    for sign, p, q in polys:
+        separate = separate + p * q if sign > 0 else separate - p * q
+    assert got == separate
+    assert _product_terms(n, pairs) == got.terms
+    assert {exp: oracles.to_pair(c) for exp, c in got.terms.items()} == _signed_oracle_sum(pairs)
+
+
+def test_product_sum_edge_cases():
+    x, y = MPoly.var(2, 0), MPoly.var(2, 1)
+    i = gaussian(0, 1)
+    p, q = (1 + i) * x + Fraction(1, 2), 3 * y - i
+    # pairs that cancel leave the zero polynomial
+    assert product_sum(2, [(1, p, q), (-1, q, p)]).terms == {}
+    assert product_sum(2, [(1, x + y, x - y), (-1, x, x), (1, y, y)]).terms == {}
+    # Q(i) terms whose imaginary parts cancel come back rational
+    prod = product_sum(2, [(1, i * x, i * y), (-1, i * x, i * y - 1)])
+    assert prod.terms == {(1, 0): i}
+    prod = product_sum(2, [(1, (1 + i) * x, (1 - i) * y), (-1, i * x, y)])
+    assert prod.terms == {(1, 1): gaussian(2, -1)}
+    prod = product_sum(2, [(1, (1 + i) * x, y), (-1, i * x, y)])
+    assert prod.terms == {(1, 1): 1} and type(prod.terms[(1, 1)]) is int
+    # empty operands and no pairs at all
+    assert product_sum(2, [(1, MPoly.zero(2), p), (-1, q, MPoly.zero(2))]).is_zero()
+    assert product_sum(2, []).is_zero()
+    assert product_sum(2, [(1, MPoly.zero(2), p), (-1, x, y)]).terms == {(1, 1): -1}
+    # n = 0: sums of products of constants
+    c = MPoly.const(0, i)
+    assert product_sum(0, [(1, c, c), (1, c, MPoly.const(0, 3))]).terms == {(): gaussian(-1, 3)}
+    assert product_sum(0, [(1, c, c), (-1, c, c)]).is_zero()
+    # exponent sums of 256 and more take the bit-shift packing
+    big = MPoly(2, {(200, 1): 2, (0, 255): i})
+    small = MPoly(2, {(56, 1): 1, (1, 0): -1})
+    got = product_sum(2, [(1, big, small), (-1, small, big), (1, big, big)])
+    assert got == big * big and got.degree(0) == 400 and got.degree(1) == 510
+    assert product_sum(2, [(1, big, small), (-1, x, y)]).terms == {
+        (256, 2): 2, (201, 1): -2, (56, 256): i, (1, 255): -i, (1, 1): -1
+    }
+    with pytest.raises(ValueError):
+        product_sum(3, [(1, x, y)])

@@ -6,9 +6,11 @@ oracles.py; fixed values are frozen reference data.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import pmfiber.symdet as symdet
 from pmfiber import (
     FIELD_Q,
     FIELD_QI,
@@ -16,11 +18,13 @@ from pmfiber import (
     PreconditionError,
     VerificationError,
     adjugate_table,
+    affine_resultant,
     det_poly,
     gaussian,
     matrix,
     matrix_from_adjugate,
     principal_minors,
+    rayleigh_difference,
     verify_identities,
 )
 from pmfiber.symdet import (
@@ -294,6 +298,60 @@ def test_verify_identities_all_pass():
         report = verify_identities(A)
         assert report.all_ok, [c for c in report.checks if not c.ok]
         assert report.passed == len(report.checks)
+
+
+def _old_form_checks(A, f, G):
+    """Each identity check of verify_identities, with ok computed by building
+    both sides separately and comparing them."""
+    n = A.n
+    x = [MPoly.var(n, k) for k in range(n)]
+    d = det_fraction_free(A.rows_list())
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                ok = rayleigh_difference(f, i, j) == G[i][j] * G[j][i]
+                out["dodgson", (i, j)] = ok
+                for k in range(n):
+                    if k not in (i, j):
+                        ok = affine_resultant(G[i][j], f, k) == G[i][k] * G[k][j]
+                        out["resultant", (i, j, k)] = ok
+    for size in range(1, n):
+        for S in combinations(range(n), size):
+            out["laplace", S] = laplace_expand(A, S) == d
+    out["adjugate", ()] = all(
+        sum((G[i][k] * A.entries[k][j] for k in range(n)), G[i][j] * x[j])
+        == (f if i == j else MPoly.zero(n))
+        for i in range(n)
+        for j in range(n)
+    )
+    return out
+
+
+def test_verify_identities_on_corrupted_tables_match_the_old_form(monkeypatch):
+    rng = random.Random(31)
+    real_table = symdet.adjugate_table
+    failures = 0
+    for trial in range(16):
+        n = 4 + trial % 2
+        field = FIELD_QI if trial % 4 >= 2 else FIELD_Q
+        A = matrix(rand_rows(rng, n, field), field)
+        rows = [list(r) for r in real_table(A).entries]
+        i, j = rng.randrange(n), rng.randrange(n)
+        terms = dict(rows[i][j].terms)
+        exp = rng.choice(sorted(terms)) if terms and rng.random() < 0.8 else tuple(
+            rng.randint(0, 1) for _ in range(n)
+        )
+        delta = rng.choice((1, -1, 2, Fraction(1, 3), gaussian(0, 1), gaussian(1, -2)))
+        terms[exp] = terms.get(exp, 0) + delta
+        rows[i][j] = MPoly(n, terms)
+        bad = AdjugateTable(n, tuple(tuple(r) for r in rows))
+        monkeypatch.setattr(symdet, "adjugate_table", lambda _A, bad=bad: bad)
+        report = verify_identities(A)
+        got = {(c.identity, c.indices): c.ok for c in report.checks}
+        assert got == _old_form_checks(A, det_poly(A).fpoly, bad.entries)
+        failures += report.failed
+    assert failures > 0
 
 
 def test_verify_identities_unknown_name(golden_a4):
