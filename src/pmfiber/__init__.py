@@ -43,7 +43,6 @@ from .fiber import (
     StableCertificate,
     SymmetricFiberDescription,
     classify_fiber,
-    cut_ranks,
     cut_swap_witness,
     find_cuts,
     is_cut,
@@ -135,7 +134,6 @@ __all__ = [
     "affine_resultant",
     "block_det_poly",
     "classify_fiber",
-    "cut_ranks",
     "cut_swap_witness",
     "det_fraction_free",
     "det_poly",

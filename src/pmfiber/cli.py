@@ -62,7 +62,7 @@ def _load_matrix(path: str) -> SquareMatrix:
         if missing:
             raise ParseError(f"matrix file missing keys: {', '.join(missing)}")
         n, field, entries = doc["n"], doc["field"], doc["entries"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ParseError("n must be a positive integer")
         if field not in FIELDS:
             raise ParseError(f"field must be one of {list(FIELDS)}")

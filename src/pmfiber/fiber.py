@@ -3,15 +3,19 @@
 The fiber of A is the set of matrices sharing all 2^n principal minors.
 Diagonal conjugation (with or without transposition) never changes the
 minors, so the interesting question is when the fiber is a single such
-equivalence class.  The classifier decides this exactly; where the answer
-is "no" it hands back a verified second fiber point, built either by
+equivalence class.  The classifier answers from A's structure: a single
+class for an irreducible A with no cut or with a symmetric diagonal
+conjugate, and otherwise a verified second fiber point, built either by
 swapping the rank-one factors of A's two cross blocks at a cut (and
 transposing one diagonal block) or by rewriting the strictly-upper pattern
-of a reducible matrix.  Each witness is proved by its form, entry by entry
-(the swap form across the cut, or the block form of a reducible matrix),
-and by having no diagonal equivalence to A; no pencil is expanded, so the
-only exponential step left in the classifier is find_cuts, and in the
-symmetric and stable descriptions block_det_poly, capped by block size.
+of a reducible matrix.  When the swap across the first cut is diagonally
+equivalent to A it has neither and raises, though such a fiber is often a
+single class (see classify_fiber).  Each witness is proved by its form,
+entry by entry (the swap form across the cut, or the block form of a
+reducible matrix), and by having no diagonal equivalence to A; no pencil is
+expanded, so the only exponential step left in the classifier is
+find_cuts, and in the symmetric and stable descriptions block_det_poly,
+capped by block size.
 find_cuts runs no elimination: one reader, _rank_one_factors, tests a cross
 block for rank at most one by the 2x2 minors through its first nonzero
 entry, and the same reader hands the swap its factors.  rank_one_split is
@@ -46,7 +50,6 @@ from .symdet import (
     SquareMatrix,
     check_size,
     matrix,
-    rank_exact,
 )
 
 SINGLE_POINT = "SinglePoint"
@@ -81,12 +84,6 @@ def _split_indices(n: int, X: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int
         raise PreconditionError(f"a cut needs 2 <= |X| <= n-2, got |X| = {len(Xs)}")
     inside = set(Xs)
     return Xs, tuple(j for j in range(n) if j not in inside)
-
-
-def cut_ranks(A: SquareMatrix, X: Sequence[int]) -> Tuple[int, int]:
-    """Exact ranks of the two off-diagonal blocks selected by X."""
-    Xs, Xc = _split_indices(A.n, X)
-    return rank_exact(A.submatrix(Xs, Xc)), rank_exact(A.submatrix(Xc, Xs))
 
 
 def _rank_one_factors(

@@ -105,15 +105,7 @@ class MPoly:
     def __add__(self, other):
         if isinstance(other, MPoly):
             self._check_compatible(other)
-            out = dict(self.terms)
-            for exp, c in other.terms.items():
-                acc = out.get(exp)
-                s = c if acc is None else acc + c
-                if s:
-                    out[exp] = s
-                elif acc is not None:
-                    del out[exp]
-            return MPoly._raw(self.n, out)
+            return MPoly._raw(self.n, _merged(self.terms, other.terms.items()))
         if _is_scalar(other):
             return self + MPoly.const(self.n, other)
         return NotImplemented
@@ -123,15 +115,8 @@ class MPoly:
     def __sub__(self, other):
         if isinstance(other, MPoly):
             self._check_compatible(other)
-            out = dict(self.terms)
-            for exp, c in other.terms.items():
-                acc = out.get(exp)
-                s = -c if acc is None else acc - c
-                if s:
-                    out[exp] = s
-                elif acc is not None:
-                    del out[exp]
-            return MPoly._raw(self.n, out)
+            negated = ((exp, -c) for exp, c in other.terms.items())
+            return MPoly._raw(self.n, _merged(self.terms, negated))
         if _is_scalar(other):
             return self + MPoly.const(self.n, -other)
         return NotImplemented
@@ -178,36 +163,20 @@ class MPoly:
 
     # -- calculus / evaluation ------------------------------------------------
     def derivative(self, k: int) -> "MPoly":
-        out: Dict[Exponent, Scalar] = {}
-        for exp, c in self.terms.items():
-            e = exp[k]
-            if e:
-                nexp = exp[:k] + (e - 1,) + exp[k + 1 :]
-                nc = c * e
-                acc = out.get(nexp)
-                s = nc if acc is None else acc + nc
-                if s:
-                    out[nexp] = s
-                elif acc is not None:
-                    del out[nexp]
-        return MPoly._raw(self.n, out)
+        # exp -> exp - e_k is injective on the terms kept, and c * exp[k] != 0
+        # in characteristic 0, so no two terms meet: nothing is merged.
+        terms = {e[:k] + (e[k] - 1,) + e[k + 1 :]: c * e[k] for e, c in self.terms.items() if e[k]}
+        return MPoly._raw(self.n, terms)
 
     def substitute(self, k: int, value: Scalar) -> "MPoly":
         """Set x_{k+1} := value; result still lives in n variables."""
-        out: Dict[Exponent, Scalar] = {}
-        for exp, c in self.terms.items():
-            e = exp[k]
-            nc = c * value**e if e else c
-            if not nc:
-                continue
-            nexp = exp[:k] + (0,) + exp[k + 1 :]
-            acc = out.get(nexp)
-            s = nc if acc is None else acc + nc
-            if s:
-                out[nexp] = s
-            elif acc is not None:
-                del out[nexp]
-        return MPoly._raw(self.n, out)
+        if not value:  # keeps exactly the terms free of x_{k+1}, exponents unchanged
+            return MPoly._raw(self.n, {exp: c for exp, c in self.terms.items() if not exp[k]})
+        moved = (
+            (exp[:k] + (0,) + exp[k + 1 :], c * value ** exp[k] if exp[k] else c)
+            for exp, c in self.terms.items()
+        )
+        return MPoly._raw(self.n, _merged({}, moved))
 
     def substitute_many(self, values: Mapping[int, Scalar]) -> "MPoly":
         p = self
@@ -237,6 +206,24 @@ class MPoly:
 
 def _is_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, GaussianRational))
+
+
+def _merged(
+    terms: Mapping[Exponent, Scalar], items: Iterable[Tuple[Exponent, Scalar]]
+) -> Dict[Exponent, Scalar]:
+    """A copy of the clean term dict ``terms`` with the nonzero
+    ``(exponent, coefficient)`` items added, every key whose sum cancels
+    dropped: the one merge of terms on equal exponents."""
+    out = dict(terms)
+    get = out.get
+    for exp, c in items:
+        acc = get(exp)
+        s = c if acc is None else acc + c
+        if s:
+            out[exp] = s
+        else:
+            del out[exp]
+    return out
 
 
 # -- the product kernel --------------------------------------------------------

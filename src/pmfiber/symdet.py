@@ -635,6 +635,10 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
     resultant; one sum per entry for adjugate (``adjugate_pencil_product_ok``).
     f|_{x_k=0} and df/dx_k are computed once per k, and the Laplace
     expansions share one table of the minors det A[R, C], local to the call.
+    Both sides of dodgson are symmetric in i, j, and the expansions along S
+    and S^c are the same sum term for term (both subset lists are closed
+    under complement), so each is computed once per pair and reported under
+    both keys.
     """
     n = A.n
     check_size("verify_identities", n)
@@ -649,12 +653,14 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
     fd = [f.derivative(k) for k in range(n)]
     checks: List[IdentityCheck] = []
     if "dodgson" in identities:
+        dodgson = {
+            (i, j): not product_sum(n, _rayleigh_pairs(f0[i], fd[i], j) + [(-1, G[i][j], G[j][i])])
+            for i, j in combinations(range(n), 2)
+        }
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                pairs = _rayleigh_pairs(f0[i], fd[i], j) + [(-1, G[i][j], G[j][i])]
-                checks.append(IdentityCheck("dodgson", (i, j), not product_sum(n, pairs)))
+                if i != j:
+                    checks.append(IdentityCheck("dodgson", (i, j), dodgson[min(i, j), max(i, j)]))
     if "resultant" in identities:
         for i in range(n):
             for j in range(n):
@@ -673,8 +679,10 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
             small = [S for k in (1, 2) for S in combinations(range(n), k)]
             subsets = small + [tuple(x for x in range(n) if x not in S) for S in small]
         minors: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Scalar] = {}
+        laplace: Dict[Tuple[int, ...], bool] = {}
         for S in subsets:
-            ok = _laplace_sum(A, S, minors) == d
+            comp = tuple(x for x in range(n) if x not in S)
+            ok = laplace[S] = laplace[comp] if comp in laplace else _laplace_sum(A, S, minors) == d
             checks.append(IdentityCheck("laplace", S, ok))
     if "adjugate" in identities:
         ok = adjugate_pencil_product_ok(table, pencil)

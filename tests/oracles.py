@@ -145,6 +145,44 @@ def poly_mul_pairs(p_terms, q_terms):
     return {exp: c for exp, c in out.items() if c != ZERO}
 
 
+def _collect(items):
+    """Sum (exponent tuple, scalar or pair) items into {exponent tuple: pair},
+    dropping the monomials whose coefficients sum to zero."""
+    out = {}
+    for exp, c in items:
+        out[exp] = cadd(out.get(exp, ZERO), to_pair(c))
+    return {exp: c for exp, c in out.items() if c != ZERO}
+
+
+def poly_combine_pairs(p_terms, q_terms, sign):
+    """p + sign*q (sign 1 or -1) of two {exponent tuple: scalar} maps."""
+    q_items = ((exp, cmul((Fraction(sign), Fraction(0)), to_pair(c))) for exp, c in q_terms.items())
+    return _collect(list(p_terms.items()) + list(q_items))
+
+
+def poly_derivative_pairs(terms, k):
+    """d/dx_k of a {exponent tuple: scalar} map, monomial by monomial:
+    c*x^e becomes e*c*x^(e-1), and constants in x_k vanish."""
+    return _collect(
+        (exp[:k] + (exp[k] - 1,) + exp[k + 1 :], cmul((Fraction(exp[k]), Fraction(0)), to_pair(c)))
+        for exp, c in terms.items()
+        if exp[k]
+    )
+
+
+def poly_substitute_pairs(terms, k, value):
+    """A {exponent tuple: scalar} map with x_k set to value, monomial by
+    monomial: c*x_k^e becomes c*value^e (repeated multiplication) times the
+    same monomial without x_k."""
+    items = []
+    for exp, c in terms.items():
+        term = to_pair(c)
+        for _ in range(exp[k]):
+            term = cmul(term, to_pair(value))
+        items.append((exp[:k] + (0,) + exp[k + 1 :], term))
+    return _collect(items)
+
+
 def scalar_text(x) -> str:
     """Canonical text of a scalar, read off its pair: p, p/q, bi, a+bi, a-bi."""
     re, im = to_pair(x)

@@ -310,6 +310,15 @@ def test_exit_shape_mismatch(capsys, tmp_path):
     assert code == 2
 
 
+def test_exit_boolean_size(capsys, tmp_path):
+    # JSON true is a Python bool, an int subclass; it is not the size 1.
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"n": True, "field": "Q", "entries": [["1"]]}))
+    code, doc, _ = run_cli(capsys, "minors", str(f))
+    assert code == 2
+    assert "n must be a positive integer" in doc["error"]
+
+
 def test_exit_missing_file(capsys, tmp_path):
     code, doc, _ = run_cli(capsys, "minors", str(tmp_path / "nope.json"))
     assert code == 2

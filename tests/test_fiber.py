@@ -15,7 +15,6 @@ from pmfiber import (
     VerificationError,
     adjugate_table,
     classify_fiber,
-    cut_ranks,
     cut_swap_witness,
     diagonal_equivalence,
     find_cuts,
@@ -54,22 +53,13 @@ def test_golden_a4_has_single_cut(golden_a4):
     assert cuts[0].rank_xxc == 1 and cuts[0].rank_xcx == 1
 
 
-def test_cut_ranks_match_oracle(golden_a4):
-    rows = [list(r) for r in golden_a4.entries]
-    r1, r2 = cut_ranks(golden_a4, [0, 1])
-    block_up = [[rows[i][j] for j in (2, 3)] for i in (0, 1)]
-    block_dn = [[rows[i][j] for j in (0, 1)] for i in (2, 3)]
-    assert r1 == oracles.rank_gauss(block_up)
-    assert r2 == oracles.rank_gauss(block_dn)
-
-
 def test_is_cut_rejects_bad_sizes(golden_a4):
     with pytest.raises(PreconditionError):
-        cut_ranks(golden_a4, [0])
+        is_cut(golden_a4, [0])
     with pytest.raises(PreconditionError):
-        cut_ranks(golden_a4, [0, 1, 2])
+        is_cut(golden_a4, [0, 1, 2])
     with pytest.raises(PreconditionError):
-        cut_ranks(golden_a4, [0, 9])
+        is_cut(golden_a4, [0, 9])
 
 
 def test_representative_contains_first_index():
@@ -151,17 +141,16 @@ def test_find_cuts_matches_brute_force_ranks(rows):
     candidates = _brute_force_cuts(rows)
     expected = [c for c in candidates if c[1] <= 1 and c[2] <= 1]
     assert [(c.X, c.rank_xxc, c.rank_xcx) for c in find_cuts(A)] == expected
-    for X, _, _ in candidates:
-        r1, r2 = cut_ranks(A, X)
+    for X, r1, r2 in candidates:
         assert is_cut(A, X) == (r1 <= 1 and r2 <= 1)
 
 
 def test_cut_reading_runs_no_elimination(monkeypatch, golden_a4, golden_b4):
     # Whether a cross block has rank <= 1 is read off one pivot's 2x2 minors.
     def boom(rows):
-        raise AssertionError("rank_exact called")
+        raise AssertionError("an elimination ran")
 
-    monkeypatch.setattr(fiber, "rank_exact", boom)
+    monkeypatch.setattr(symdet, "_echelon", boom)
     cuts = find_cuts(golden_a4)
     assert [(c.X, c.rank_xxc, c.rank_xcx) for c in cuts] == [((0, 1), 1, 1)]
     res = classify_fiber(golden_a4)

@@ -318,6 +318,49 @@ def test_subtraction_matches_adding_the_negation():
         x - MPoly.var(3, 0)
 
 
+# -- sums, derivatives and substitution against the naive oracle -----------------
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two raw term dicts in 1..3 variables (zero coefficients kept), with
+    exponents 0..3 so that terms meet, the second sometimes holding the
+    negation of all or some of the first's terms; a variable index; and a
+    substitution value, zero of any scalar type or not."""
+    n = draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), COEFFS, max_size=8)
+    p, q = draw(terms), draw(terms)
+    twins = draw(st.sampled_from(("none", "all", "some")))
+    for exp, c in p.items():
+        if twins == "all" or twins == "some" and draw(st.booleans()):
+            q[exp] = -c
+    k = draw(st.integers(0, n - 1))
+    value = draw(st.sampled_from((0, Fraction(0), gaussian(0, 0))) | COEFFS)
+    return n, p, q, k, value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operand_pairs())
+def test_sums_derivatives_and_substitution_match_the_naive_oracle(drawn):
+    n, p_terms, q_terms, k, value = drawn
+    p, q = MPoly(n, p_terms), MPoly(n, q_terms)
+
+    def pairs(r):
+        assert r.n == n
+        assert all(type(e) is tuple and len(e) == n for e in r.terms)
+        assert all(r.terms.values())
+        return {exp: oracles.to_pair(c) for exp, c in r.terms.items()}
+
+    assert pairs(p + q) == oracles.poly_combine_pairs(p_terms, q_terms, 1)
+    assert pairs(p - q) == oracles.poly_combine_pairs(p_terms, q_terms, -1)
+    assert pairs(-p) == oracles.poly_combine_pairs({}, p_terms, -1)
+    assert pairs(p - value) == oracles.poly_combine_pairs(p_terms, {(0,) * n: value}, -1)
+    assert pairs(p.derivative(k)) == oracles.poly_derivative_pairs(p_terms, k)
+    assert pairs(p.substitute(k, value)) == oracles.poly_substitute_pairs(p_terms, k, value)
+    # no operation changes its operands
+    assert p.terms == MPoly(n, p_terms).terms and q.terms == MPoly(n, q_terms).terms
+
+
 # -- the signed product sum --------------------------------------------------------
 
 
