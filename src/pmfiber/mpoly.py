@@ -10,14 +10,19 @@ Variables are indexed 0..n-1 internally and printed 1-based as x1..xn.
 Exponents are non-negative ints; the constructor rejects anything else.
 
 One product kernel computes a signed sum of products, sum(sign * p * q)
-over pairs (sign, p, q); ``MPoly.__mul__`` is its one-pair case, and the
-Rayleigh difference, the affine resultant and ``product_sum`` pass it
-several pairs.  It packs each operand's exponent tuples into integers once,
-with a field per variable wide enough that adding two packed keys never
-carries, accumulates every pair's term products on the packed keys, drops
-the keys whose sum cancels, and unpacks only the keys left, so ``terms``
-keeps its exponent-tuple form everywhere else and an identity checked as a
-sum that must vanish unpacks nothing.
+over pairs (sign, p, q) of packed operands (:class:`Packed`): each
+operand's exponent tuples become integers, with a field per variable wide
+enough that adding two packed keys never carries, and the operand records
+its largest exponent and whether it holds a ``GaussianRational``, so a sum
+rescans neither.  The kernel accumulates every pair's term products on the
+packed keys, drops the keys whose sum cancels, and unpacks only the keys
+left, so ``terms`` keeps its exponent-tuple form everywhere else and an
+identity checked as a sum that must vanish unpacks nothing.
+``MPoly.__mul__`` (one pair) and ``product_sum`` pack their operands and
+call it.  A caller that enters one polynomial into many sums, as
+``verify_identities`` does, packs it once with :func:`pack` and takes its
+restrictions to x_k = 0 and its derivatives from the packed form by key
+arithmetic, as the Rayleigh difference and the affine resultant do.
 """
 
 from __future__ import annotations
@@ -132,7 +137,7 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, MPoly):
             self._check_compatible(other)
-            return MPoly._raw(self.n, _product_terms(self.n, [(1, self.terms, other.terms)]))
+            return product_sum(self.n, [(1, self, other)])
         if _is_scalar(other):
             if not other:
                 return MPoly.zero(self.n)
@@ -229,56 +234,104 @@ def _merged(
 # -- the product kernel --------------------------------------------------------
 
 
-def _product_terms(
-    n: int, pairs: Iterable[Tuple[int, Mapping[Exponent, Scalar], Mapping[Exponent, Scalar]]]
-) -> Dict[Exponent, Scalar]:
-    """The clean term dict of sum(sign * p * q) over signed pairs of term
-    dicts ``(sign, p, q)`` in n variables, sign being 1 or -1.
+class Packed:
+    """A polynomial's terms packed for the product kernel.
 
-    Exponent tuples are packed into integers with a fixed-width field per
-    variable, wide enough for the largest exponent sum of any pair, so adding
-    two keys adds every field without carries.  Fields are one byte wide
-    whenever the sums stay below 256, so packing and unpacking run as bytes
-    conversions; wider sums fall back to bit shifts.  Every pair's products
-    go into one accumulator on the packed keys, and keys whose sum cancels
-    are dropped before anything is unpacked, so a sum that vanishes unpacks
-    no key and builds no coefficient.  Over Q(i) the real and imaginary
-    parts are accumulated as plain rationals and each result coefficient is
-    built once.
+    Each exponent tuple is one integer key with a ``width``-bit field per
+    variable, variable k from bit k * width up, so adding two keys adds
+    every field, without carries while the field sums stay below
+    2**width.  ``items`` holds ``(key, c)`` pairs, or ``(key, re, im)``
+    triples when ``gauss`` is set: when a coefficient was a
+    ``GaussianRational`` at packing.  ``top`` bounds every exponent.  Both
+    are recorded once, when the polynomial is packed, so no sum rescans
+    the terms for them.  ``restrict`` and ``derivative`` take x_k = 0 and
+    d/dx_k straight from the packed items, by key arithmetic.
     """
-    pairs = [(sign, p, q) for sign, p, q in pairs if p and q]
+
+    __slots__ = ("width", "top", "gauss", "items")
+
+    def __init__(self, width: int, top: int, gauss: bool, items: list):
+        self.width = width
+        self.top = top
+        self.gauss = gauss
+        self.items = items
+
+    def restrict(self, k: int) -> "Packed":
+        """x_{k+1} := 0: the items whose field k is 0."""
+        s, mask = k * self.width, (1 << self.width) - 1
+        items = [t for t in self.items if not t[0] >> s & mask]
+        return Packed(self.width, self.top, self.gauss, items)
+
+    def derivative(self, k: int) -> "Packed":
+        """d/dx_{k+1}: on the items whose field k holds e > 0, one unit off
+        that field and the coefficient times e."""
+        s, mask = k * self.width, (1 << self.width) - 1
+        unit = 1 << s
+        if self.gauss:
+            items = [
+                (key - unit, r * e, i * e) for key, r, i in self.items if (e := key >> s & mask)
+            ]
+        else:
+            items = [(key - unit, c * e) for key, c in self.items if (e := key >> s & mask)]
+        return Packed(self.width, self.top, self.gauss, items)
+
+
+def _pack(n: int, terms: Mapping[Exponent, Scalar], width: int, top: int) -> Packed:
+    """The term dict ``terms`` in n variables, packed with field width
+    ``width``; ``top`` bounds its exponents."""
+    if width == 8:
+        keys = [int.from_bytes(bytes(exp), "little") for exp in terms]
+    else:
+        shifts = range(0, width * n, width)
+        keys = [sum(e << s for e, s in zip(exp, shifts)) for exp in terms]
+    values = terms.values()
+    if any(type(c) is GaussianRational for c in values):
+        items = [
+            (k, c.re, c.im) if type(c) is GaussianRational else (k, c, 0)
+            for k, c in zip(keys, values)
+        ]
+        return Packed(width, top, True, items)
+    return Packed(width, top, False, list(zip(keys, values)))
+
+
+def pack(polys: Sequence[MPoly]) -> List[Packed]:
+    """Pack each polynomial once, all with one field width: wide enough for
+    the product of any two of them, and of their restrictions to x_k = 0
+    and derivatives, which only lower exponents.  Fields are one byte wide
+    while the doubled largest exponent stays below 256, so packing and
+    unpacking run as bytes conversions; wider ones use bit shifts."""
+    tops = [max(chain.from_iterable(p.terms), default=0) for p in polys]
+    top = 2 * max(tops, default=0)
+    width = 8 if top < 256 else top.bit_length()
+    return [_pack(p.n, p.terms, width, t) for p, t in zip(polys, tops)]
+
+
+def packed_product_terms(
+    n: int, pairs: Iterable[Tuple[int, Packed, Packed]]
+) -> Dict[Exponent, Scalar]:
+    """The clean term dict of sum(sign * p * q) over signed pairs ``(sign,
+    p, q)`` of packed operands in n variables, sign being 1 or -1: the one
+    product kernel.
+
+    Every operand must be packed with one width, wide enough for each
+    pair: p.top + q.top below 2**width.  Every pair's products go into one
+    accumulator on the packed keys, and keys whose sum cancels are dropped
+    before anything is unpacked, so a sum that vanishes unpacks no key and
+    builds no coefficient.  When an operand was packed with a
+    ``GaussianRational``, the real and imaginary parts are accumulated as
+    plain rationals and each result coefficient is built once.
+    """
+    pairs = [(sign, p, q) for sign, p, q in pairs if p.items and q.items]
     if not pairs:
         return {}
-    top = 0
-    if n:
-        top = max(max(chain.from_iterable(p)) + max(chain.from_iterable(q)) for _, p, q in pairs)
-    if top < 256:
-
-        def keys(terms) -> List[int]:
-            return [int.from_bytes(bytes(exp), "little") for exp in terms]
-
-        def exp_of(k: int) -> Exponent:
-            return tuple(k.to_bytes(n, "little"))
-
-    else:
-        w = top.bit_length()
-        shifts = range(0, w * n, w)
-        mask = (1 << w) - 1
-
-        def keys(terms) -> List[int]:
-            return [sum(e << s for e, s in zip(exp, shifts)) for exp in terms]
-
-        def exp_of(k: int) -> Exponent:
-            return tuple((k >> s) & mask for s in shifts)
-
-    if any(type(c) is GaussianRational for _, p, q in pairs for c in chain(p.values(), q.values())):
+    width = pairs[0][1].width
+    if any(p.width != width or q.width != width or (p.top + q.top) >> width for _, p, q in pairs):
+        raise ValueError("operands packed with mixed or too narrow field widths")
+    if any(p.gauss or q.gauss for _, p, q in pairs):
         parts: Dict[int, list] = {}  # packed key -> [re, im]
         get = parts.get
         for sign, p, q in pairs:
-            a, b = [
-                [(k, c.re, c.im) if type(c) is GaussianRational else (k, c, 0) for k, c in items]
-                for items in (zip(keys(p), p.values()), zip(keys(q), q.values()))
-            ]
+            a, b = (x.items if x.gauss else [(k, c, 0) for k, c in x.items] for x in (p, q))
             if sign < 0:
                 a = [(k, -r, -i) for k, r, i in a]
             for k1, r1, i1 in a:
@@ -296,28 +349,32 @@ def _product_terms(
         out: Dict[int, Scalar] = {}
         get = out.get
         for sign, p, q in pairs:
-            a = list(zip(keys(p), p.values() if sign > 0 else [-c for c in p.values()]))
-            b = list(zip(keys(q), q.values()))
+            a = p.items if sign > 0 else [(k, -c) for k, c in p.items]
             for k1, c1 in a:
-                for k2, c2 in b:
+                for k2, c2 in q.items:
                     k = k1 + k2
-                    acc = get(k)
-                    out[k] = c1 * c2 if acc is None else acc + c1 * c2
+                    out[k] = get(k, 0) + c1 * c2
         sums = ((k, _norm_rat(c)) for k, c in out.items() if c)
-    return {exp_of(k): c for k, c in sums}
+    if width == 8:
+        return {tuple(k.to_bytes(n, "little")): c for k, c in sums}
+    shifts = range(0, width * n, width)
+    mask = (1 << width) - 1
+    return {tuple(k >> s & mask for s in shifts): c for k, c in sums}
 
 
 def product_sum(n: int, pairs: Iterable[Tuple[int, MPoly, MPoly]]) -> MPoly:
     """sum(sign * p * q) over signed pairs ``(sign, p, q)`` of polynomials in
-    n variables, sign being 1 or -1, through the one product kernel.  An
-    identity ``sum(...) == 0`` is checked exactly by ``not product_sum(...)``.
+    n variables, sign being 1 or -1: its operands packed, then the one
+    product kernel.  An identity ``sum(...) == 0`` is checked exactly by
+    ``not product_sum(...)``.
     """
-    terms = []
-    for sign, p, q in pairs:
+    pairs = list(pairs)
+    for _, p, q in pairs:
         if p.n != n or q.n != n:
             raise ValueError(f"mixed variable counts: {p.n}, {q.n} vs {n}")
-        terms.append((sign, p.terms, q.terms))
-    return MPoly._raw(n, _product_terms(n, terms))
+    packed = iter(pack([x for _, p, q in pairs for x in (p, q)]))
+    packed_pairs = [(sign, next(packed), next(packed)) for sign, _, _ in pairs]
+    return MPoly._raw(n, packed_product_terms(n, packed_pairs))
 
 
 # -- module operations ------------------------------------------------------
@@ -347,14 +404,16 @@ def rayleigh_difference(f: MPoly, i: int, j: int) -> MPoly:
         raise ValueError("rayleigh_difference needs two distinct variables")
     if f.degree(i) > 1 or f.degree(j) > 1:
         raise ValueError("rayleigh_difference requires degree <= 1 in both variables")
-    return product_sum(f.n, _rayleigh_pairs(f.substitute(i, 0), f.derivative(i), j))
+    (packed,) = pack([f])
+    pairs = _rayleigh_pairs(packed.restrict(i), packed.derivative(i), j)
+    return MPoly._raw(f.n, packed_product_terms(f.n, pairs))
 
 
-def _rayleigh_pairs(f0: MPoly, fi: MPoly, j: int) -> List[Tuple[int, MPoly, MPoly]]:
-    """Delta_ij(f) = b*c - a*d as signed pairs, from f0 = f|_{x_i=0} and
-    fi = df/dx_i: a, c are f0 at x_j = 0 and its x_j-derivative, b, d fi's."""
-    a, c = f0.substitute(j, 0), f0.derivative(j)
-    b, d = fi.substitute(j, 0), fi.derivative(j)
+def _rayleigh_pairs(f0: Packed, fi: Packed, j: int) -> List[Tuple[int, Packed, Packed]]:
+    """Delta_ij(f) = b*c - a*d as signed pairs, from the packed f0 = f|_{x_i=0}
+    and fi = df/dx_i: a, c are f0 at x_j = 0 and its x_j-derivative, b, d fi's."""
+    a, c = f0.restrict(j), f0.derivative(j)
+    b, d = fi.restrict(j), fi.derivative(j)
     return [(1, b, c), (-1, a, d)]
 
 
@@ -366,12 +425,15 @@ def affine_resultant(g: MPoly, h: MPoly, k: int) -> MPoly:
     g._check_compatible(h)
     if g.degree(k) > 1 or h.degree(k) > 1:
         raise ValueError("affine_resultant requires degree <= 1 in the variable")
-    return product_sum(g.n, _resultant_pairs(g, h.substitute(k, 0), h.derivative(k), k))
+    pg, ph = pack([g, h])
+    pairs = _resultant_pairs(pg, ph.restrict(k), ph.derivative(k), k)
+    return MPoly._raw(g.n, packed_product_terms(g.n, pairs))
 
 
-def _resultant_pairs(g: MPoly, h0: MPoly, hk: MPoly, k: int) -> List[Tuple[int, MPoly, MPoly]]:
-    """res_{x_k}(g, h) as signed pairs, from h0 = h|_{x_k=0} and hk = dh/dx_k."""
-    return [(1, g.substitute(k, 0), hk), (-1, h0, g.derivative(k))]
+def _resultant_pairs(g: Packed, h0: Packed, hk: Packed, k: int) -> List[Tuple[int, Packed, Packed]]:
+    """res_{x_k}(g, h) as signed pairs, from the packed g, h0 = h|_{x_k=0}
+    and hk = dh/dx_k."""
+    return [(1, g.restrict(k), hk), (-1, h0, g.derivative(k))]
 
 
 def exact_divide(p: MPoly, q: MPoly) -> MPoly:

@@ -22,6 +22,12 @@ pivot, ``rank_exact`` counts the pivots.  The kernel clears each row's
 denominators first and then runs in Z on rational input and in Z[i], on
 pairs of int parts, on Q(i) input; the walk stays in integers on integer
 input.  Both are exact over every supported field.
+
+The generalized Laplace expansion (``laplace_expand`` and the Laplace
+check of ``verify_identities``) reads its non-principal block minors
+det A[R, C], which the walk does not carry, from a cofactor table local to
+the call: built by row count, each minor expanded along the first row of R
+from the layer below, keyed by row mask and then column mask.
 """
 
 from __future__ import annotations
@@ -34,7 +40,15 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SizeLimitError, VerificationError
-from .mpoly import MPoly, _rayleigh_pairs, _resultant_pairs, coefficient_of, product_sum
+from .mpoly import (
+    MPoly,
+    Packed,
+    _rayleigh_pairs,
+    _resultant_pairs,
+    coefficient_of,
+    pack,
+    packed_product_terms,
+)
 from .scalars import (
     FIELD_Q,
     FIELD_QI,
@@ -498,15 +512,34 @@ def adjugate_pencil_product_ok(G: AdjugateTable, pencil: DeterminantalPencil) ->
     """Exact check of G * (diag(x) + A) == f * I, each entry (i, j) as one
     signed sum of products that must vanish:
     sum_k G_ik * (A_kj + [k == j] x_j) - [i == j] f."""
+    return _adjugate_sums_vanish(*_packed_operands(G, pencil))
+
+
+def _packed_operands(
+    G: AdjugateTable, pencil: DeterminantalPencil
+) -> Tuple[Packed, List[List[Packed]], List[List[Packed]], Packed]:
+    """f, the entries of G, those of diag(x) + A and the constant 1, each
+    packed once, all with one field width."""
     A, f = pencil.base, pencil.fpoly
     n = A.n
     M = [[MPoly.const(n, a) for a in row] for row in A.entries]
     for j in range(n):
         M[j][j] = M[j][j] + MPoly.var(n, j)
-    one = MPoly.const(n, 1)
+    packed = iter(pack([f, MPoly.const(n, 1)] + list(chain(*G.entries, *M))))
+    pf, one = next(packed), next(packed)
+    pG = [[next(packed) for _ in range(n)] for _ in range(n)]
+    pM = [[next(packed) for _ in range(n)] for _ in range(n)]
+    return pf, pG, pM, one
+
+
+def _adjugate_sums_vanish(
+    f: Packed, G: List[List[Packed]], M: List[List[Packed]], one: Packed
+) -> bool:
+    """``adjugate_pencil_product_ok`` on packed operands: M is diag(x) + A."""
+    n = len(G)
     return all(
-        not product_sum(
-            n, [(1, G.entries[i][k], M[k][j]) for k in range(n)] + ([(-1, f, one)] if i == j else [])
+        not packed_product_terms(
+            n, [(1, G[i][k], M[k][j]) for k in range(n)] + ([(-1, f, one)] if i == j else [])
         )
         for i in range(n)
         for j in range(n)
@@ -557,35 +590,67 @@ def laplace_expand(A: SquareMatrix, S: Iterable[int]) -> Scalar:
 
 
 def _laplace_sum(
-    A: SquareMatrix,
-    srows: Tuple[int, ...],
-    minors: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Scalar],
+    A: SquareMatrix, srows: Tuple[int, ...], minors: Dict[int, Dict[int, Scalar]]
 ) -> Scalar:
-    """``laplace_expand`` on a sorted proper row subset.  Each det A[R, C] is
-    read from ``minors``, keyed by (R, C), or computed and stored there, so
-    expansions sharing the dict compute each minor once (the upper blocks
-    of S are the lower blocks of its complement)."""
+    """``laplace_expand`` on a sorted proper row subset S.  Every det A[R, C]
+    comes from the cofactor table ``minors`` (see ``_cofactor_layer``), so
+    expansions sharing it compute each minor once: the upper blocks of S
+    are the lower blocks of its complement.  The sign of the term for the
+    columns T is (-1)^(sum S + sum T), whose parity is that of the odd
+    indices in S and T."""
     n = A.n
-    comp = tuple(r for r in range(n) if r not in srows)
-    sum_s = sum(srows)
-
-    def minor(rows, cols):
-        d = minors.get((rows, cols))
-        if d is None:
-            d = minors[rows, cols] = det_fraction_free(A.submatrix(rows, cols))
-        return d
-
+    full = (1 << n) - 1
+    odd = sum(1 << k for k in range(1, n, 2))
+    smask = sum(1 << r for r in srows)
+    upper = _cofactor_layer(A, srows, minors)
+    lower = _cofactor_layer(A, [r for r in range(n) if not smask >> r & 1], minors)
+    parity = (smask & odd).bit_count()
     total: Scalar = 0
-    for T in combinations(range(n), len(srows)):
-        upper = minor(srows, T)
-        if not upper:
-            continue
-        lower = minor(comp, tuple(c for c in range(n) if c not in T))
-        if not lower:
-            continue
-        sign = -1 if (sum_s + sum(T)) % 2 else 1
-        total = total + sign * upper * lower
+    for T, u in upper.items():
+        if u:
+            low = lower.get(full ^ T)
+            if low:
+                t = u * low
+                total = total - t if (parity + (T & odd).bit_count()) & 1 else total + t
     return normalize_scalar(total)
+
+
+def _cofactor_layer(
+    A: SquareMatrix, rows: Sequence[int], minors: Dict[int, Dict[int, Scalar]]
+) -> Dict[int, Scalar]:
+    """det A[R, C] for the sorted row list R = ``rows`` and every column set
+    C of its size, as {column mask: minor}; a zero minor may be absent.
+
+    ``minors`` is the cofactor table: row mask -> such a layer.  The layers
+    are built iteratively by row count along the suffixes of ``rows``, each
+    from the layer below by expansion along its first row r:
+    det A[R, C] = sum over c in C of (-1)^(place of c in C) A[r, c]
+    det A[R - r, C - c], pushed from every nonzero minor below into the
+    masks one column larger.  A layer already in the table is not rebuilt.
+    """
+    n = A.n
+    layer = minors.setdefault(0, {0: 1})
+    mask = 0
+    for r in reversed(rows):
+        below = layer
+        mask |= 1 << r
+        layer = minors.get(mask)
+        if layer is not None:
+            continue
+        layer = minors[mask] = {}
+        row = A.entries[r]
+        for C, d in below.items():
+            if not d:
+                continue
+            odd = False
+            for c in range(n):
+                if C >> c & 1:
+                    odd = not odd
+                elif row[c]:
+                    t = row[c] * d
+                    key = C | 1 << c
+                    layer[key] = layer.get(key, 0) + (-t if odd else t)
+    return layer
 
 
 # -- identity verification -------------------------------------------------------
@@ -633,8 +698,12 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
     b*c - a*d - G_ij*G_ji for dodgson, with f = a + b*x_i + c*x_j + d*x_i*x_j;
     G_ij|_{x_k=0} * df/dx_k - f|_{x_k=0} * dG_ij/dx_k - G_ik*G_kj for
     resultant; one sum per entry for adjugate (``adjugate_pencil_product_ok``).
-    f|_{x_k=0} and df/dx_k are computed once per k, and the Laplace
-    expansions share one table of the minors det A[R, C], local to the call.
+    Every operand is packed once per call: f, each G_ij, the entries of
+    diag(x) + A, and the slices f|_{x_k=0} and df/dx_k once per k; every
+    further restriction or derivative is taken from a packed operand by key
+    arithmetic.  The Laplace expansions read every minor det A[R, C] from
+    one cofactor table, local to the call, built by expansion along rows;
+    det(A) itself comes from a separate fraction-free elimination.
     Both sides of dodgson are symmetric in i, j, and the expansions along S
     and S^c are the same sum term for term (both subset lists are closed
     under complement), so each is computed once per pair and reported under
@@ -646,15 +715,16 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
     pencil = det_poly(A)
-    f = pencil.fpoly
     table = adjugate_table(A)
-    G = table.entries
-    f0 = [f.substitute(k, 0) for k in range(n)]
+    f, G, M, one = _packed_operands(table, pencil)
+    f0 = [f.restrict(k) for k in range(n)]
     fd = [f.derivative(k) for k in range(n)]
     checks: List[IdentityCheck] = []
     if "dodgson" in identities:
         dodgson = {
-            (i, j): not product_sum(n, _rayleigh_pairs(f0[i], fd[i], j) + [(-1, G[i][j], G[j][i])])
+            (i, j): not packed_product_terms(
+                n, _rayleigh_pairs(f0[i], fd[i], j) + [(-1, G[i][j], G[j][i])]
+            )
             for i, j in combinations(range(n), 2)
         }
         for i in range(n):
@@ -670,7 +740,8 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
                     if k == i or k == j:
                         continue
                     pairs = _resultant_pairs(G[i][j], f0[k], fd[k], k) + [(-1, G[i][k], G[k][j])]
-                    checks.append(IdentityCheck("resultant", (i, j, k), not product_sum(n, pairs)))
+                    ok = not packed_product_terms(n, pairs)
+                    checks.append(IdentityCheck("resultant", (i, j, k), ok))
     if "laplace" in identities and n >= 2:
         d = det_fraction_free(A.rows_list())
         if n <= 8:
@@ -678,13 +749,13 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
         else:
             small = [S for k in (1, 2) for S in combinations(range(n), k)]
             subsets = small + [tuple(x for x in range(n) if x not in S) for S in small]
-        minors: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Scalar] = {}
+        minors: Dict[int, Dict[int, Scalar]] = {}
         laplace: Dict[Tuple[int, ...], bool] = {}
         for S in subsets:
             comp = tuple(x for x in range(n) if x not in S)
             ok = laplace[S] = laplace[comp] if comp in laplace else _laplace_sum(A, S, minors) == d
             checks.append(IdentityCheck("laplace", S, ok))
     if "adjugate" in identities:
-        ok = adjugate_pencil_product_ok(table, pencil)
+        ok = _adjugate_sums_vanish(f, G, M, one)
         checks.append(IdentityCheck("adjugate", (), ok))
     return IdentityReport(n, tuple(checks))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,13 @@ from pmfiber import (
     poly_text,
     rayleigh_difference,
 )
-from pmfiber.mpoly import _product_terms, coefficient_of, exact_divide, product_sum
+from pmfiber.mpoly import (
+    coefficient_of,
+    exact_divide,
+    pack,
+    packed_product_terms,
+    product_sum,
+)
 
 import oracles
 from conftest import linear, poly_of
@@ -399,8 +406,48 @@ def test_product_sum_equals_the_sum_of_separate_products(drawn):
     for sign, p, q in polys:
         separate = separate + p * q if sign > 0 else separate - p * q
     assert got == separate
-    assert _product_terms(n, pairs) == got.terms
+    # the kernel on the raw term dicts, zero coefficients kept
+    raw = iter(pack([MPoly._raw(n, t) for _, p, q in pairs for t in (p, q)]))
+    raw_pairs = [(sign, next(raw), next(raw)) for sign, _, _ in pairs]
+    assert packed_product_terms(n, raw_pairs) == got.terms
     assert {exp: oracles.to_pair(c) for exp, c in got.terms.items()} == _signed_oracle_sum(pairs)
+
+
+@st.composite
+def packable(draw):
+    """n in 1..3 and two polynomials whose exponents are small or large
+    enough that twice the largest reaches the bit-shift packing."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3) | st.integers(100, 300)] * n)
+    p, q = (MPoly(n, draw(st.dictionaries(exps, COEFFS, max_size=5))) for _ in range(2))
+    return n, p, q
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(packable())
+def test_packed_restrictions_and_derivatives_match_mpoly(drawn):
+    n, p, q = drawn
+    pp, pq, one = pack([p, q, MPoly.const(n, 1)])
+    top = max([e for exp in chain(p.terms, q.terms) for e in exp], default=0)
+    assert pp.width == (8 if 2 * top < 256 else (2 * top).bit_length())
+    for k in range(n):
+        p0, pd = p.substitute(k, 0), p.derivative(k)
+        assert packed_product_terms(n, [(1, pp.restrict(k), one)]) == p0.terms
+        assert packed_product_terms(n, [(1, pp.derivative(k), one)]) == pd.terms
+        pairs = [(1, p0, q.derivative(k)), (-1, pd, q), (1, q.substitute(k, 0), p)]
+        expected = _signed_oracle_sum([(sign, a.terms, b.terms) for sign, a, b in pairs])
+        p0k, pdk, qdk = pp.restrict(k), pp.derivative(k), pq.derivative(k)
+        got = packed_product_terms(n, [(1, p0k, qdk), (-1, pdk, pq), (1, pq.restrict(k), pp)])
+        assert got == product_sum(n, pairs).terms
+        assert {exp: oracles.to_pair(c) for exp, c in got.items()} == expected
+
+
+def test_packed_kernel_rejects_operands_of_mixed_width():
+    (small,) = pack([MPoly.var(2, 0)])
+    (big,) = pack([MPoly(2, {(200, 0): 1})])
+    with pytest.raises(ValueError):
+        packed_product_terms(2, [(1, small, big)])
+    assert packed_product_terms(2, [(1, small, small)]) == {(2, 0): 1}
 
 
 def test_product_sum_edge_cases():

@@ -4,11 +4,14 @@ Random checks compare against the naive permutation-sum oracle in
 oracles.py; fixed values are frozen reference data.
 """
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmfiber.symdet as symdet
 from pmfiber import (
@@ -29,6 +32,7 @@ from pmfiber import (
 )
 from pmfiber.symdet import (
     AdjugateTable,
+    DeterminantalPencil,
     adjugate_pencil_product_ok,
     det_fraction_free,
     laplace_expand,
@@ -267,16 +271,42 @@ def test_matrix_from_adjugate_rejects_corrupt_table(golden_a4):
 # -- Laplace expansion and signs ----------------------------------------------------
 
 
-def test_laplace_expansion_equals_det():
-    rng = random.Random(20)
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        rows = rand_rows(rng, n)
-        A = matrix(rows)
-        d = det_fraction_free(rows)
-        k = rng.randint(1, n - 1)
-        S = rng.sample(range(n), k)
-        assert laplace_expand(A, S) == d
+SMALL = st.integers(-3, 3)
+Q_ENTRIES = st.one_of(SMALL, st.builds(Fraction, SMALL, st.integers(1, 4)))
+QI_ENTRIES = st.one_of(Q_ENTRIES, st.builds(gaussian, Q_ENTRIES, Q_ENTRIES))
+
+
+@st.composite
+def laplace_inputs(draw):
+    """Unfiltered n x n rows at n = 2..6 over Q or Q(i), zero entries
+    included, sometimes with whole rows and columns set to zero."""
+    n = draw(st.integers(2, 6))
+    entry = draw(st.sampled_from((Q_ENTRIES, QI_ENTRIES)))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for r in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        rows[r] = [0] * n
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(laplace_inputs())
+def test_laplace_expansion_equals_det(rows):
+    A = matrix(rows)
+    n = A.n
+    d = det_fraction_free(rows)
+    for k in range(1, n):
+        for S in combinations(range(n), k):
+            assert laplace_expand(A, S) == d, S
+
+
+def test_laplace_expansion_reads_no_determinant(monkeypatch):
+    A = matrix(rand_rows(random.Random(20), 6, FIELD_QI), FIELD_QI)
+    d = det_fraction_free(A.rows_list())
+    monkeypatch.setattr(symdet, "det_fraction_free", None)
+    assert all(laplace_expand(A, S) == d for S in ([0], [1, 4], [0, 2, 5], [1, 2, 3, 4, 5]))
 
 
 def test_laplace_rejects_improper_subset(golden_a4):
@@ -328,30 +358,60 @@ def _old_form_checks(A, f, G):
     return out
 
 
+DELTAS = (1, -1, 2, Fraction(1, 3), gaussian(0, 1), gaussian(1, -2))
+
+
+def _one_coefficient_changed(rng, p):
+    """p with a delta added to one coefficient: mostly one it has, else one
+    of a random squarefree monomial."""
+    terms = dict(p.terms)
+    exp = rng.choice(sorted(terms)) if terms and rng.random() < 0.8 else tuple(
+        rng.randint(0, 1) for _ in range(p.n)
+    )
+    terms[exp] = terms.get(exp, 0) + rng.choice(DELTAS)
+    return MPoly(p.n, terms)
+
+
 def test_verify_identities_on_corrupted_tables_match_the_old_form(monkeypatch):
+    """Trials 0-15 corrupt one adjugate entry, 16-23 the pencil, 24-31 both;
+    Gaussian and Fraction deltas land in Q tables and pencils too."""
     rng = random.Random(31)
-    real_table = symdet.adjugate_table
-    failures = 0
-    for trial in range(16):
+    real_table, real_pencil = symdet.adjugate_table, symdet.det_poly
+    failures = [0, 0]
+    for trial in range(32):
         n = 4 + trial % 2
         field = FIELD_QI if trial % 4 >= 2 else FIELD_Q
         A = matrix(rand_rows(rng, n, field), field)
         rows = [list(r) for r in real_table(A).entries]
-        i, j = rng.randrange(n), rng.randrange(n)
-        terms = dict(rows[i][j].terms)
-        exp = rng.choice(sorted(terms)) if terms and rng.random() < 0.8 else tuple(
-            rng.randint(0, 1) for _ in range(n)
-        )
-        delta = rng.choice((1, -1, 2, Fraction(1, 3), gaussian(0, 1), gaussian(1, -2)))
-        terms[exp] = terms.get(exp, 0) + delta
-        rows[i][j] = MPoly(n, terms)
+        f = real_pencil(A).fpoly
+        if trial < 16 or trial >= 24:
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = _one_coefficient_changed(rng, rows[i][j])
+        if trial >= 16:
+            f = _one_coefficient_changed(rng, f)
         bad = AdjugateTable(n, tuple(tuple(r) for r in rows))
+        pencil = DeterminantalPencil(A, f)
         monkeypatch.setattr(symdet, "adjugate_table", lambda _A, bad=bad: bad)
+        monkeypatch.setattr(symdet, "det_poly", lambda _A, pencil=pencil: pencil)
         report = verify_identities(A)
         got = {(c.identity, c.indices): c.ok for c in report.checks}
-        assert got == _old_form_checks(A, det_poly(A).fpoly, bad.entries)
-        failures += report.failed
-    assert failures > 0
+        assert got == _old_form_checks(A, f, bad.entries)
+        failures[trial >= 16] += report.failed
+    assert min(failures) > 0
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_verify_and_laplace_leave_nothing_for_the_cyclic_gc(field):
+    A = matrix(rand_rows(random.Random(5), 5, field), field)
+    for call in (lambda: verify_identities(A), lambda: laplace_expand(A, [0, 2])):
+        call()
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_verify_identities_unknown_name(golden_a4):
