@@ -12,30 +12,37 @@ Exponents are non-negative ints; the constructor rejects anything else.
 One product kernel computes a signed sum of products, sum(sign * p * q)
 over pairs (sign, p, q) of packed operands (:class:`Packed`): each
 operand's exponent tuples become integers, with a field per variable wide
-enough that adding two packed keys never carries, and the operand records
-its largest exponent and whether it holds a ``GaussianRational``, so a sum
-rescans neither.  The kernel accumulates every pair's term products on the
-packed keys, drops the keys whose sum cancels, and unpacks only the keys
-left, so ``terms`` keeps its exponent-tuple form everywhere else and an
-identity checked as a sum that must vanish unpacks nothing.
-``MPoly.__mul__`` (one pair) and ``product_sum`` pack their operands and
-call it.  A caller that enters one polynomial into many sums, as
-``verify_identities`` does, packs it once with :func:`pack` and takes its
-restrictions to x_k = 0 and its derivatives from the packed form by key
-arithmetic, as the Rayleigh difference and the affine resultant do.
+enough that adding two packed keys never carries, its coefficients become
+ints over one denominator, and the operand records its largest exponent,
+its largest int and whether it holds a ``GaussianRational``, so a sum
+rescans none of them.  One Python int product multiplies a whole block of
+coefficients, one balanced base-2**b digit per exponent pattern of the
+lowest few variables, with b taken from a bound on every digit of the sum,
+so the sum vanishes exactly when every accumulated int does (modulo
+Y^2 + 1 over Q(i)); ``packed_product_terms`` gives the argument.  Keys
+whose sum cancels are dropped before any digit is read back, so ``terms``
+keeps its exponent-tuple form everywhere else and an identity checked as
+a sum that must vanish reads nothing back.  ``MPoly.__mul__`` (one pair)
+and ``product_sum`` pack their operands and call it.  A caller that enters
+one polynomial into many sums, as ``verify_identities`` does, packs it
+once with :func:`pack`, which also keeps its digit encoding between sums,
+and takes its restrictions to x_k = 0 and its derivatives from the packed
+form by key arithmetic, as the Rayleigh difference and the affine
+resultant do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ExactDivisionError
 from .scalars import (
     GaussianRational,
     Scalar,
-    _norm_rat,
     div_exact,
     is_rational,
     scalar_format,
@@ -240,27 +247,38 @@ class Packed:
     Each exponent tuple is one integer key with a ``width``-bit field per
     variable, variable k from bit k * width up, so adding two keys adds
     every field, without carries while the field sums stay below
-    2**width.  ``items`` holds ``(key, c)`` pairs, or ``(key, re, im)``
-    triples when ``gauss`` is set: when a coefficient was a
-    ``GaussianRational`` at packing.  ``top`` bounds every exponent.  Both
+    2**width.  The coefficients are kept as ints: each one, or each real
+    and imaginary part, times ``scale``, the lcm of their denominators.
+    ``items`` holds ``(key, c)`` pairs, or ``(key, re, im)`` triples when
+    ``gauss`` is set: when a coefficient was a ``GaussianRational`` at
+    packing.  ``top`` bounds every exponent and ``bound`` every int.  All
     are recorded once, when the polynomial is packed, so no sum rescans
     the terms for them.  ``restrict`` and ``derivative`` take x_k = 0 and
     d/dx_k straight from the packed items, by key arithmetic.
+
+    The kernel multiplies blocks of coefficients as single ints
+    (``slot_ints``); the last such encoding is cached, so an operand
+    entered into many sums is encoded once while their radix, slot count
+    and digit width stay the same, and again when a sum needs a wider
+    digit than the one cached.
     """
 
-    __slots__ = ("width", "top", "gauss", "items")
+    __slots__ = ("width", "top", "gauss", "items", "scale", "bound", "_slots")
 
-    def __init__(self, width: int, top: int, gauss: bool, items: list):
+    def __init__(self, width: int, top: int, gauss: bool, items: list, scale: int, bound: int):
         self.width = width
         self.top = top
         self.gauss = gauss
         self.items = items
+        self.scale = scale
+        self.bound = bound
+        self._slots: Optional[Tuple[int, int, int, list]] = None  # (r, s, b, ints)
 
     def restrict(self, k: int) -> "Packed":
         """x_{k+1} := 0: the items whose field k is 0."""
         s, mask = k * self.width, (1 << self.width) - 1
         items = [t for t in self.items if not t[0] >> s & mask]
-        return Packed(self.width, self.top, self.gauss, items)
+        return Packed(self.width, self.top, self.gauss, items, self.scale, self.bound)
 
     def derivative(self, k: int) -> "Packed":
         """d/dx_{k+1}: on the items whose field k holds e > 0, one unit off
@@ -273,7 +291,51 @@ class Packed:
             ]
         else:
             items = [(key - unit, c * e) for key, c in self.items if (e := key >> s & mask)]
-        return Packed(self.width, self.top, self.gauss, items)
+        return Packed(self.width, self.top, self.gauss, items, self.scale, self.bound * self.top)
+
+    def slot_ints(self, r: int, s: int, b: int) -> List[Tuple[int, int]]:
+        """The operand as ``(high key, int)`` pairs: its terms that agree
+        outside the lowest s variables summed into one int, each
+        coefficient in the b-bit digit sum(e_v r^v) of its pattern
+        (e_0..e_{s-1}), a Gaussian's imaginary part r^s digits above its
+        real part.  Cached for the last (r, s, b)."""
+        cached = self._slots
+        if cached is not None and cached[:3] == (r, s, b):
+            return cached[3]
+        low = self.width * s
+        mask = (1 << low) - 1
+        shifts = _shifts(self.width, r, s, b)
+        ints: Dict[int, int] = {}
+        get = ints.get
+        if self.gauss:
+            im_shift = b * r**s
+            for key, re, im in self.items:
+                shift = shifts[key & mask]
+                hi = key >> low
+                ints[hi] = get(hi, 0) + (re << shift) + (im << shift + im_shift)
+        else:
+            for key, c in self.items:
+                hi = key >> low
+                ints[hi] = get(hi, 0) + (c << shifts[key & mask])
+        out = [(hi, x) for hi, x in ints.items() if x]
+        self._slots = (r, s, b, out)
+        return out
+
+
+@lru_cache(maxsize=64)
+def _patterns(width: int, r: int, s: int) -> List[int]:
+    """Slot m -> its exponent pattern over the lowest s variables, as a
+    packed key: the radix-r digits of m, one per field."""
+    patterns = [0]
+    for v in range(s):
+        patterns = [e + (d << width * v) for d in range(r) for e in patterns]
+    return patterns
+
+
+@lru_cache(maxsize=64)
+def _shifts(width: int, r: int, s: int, b: int) -> Dict[int, int]:
+    """Exponent pattern (as in ``_patterns``) -> the bit offset of its slot."""
+    return {lo: b * m for m, lo in enumerate(_patterns(width, r, s))}
 
 
 def _pack(n: int, terms: Mapping[Exponent, Scalar], width: int, top: int) -> Packed:
@@ -284,14 +346,16 @@ def _pack(n: int, terms: Mapping[Exponent, Scalar], width: int, top: int) -> Pac
     else:
         shifts = range(0, width * n, width)
         keys = [sum(e << s for e, s in zip(exp, shifts)) for exp in terms]
-    values = terms.values()
-    if any(type(c) is GaussianRational for c in values):
-        items = [
-            (k, c.re, c.im) if type(c) is GaussianRational else (k, c, 0)
-            for k, c in zip(keys, values)
-        ]
-        return Packed(width, top, True, items)
-    return Packed(width, top, False, list(zip(keys, values)))
+    parts = list(terms.values())
+    gauss = GaussianRational in set(map(type, parts))
+    if gauss:
+        parts = [x for c in parts for x in ((c.re, c.im) if type(c) is GaussianRational else (c, 0))]
+    scale = 1
+    if not set(map(type, parts)) <= {int}:
+        scale = lcm(*(c.denominator for c in parts))
+        parts = [c.numerator * (scale // c.denominator) for c in parts]
+    items = list(zip(keys, parts[0::2], parts[1::2]) if gauss else zip(keys, parts))
+    return Packed(width, top, gauss, items, scale, max(map(abs, parts), default=0))
 
 
 def pack(polys: Sequence[MPoly]) -> List[Packed]:
@@ -314,52 +378,101 @@ def packed_product_terms(
     product kernel.
 
     Every operand must be packed with one width, wide enough for each
-    pair: p.top + q.top below 2**width.  Every pair's products go into one
-    accumulator on the packed keys, and keys whose sum cancels are dropped
-    before anything is unpacked, so a sum that vanishes unpacks no key and
-    builds no coefficient.  When an operand was packed with a
-    ``GaussianRational``, the real and imaginary parts are accumulated as
-    plain rationals and each result coefficient is built once.
+    pair: p.top + q.top below 2**width.  One int product multiplies a
+    block of coefficients (Kronecker substitution on the lowest s
+    variables).  With the radix r = max(p.top + q.top) + 1, each operand's
+    terms that agree outside the lowest s variables are one int, the
+    coefficient of the pattern (e_0..e_{s-1}) in the b-bit digit
+    sum(e_v r^v) (``Packed.slot_ints``).  No exponent sum of a pair
+    reaches r, so the digits of a product of two such ints are the
+    coefficients of the product's patterns, and every pair's products go
+    into one accumulator on the remaining keys.  A Gaussian coefficient's
+    imaginary part sits r^s digits above its real part, in the place of
+    Y = 2**(b r^s), so an accumulated int is N0 + N1 Y + N2 Y^2 with real
+    part N0 - N2 and imaginary part N1.  Denominators are cleared per
+    operand: with L the lcm of the pairs' scale products, each pair is
+    weighted by L / (scale_p scale_q) and the digits read are divided by L.
+
+    Exactness: the bound C = sum over pairs of weight * min(#p, #q) *
+    bound_p * bound_q, doubled over Q(i), exceeds every digit in absolute
+    value (a result term takes at most min(#p, #q) products from a pair,
+    and an imaginary part two per term), and b is taken with C < 2**(b-2).
+    So every digit is a balanced base-2**b digit, read back uniquely; over
+    Q an accumulated int is 0 exactly when its digits are, and over Q(i)
+    N0 - N2 + N1 Y, which N equals modulo Y^2 + 1, is below Y^2 / 2 in
+    absolute value, so a sum's real and imaginary parts both vanish
+    exactly when N % (Y^2 + 1) == 0.  Keys whose sum cancels are dropped
+    before any digit is read, so a sum that vanishes reads no digit and
+    builds no coefficient.  The largest s with r^s at most 27 slots over Q,
+    or 9 over Q(i) (times its three blocks), is taken; past that s = 0,
+    one coefficient per int.
     """
     pairs = [(sign, p, q) for sign, p, q in pairs if p.items and q.items]
     if not pairs:
         return {}
     width = pairs[0][1].width
-    if any(p.width != width or q.width != width or (p.top + q.top) >> width for _, p, q in pairs):
-        raise ValueError("operands packed with mixed or too narrow field widths")
-    if any(p.gauss or q.gauss for _, p, q in pairs):
-        parts: Dict[int, list] = {}  # packed key -> [re, im]
-        get = parts.get
-        for sign, p, q in pairs:
-            a, b = (x.items if x.gauss else [(k, c, 0) for k, c in x.items] for x in (p, q))
-            if sign < 0:
-                a = [(k, -r, -i) for k, r, i in a]
-            for k1, r1, i1 in a:
-                for k2, r2, i2 in b:
-                    k = k1 + k2
-                    acc = get(k)
-                    if acc is None:
-                        parts[k] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
-                    else:
-                        acc[0] += r1 * r2 - i1 * i2
-                        acc[1] += r1 * i2 + i1 * r2
-        make = GaussianRational._make
-        sums = ((k, make(r, i)) for k, (r, i) in parts.items() if r or i)
+    gauss, top, L = False, 0, 1
+    for _, p, q in pairs:
+        if p.width != width or q.width != width or (p.top + q.top) >> width:
+            raise ValueError("operands packed with mixed or too narrow field widths")
+        gauss = gauss or p.gauss or q.gauss
+        top = max(top, p.top + q.top)
+        if p.scale != 1 or q.scale != 1:
+            L = lcm(L, p.scale * q.scale)
+    r = top + 1
+    s, slots = 0, 1
+    while s < n and slots * r <= (9 if gauss else 27):
+        s, slots = s + 1, slots * r
+    if L != 1:
+        pairs = [(sign * (L // (p.scale * q.scale)), p, q) for sign, p, q in pairs]
+    C = sum(abs(w) * min(len(p.items), len(q.items)) * (p.bound or 1) * (q.bound or 1) for w, p, q in pairs)
+    b = (2 * C if gauss else C).bit_length() + 2
+    for _, p, q in pairs:
+        for cached in (p._slots, q._slots):
+            if cached is not None and cached[2] > b and cached[:2] == (r, s):
+                b = cached[2]
+    out: Dict[int, int] = {}
+    get = out.get
+    for w, p, q in pairs:
+        a, c = p.slot_ints(r, s, b), q.slot_ints(r, s, b)
+        if w != 1:
+            a = [(h, x * w) for h, x in a]
+        for h1, x1 in a:
+            for h2, x2 in c:
+                k = h1 + h2
+                out[k] = get(k, 0) + x1 * x2
+    if gauss:
+        fold = (1 << 2 * b * slots) + 1
+        live = [(k, x) for k, x in out.items() if x % fold]
     else:
-        out: Dict[int, Scalar] = {}
-        get = out.get
-        for sign, p, q in pairs:
-            a = p.items if sign > 0 else [(k, -c) for k, c in p.items]
-            for k1, c1 in a:
-                for k2, c2 in q.items:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-        sums = ((k, _norm_rat(c)) for k, c in out.items() if c)
+        live = [(k, x) for k, x in out.items() if x]
+    if not live:
+        return {}
+    low = width * s
+    patterns = _patterns(width, r, s)
+    make = GaussianRational._make
+    sums = []
+    for k, x in live:
+        digits = _balanced_digits(x, b, 3 * slots if gauss else slots)
+        k <<= low
+        for m, lo in enumerate(patterns):
+            re, im = (digits[m] - digits[m + 2 * slots], digits[m + slots]) if gauss else (digits[m], 0)
+            if re or im:
+                sums.append((k + lo, make(Fraction(re, L), Fraction(im, L)) if L != 1 else make(re, im)))
     if width == 8:
         return {tuple(k.to_bytes(n, "little")): c for k, c in sums}
     shifts = range(0, width * n, width)
     mask = (1 << width) - 1
-    return {tuple(k >> s & mask for s in shifts): c for k, c in sums}
+    return {tuple(k >> f & mask for f in shifts): c for k, c in sums}
+
+
+def _balanced_digits(x: int, b: int, count: int) -> List[int]:
+    """The ``count`` digits of x in base 2**b, each below 2**(b-1) in
+    absolute value: x plus half a base in every digit has digits in
+    0..2**b - 1, read by shifts."""
+    half, mask = 1 << b - 1, (1 << b) - 1
+    x += sum(half << b * m for m in range(count))
+    return [(x >> b * m & mask) - half for m in range(count)]
 
 
 def product_sum(n: int, pairs: Iterable[Tuple[int, MPoly, MPoly]]) -> MPoly:

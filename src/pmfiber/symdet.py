@@ -27,7 +27,10 @@ The generalized Laplace expansion (``laplace_expand`` and the Laplace
 check of ``verify_identities``) reads its non-principal block minors
 det A[R, C], which the walk does not carry, from a cofactor table local to
 the call: built by row count, each minor expanded along the first row of R
-from the layer below, keyed by row mask and then column mask.
+from the layer below, keyed by row mask and then column mask.  Like the
+echelon kernel it clears each row's denominators first and runs in Z, or
+in Z[i] on pairs of int parts, dividing by the product of the row scales
+once per expansion.
 """
 
 from __future__ import annotations
@@ -250,18 +253,8 @@ def _gaussian_echelon(rows: Sequence[Sequence[Scalar]], start: int) -> Iterator[
     itself when q is real.  A ``GaussianRational`` is built only for the
     values yielded.
     """
-    entries = list(chain.from_iterable(rows))
-    re = [x.re if type(x) is GaussianRational else x for x in entries]
-    im = [x.im if type(x) is GaussianRational else 0 for x in entries]
+    R, I, scale = _int_parts(rows)
     nrows, ncols = len(rows), len(rows[0])
-    R = [re[i : i + ncols] for i in range(0, len(re), ncols)]
-    I = [im[i : i + ncols] for i in range(0, len(im), ncols)]
-    scale = 1
-    if Fraction in set(map(type, re + im)):
-        lcms = [lcm(*(x.denominator for x in Rr + Ir)) for Rr, Ir in zip(R, I)]
-        R = [[x.numerator * (c // x.denominator) for x in Rr] for Rr, c in zip(R, lcms)]
-        I = [[x.numerator * (c // x.denominator) for x in Ir] for Ir, c in zip(I, lcms)]
-        scale = prod(lcms)
     rank, sign, qr, qi = 0, 1, 1, 0
     for col in range(start, ncols):
         r = rank
@@ -298,6 +291,20 @@ def _gaussian_echelon(rows: Sequence[Sequence[Scalar]], start: int) -> Iterator[
             yield gaussian(sign * pr, sign * pi)
             return
         yield gaussian(pr, pi)
+
+
+def _int_parts(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], List[List[int]], int]:
+    """The real and imaginary parts of ``rows`` as ``int`` lists, each row
+    multiplied by the lcm of the denominators of its parts, and the product
+    of those row scales."""
+    R = [[x.re if type(x) is GaussianRational else x for x in row] for row in rows]
+    I = [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows]
+    if Fraction not in set(map(type, chain(*R, *I))):
+        return R, I, 1
+    lcms = [lcm(*(x.denominator for x in Rr + Ir)) for Rr, Ir in zip(R, I)]
+    R = [[x.numerator * (c // x.denominator) for x in Rr] for Rr, c in zip(R, lcms)]
+    I = [[x.numerator * (c // x.denominator) for x in Ir] for Ir, c in zip(I, lcms)]
+    return R, I, prod(lcms)
 
 
 def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -586,70 +593,116 @@ def laplace_expand(A: SquareMatrix, S: Iterable[int]) -> Scalar:
         raise PreconditionError("row subset must be proper and nonempty")
     if srows[0] < 0 or srows[-1] >= n:
         raise ValueError("row subset outside matrix range")
-    return _laplace_sum(A, tuple(srows), {})
+    return _laplace_sum(_cofactor_rows(A), tuple(srows), {})
+
+
+def _cofactor_rows(A: SquareMatrix) -> Tuple[List[List[int]], Optional[List[List[int]]], int]:
+    """A's rows for the cofactor table: ``_int_parts``, with the imaginary
+    parts None when all are zero, so the table runs in Z, or else in Z[i]
+    on pairs of ints."""
+    R, I, scale = _int_parts(A.entries)
+    return R, I if any(map(any, I)) else None, scale
 
 
 def _laplace_sum(
-    A: SquareMatrix, srows: Tuple[int, ...], minors: Dict[int, Dict[int, Scalar]]
+    rows: Tuple[List[List[int]], Optional[List[List[int]]], int],
+    srows: Tuple[int, ...],
+    minors: Dict[int, dict],
 ) -> Scalar:
-    """``laplace_expand`` on a sorted proper row subset S.  Every det A[R, C]
-    comes from the cofactor table ``minors`` (see ``_cofactor_layer``), so
-    expansions sharing it compute each minor once: the upper blocks of S
-    are the lower blocks of its complement.  The sign of the term for the
-    columns T is (-1)^(sum S + sum T), whose parity is that of the odd
-    indices in S and T."""
-    n = A.n
+    """``laplace_expand`` on a sorted proper row subset S, from the rows
+    ``_cofactor_rows`` clears.  Every det A[R, C] comes from the cofactor
+    table ``minors`` (see ``_cofactor_layer``), so expansions sharing it
+    compute each minor once: the upper blocks of S are the lower blocks of
+    its complement.  The sign of the term for the columns T is
+    (-1)^(sum S + sum T), whose parity is that of the odd indices in S and
+    T.  Each term is a product of minors of cleared rows, S's and the rest,
+    so the sum is det(A) times the product of all row scales, divided out
+    once at the end."""
+    R, I, scale = rows
+    n = len(R)
     full = (1 << n) - 1
     odd = sum(1 << k for k in range(1, n, 2))
     smask = sum(1 << r for r in srows)
-    upper = _cofactor_layer(A, srows, minors)
-    lower = _cofactor_layer(A, [r for r in range(n) if not smask >> r & 1], minors)
+    upper = _cofactor_layer(rows, srows, minors)
+    lower = _cofactor_layer(rows, [r for r in range(n) if not smask >> r & 1], minors)
     parity = (smask & odd).bit_count()
-    total: Scalar = 0
-    for T, u in upper.items():
-        if u:
+    if I is None:
+        total = 0
+        for T, u in upper.items():
             low = lower.get(full ^ T)
             if low:
-                t = u * low
-                total = total - t if (parity + (T & odd).bit_count()) & 1 else total + t
-    return normalize_scalar(total)
+                total += -u * low if (parity + (T & odd).bit_count()) & 1 else u * low
+        return normalize_scalar(Fraction(total, scale))
+    tr = ti = 0
+    for T, (ur, ui) in upper.items():
+        low = lower.get(full ^ T)
+        if low:
+            lr, li = low
+            sign = -1 if (parity + (T & odd).bit_count()) & 1 else 1
+            tr += sign * (ur * lr - ui * li)
+            ti += sign * (ur * li + ui * lr)
+    return GaussianRational._make(Fraction(tr, scale), Fraction(ti, scale))
 
 
 def _cofactor_layer(
-    A: SquareMatrix, rows: Sequence[int], minors: Dict[int, Dict[int, Scalar]]
-) -> Dict[int, Scalar]:
-    """det A[R, C] for the sorted row list R = ``rows`` and every column set
-    C of its size, as {column mask: minor}; a zero minor may be absent.
+    rows: Tuple[List[List[int]], Optional[List[List[int]]], int],
+    rowlist: Sequence[int],
+    minors: Dict[int, dict],
+) -> dict:
+    """det A'[R, C] for the sorted row list R = ``rowlist`` and every column
+    set C of its size, as {column mask: minor}, A' being A with each row's
+    denominators cleared (``_cofactor_rows``): an ``int``, or a pair of ints
+    (real, imaginary) over Z[i].  A zero minor may be absent.
 
     ``minors`` is the cofactor table: row mask -> such a layer.  The layers
-    are built iteratively by row count along the suffixes of ``rows``, each
-    from the layer below by expansion along its first row r:
-    det A[R, C] = sum over c in C of (-1)^(place of c in C) A[r, c]
-    det A[R - r, C - c], pushed from every nonzero minor below into the
+    are built iteratively by row count along the suffixes of ``rowlist``,
+    each from the layer below by expansion along its first row r:
+    det A'[R, C] = sum over c in C of (-1)^(place of c in C) A'[r, c]
+    det A'[R - r, C - c], pushed from every nonzero minor below into the
     masks one column larger.  A layer already in the table is not rebuilt.
     """
-    n = A.n
-    layer = minors.setdefault(0, {0: 1})
+    R, I, _ = rows
+    n = len(R)
+    layer = minors.setdefault(0, {0: 1 if I is None else (1, 0)})
     mask = 0
-    for r in reversed(rows):
+    for r in reversed(rowlist):
         below = layer
         mask |= 1 << r
         layer = minors.get(mask)
         if layer is not None:
             continue
         layer = minors[mask] = {}
-        row = A.entries[r]
-        for C, d in below.items():
-            if not d:
+        get = layer.get
+        row = R[r]
+        if I is None:
+            for C, d in below.items():
+                if not d:
+                    continue
+                odd = False
+                for c in range(n):
+                    if C >> c & 1:
+                        odd = not odd
+                    elif row[c]:
+                        key = C | 1 << c
+                        layer[key] = get(key, 0) + (-row[c] * d if odd else row[c] * d)
+            continue
+        irow = I[r]
+        for C, (dr, di) in below.items():
+            if not (dr or di):
                 continue
             odd = False
             for c in range(n):
                 if C >> c & 1:
                     odd = not odd
-                elif row[c]:
-                    t = row[c] * d
+                elif row[c] or irow[c]:
+                    ar, ai = (-row[c], -irow[c]) if odd else (row[c], irow[c])
                     key = C | 1 << c
-                    layer[key] = layer.get(key, 0) + (-t if odd else t)
+                    acc = get(key)
+                    if acc is None:
+                        layer[key] = [ar * dr - ai * di, ar * di + ai * dr]
+                    else:
+                        acc[0] += ar * dr - ai * di
+                        acc[1] += ar * di + ai * dr
     return layer
 
 
@@ -701,9 +754,11 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
     Every operand is packed once per call: f, each G_ij, the entries of
     diag(x) + A, and the slices f|_{x_k=0} and df/dx_k once per k; every
     further restriction or derivative is taken from a packed operand by key
-    arithmetic.  The Laplace expansions read every minor det A[R, C] from
-    one cofactor table, local to the call, built by expansion along rows;
-    det(A) itself comes from a separate fraction-free elimination.
+    arithmetic.  The pencil, the table and the packed operands are built
+    only when dodgson, resultant or adjugate is asked for.  The Laplace
+    expansions read every minor det A[R, C] from one cofactor table, local
+    to the call, built by expansion along rows; det(A) itself comes from a
+    separate fraction-free elimination.
     Both sides of dodgson are symmetric in i, j, and the expansions along S
     and S^c are the same sum term for term (both subset lists are closed
     under complement), so each is computed once per pair and reported under
@@ -714,11 +769,11 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
     unknown = [name for name in identities if name not in IDENTITIES]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
-    pencil = det_poly(A)
-    table = adjugate_table(A)
-    f, G, M, one = _packed_operands(table, pencil)
-    f0 = [f.restrict(k) for k in range(n)]
-    fd = [f.derivative(k) for k in range(n)]
+    if {"dodgson", "resultant", "adjugate"}.intersection(identities):
+        pencil = det_poly(A)
+        f, G, M, one = _packed_operands(adjugate_table(A), pencil)
+        f0 = [f.restrict(k) for k in range(n)]
+        fd = [f.derivative(k) for k in range(n)]
     checks: List[IdentityCheck] = []
     if "dodgson" in identities:
         dodgson = {
@@ -749,11 +804,11 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
         else:
             small = [S for k in (1, 2) for S in combinations(range(n), k)]
             subsets = small + [tuple(x for x in range(n) if x not in S) for S in small]
-        minors: Dict[int, Dict[int, Scalar]] = {}
+        rows, minors = _cofactor_rows(A), {}
         laplace: Dict[Tuple[int, ...], bool] = {}
         for S in subsets:
             comp = tuple(x for x in range(n) if x not in S)
-            ok = laplace[S] = laplace[comp] if comp in laplace else _laplace_sum(A, S, minors) == d
+            ok = laplace[S] = laplace[comp] if comp in laplace else _laplace_sum(rows, S, minors) == d
             checks.append(IdentityCheck("laplace", S, ok))
     if "adjugate" in identities:
         ok = _adjugate_sums_vanish(f, G, M, one)

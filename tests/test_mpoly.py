@@ -18,6 +18,7 @@ from pmfiber import (
     poly_text,
     rayleigh_difference,
 )
+import pmfiber.mpoly as mpoly
 from pmfiber.mpoly import (
     coefficient_of,
     exact_divide,
@@ -371,14 +372,24 @@ def test_sums_derivatives_and_substitution_match_the_naive_oracle(drawn):
 # -- the signed product sum --------------------------------------------------------
 
 
+BIG = st.integers(-(2**200), 2**200)
+
+
 @st.composite
 def signed_pairs(draw):
-    """n in 0..3 and up to four signed pairs of raw term dicts (zero
-    coefficients kept), exponents small or large enough that sums reach the
-    bit-shift packing; sometimes a pair is followed by its cancelling twin."""
-    n = draw(st.integers(0, 3))
-    exps = st.tuples(*[st.integers(0, 3) | st.integers(100, 300)] * n)
-    terms = st.dictionaries(exps, st.integers(-4, 4) | COEFFS, max_size=5)
+    """n in 0..5 (fewer variables than the kernel's slots, and more) and up
+    to four signed pairs of raw term dicts (zero coefficients kept);
+    exponents 0..3, or in some sums also 128..300, so that sums reach the
+    bit-shift packing and a radix with room for no slot; coefficients
+    small, ints up to 2**200, Fractions and Gaussians with Fraction parts;
+    sometimes a pair is followed by its cancelling twin."""
+    n = draw(st.integers(0, 5))
+    exponent = st.integers(0, 3)
+    if draw(st.booleans()):
+        exponent = exponent | st.integers(128, 300)
+    exps = st.tuples(*[exponent] * n)
+    coeffs = st.integers(-4, 4) | COEFFS | BIG | st.builds(Fraction, BIG, st.integers(1, 2**20))
+    terms = st.dictionaries(exps, coeffs, max_size=6)
     pairs = draw(st.lists(st.tuples(st.sampled_from((1, -1)), terms, terms), max_size=4))
     if pairs and draw(st.booleans()):
         sign, p, q = draw(st.sampled_from(pairs))
@@ -395,7 +406,7 @@ def _signed_oracle_sum(pairs):
     return {exp: c for exp, c in total.items() if c != (0, 0)}
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(signed_pairs())
 def test_product_sum_equals_the_sum_of_separate_products(drawn):
     n, pairs = drawn
@@ -411,6 +422,45 @@ def test_product_sum_equals_the_sum_of_separate_products(drawn):
     raw_pairs = [(sign, next(raw), next(raw)) for sign, _, _ in pairs]
     assert packed_product_terms(n, raw_pairs) == got.terms
     assert {exp: oracles.to_pair(c) for exp, c in got.terms.items()} == _signed_oracle_sum(pairs)
+
+
+def test_kernel_reads_i_blocks_exactly(monkeypatch):
+    x = MPoly.var(1, 0)
+    i = gaussian(0, 1)
+    # blocks N0 and N2 are both x^2, and cancel only under the fold, which
+    # finds the sum zero without reading a digit
+    with monkeypatch.context() as patched:
+        patched.setattr(mpoly, "_balanced_digits", None)
+        assert product_sum(1, [(1, x, x), (1, i * x, i * x)]).is_zero()
+    # only the real part cancels, or only the imaginary part
+    assert product_sum(1, [(1, (1 + i) * x, (1 + i) * x)]).terms == {(2,): gaussian(0, 2)}
+    assert product_sum(1, [(1, (1 + i) * x, (1 - i) * x)]).terms == {(2,): 2}
+    assert product_sum(1, [(1, x, x), (1, i * x, i * x), (1, i * x, x)]).terms == {(2,): i}
+    assert product_sum(1, [(1, i * x, x), (-1, x, i * x), (1, x, x)]).terms == {(2,): 1}
+    # digits at the edge of the bound, of both signs, in every block
+    edge = 2**64 - 1
+    p = MPoly(2, {(a, b): edge * (-1) ** (a + b) for a in range(2) for b in range(2)})
+    q = MPoly(2, {(a, b): gaussian(edge, -edge) for a in range(2) for b in range(2)})
+    for sum_pairs in ([(1, p, p)], [(1, p, q), (-1, q, p)], [(1, q, q), (1, p, q)]):
+        expected = _signed_oracle_sum([(sign, a.terms, b.terms) for sign, a, b in sum_pairs])
+        got = product_sum(2, sum_pairs)
+        assert {exp: oracles.to_pair(c) for exp, c in got.terms.items()} == expected
+
+
+def test_cached_slot_encoding_widens_with_the_bound():
+    x, y = MPoly.var(2, 0), MPoly.var(2, 1)
+    p = 3 * x - 2 * y + 5 * x * y
+    big = MPoly(2, {(0, 0): 2**90, (1, 0): Fraction(1 - 2**90, 7)})
+    pp, pbig = pack([p, big])
+    square = packed_product_terms(2, [(1, pp, pp)])
+    narrow = pp._slots[2]
+    got = packed_product_terms(2, [(1, pp, pbig), (-1, pp, pp)])
+    wide = pp._slots[2]
+    assert wide > narrow
+    assert got == (p * big - p * p).terms
+    # a later sum that needs less reuses the wider encoding
+    assert packed_product_terms(2, [(1, pp, pp)]) == square == (p * p).terms
+    assert pp._slots[2] == wide
 
 
 @st.composite

@@ -414,6 +414,21 @@ def test_verify_and_laplace_leave_nothing_for_the_cyclic_gc(field):
             gc.enable()
 
 
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_verify_laplace_alone_builds_no_pencil_or_table(field, monkeypatch):
+    A = matrix(rand_rows(random.Random(7), 5, field), field)
+    full = verify_identities(A)
+    calls = []
+    real_table, real_pencil = symdet.adjugate_table, symdet.det_poly
+    monkeypatch.setattr(symdet, "adjugate_table", lambda B: calls.append("table") or real_table(B))
+    monkeypatch.setattr(symdet, "det_poly", lambda B: calls.append("pencil") or real_pencil(B))
+    alone = verify_identities(A, ("laplace",))
+    assert calls == []
+    assert alone.checks == tuple(c for c in full.checks if c.identity == "laplace")
+    assert verify_identities(A, ("dodgson",)).all_ok
+    assert sorted(calls) == ["pencil", "table"]
+
+
 def test_verify_identities_unknown_name(golden_a4):
     with pytest.raises(ValueError):
         verify_identities(golden_a4, ("dodgson", "nonsense"))
