@@ -27,19 +27,19 @@ from .equiv import (
     hermitian_equivalence,
     symmetrizability,
 )
-from .errors import ExactDivisionError, ParseError, PreconditionError, SizeLimitError, VerificationError
+from .errors import ParseError, PreconditionError, SizeLimitError, VerificationError
 from .fiber import (
+    NO_WITNESS_SYMMETRIZABLE,
     classify_fiber,
     cut_swap_witness,
     find_cuts,
-    reducible_witness,
     stable_certify,
     symmetric_fiber_describe,
 )
 from .mpoly import MPoly, poly_subset_map, poly_text
 from .scalars import FIELDS, scalar_format, scalar_parse
 from .selftest import SUITES, run_selftest
-from .structure import is_irreducible, fiber_shape, structure_check
+from .structure import fiber_shape, structure_check
 from .symdet import (
     IDENTITIES,
     SquareMatrix,
@@ -194,21 +194,18 @@ def _cmd_classify(A: SquareMatrix, args) -> Tuple[Dict, int]:
 def _cmd_witness(A: SquareMatrix, args) -> Tuple[Dict, int]:
     if args.cut is not None:
         X = _parse_cut(args.cut, A.n)
-        W = cut_swap_witness(A, X)
-        kind, cut = "CutSwap", _subset_doc(X)
-    elif not is_irreducible(A):
-        W = reducible_witness(A)
-        kind, cut = "ReduciblePattern", None
-    else:
-        cuts = find_cuts(A)
-        if not cuts:
-            raise PreconditionError(
-                "matrix has no cut; pass --cut or use classify for the verdict"
-            )
-        W = cut_swap_witness(A, cuts[0].X)
-        kind, cut = "CutSwap", _subset_doc(cuts[0].X)
+        W, cut = cut_swap_witness(A, X), X
+    else:  # the classifier's witness: a reducible pattern or its cut's swap
+        res = classify_fiber(A)
+        W, cut = res.witness, None if res.cut is None else res.cut.X
+        if W is None:
+            no_cut = "matrix has no cut; pass --cut or use classify for the verdict"
+            raise PreconditionError(no_cut if cut is None else NO_WITNESS_SYMMETRIZABLE)
     return {
-        "result": {"kind": kind, "cut": cut},
+        "result": {
+            "kind": "ReduciblePattern" if cut is None else "CutSwap",
+            "cut": None if cut is None else _subset_doc(cut),
+        },
         "witness": _matrix_doc(W),
     }, 0
 
@@ -386,7 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         body, code = {"error": str(exc)}, 3
     except (ParseError, PreconditionError, OSError) as exc:
         body, code = {"error": str(exc)}, 2
-    except (VerificationError, ExactDivisionError) as exc:
+    except VerificationError as exc:
         body, code = {"error": str(exc)}, 4
     except Exception as exc:  # a bug, never reported as bad input
         body, code = {"error": f"{type(exc).__name__}: {exc}"}, 4

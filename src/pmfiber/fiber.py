@@ -8,18 +8,20 @@ class for an irreducible A with no cut or with a symmetric diagonal
 conjugate, and otherwise a verified second fiber point, built either by
 swapping the rank-one factors of A's two cross blocks at a cut (and
 transposing one diagonal block) or by rewriting the strictly-upper pattern
-of a reducible matrix.  When the swap across the first cut is diagonally
-equivalent to A it has neither and raises, though such a fiber is often a
-single class (see classify_fiber).  Each witness is proved by its form,
-entry by entry (the swap form across the cut, or the block form of a
-reducible matrix), and by having no diagonal equivalence to A; no pencil is
-expanded, so the only exponential step left in the classifier is
-find_cuts, and in the symmetric and stable descriptions block_det_poly,
-capped by block size.
+of a reducible matrix.  Cuts are tried in find_cuts order; only when every
+cut's swap is diagonally equivalent to A it has neither and raises, though
+such a fiber is often a single class (see classify_fiber).  Each witness is
+proved by its form, entry by entry (the swap form across the cut, or the
+block form of a reducible matrix), and by having no diagonal equivalence to
+A; no pencil is expanded, so the only exponential step left in the
+classifier is find_cuts, and in the symmetric and stable descriptions
+block_det_poly, capped by block size.
 find_cuts runs no elimination: one reader, _rank_one_factors, tests a cross
 block for rank at most one by the 2x2 minors through its first nonzero
 entry, and the same reader hands the swap its factors.  rank_one_split is
-the same cut seen in the adjugate table; no witness needs it.
+the same cut seen in the adjugate table, split the same way: its factors
+are coefficient slices of one row and one column of each cross block, with
+no evaluation point and no polynomial division; no witness needs it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .equiv import (
     hermitian_equivalence,
     symmetrizability,
 )
-from .errors import ExactDivisionError, PreconditionError, VerificationError
-from .mpoly import MPoly, exact_divide
+from .errors import PreconditionError, VerificationError
+from .mpoly import MPoly, product_sum
 from .scalars import Scalar, div_exact
 from .structure import (
     FiberShape,
@@ -60,6 +62,11 @@ REASON_HAS_CUT = "HasCutNotSymmetrizable"
 REASON_NO_CUT = "NoCut"
 REASON_SYMMETRIZABLE = "Symmetrizable"
 REASON_SMALL_N = "SmallN"
+
+NO_WITNESS_SYMMETRIZABLE = (
+    "matrix is diagonally equivalent to a symmetric matrix; "
+    "its fiber is a single class and no witness exists"
+)
 
 
 @dataclass(frozen=True)
@@ -159,66 +166,62 @@ def _alt(i: int) -> int:
     return -1 if i % 2 == 0 else 1
 
 
-def _primes(count: int) -> List[int]:
-    out: List[int] = []
-    cand = 2
-    while len(out) < count:
-        if all(cand % p for p in out if p * p <= cand):
-            out.append(cand)
-        cand += 1
-    return out
+def _slice(p: MPoly, e: Tuple[int, ...], side: Sequence[int], scale: Scalar = 1) -> MPoly:
+    """The terms of p whose exponents on ``side`` equal e's, those exponents
+    set to 0 and the coefficients divided by ``scale``."""
+    return MPoly._raw(p.n, {
+        tuple(0 if k in side else x for k, x in enumerate(exp)): div_exact(c, scale)
+        for exp, c in p.terms.items()
+        if all(exp[k] == e[k] for k in side)
+    })
 
 
-def _generic_values(attempt: int, count: int) -> List[int]:
-    if attempt == 0:
-        return list(range(1, count + 1))
-    return _primes(attempt - 1 + count)[attempt - 1 :]
+def _split_block(
+    G: AdjugateTable, rows: Sequence[int], cols: Sequence[int], sign
+) -> Optional[Tuple[Dict[int, MPoly], Dict[int, MPoly]]]:
+    """Nonzero (u, v) with G_rc = sign(r, c) u_r v_c on the block G[rows,
+    cols], u_r free of the column variables and v_c of the row variables, or
+    None when there are none.
 
-
-_SPLIT_ATTEMPTS = 8
+    Take H_rc = sign(r, c) G_rc, its first nonzero entry (r0, c0) in
+    row-major order and that entry's largest term s x^e.  If H_rc = U_r V_c,
+    then s = alpha beta, alpha and beta the coefficients of e's row and
+    column parts in U_r0 and V_c0; H_rc0 sliced at e's column exponents is
+    beta U_r and H_r0c sliced at e's row exponents alpha V_c.  So u_r is
+    the first slice over s and v_c the second, and each H_rc = u_r v_c is
+    checked as one sum that must vanish.
+    """
+    n = G.n
+    H = {(r, c): sign(r, c) * G.entry(r, c) for r in rows for c in cols}
+    pivot = next((rc for rc, p in H.items() if p), None)
+    if pivot is None:
+        return None
+    (r0, c0), (e, s) = pivot, max(H[pivot].terms.items())
+    u = {r: _slice(H[r, c0], e, cols, s) for r in rows}
+    v = {c: _slice(H[r0, c], e, rows) for c in cols}
+    one = MPoly.const(n, 1)
+    if not all(u.values()) or not all(v.values()) or any(
+        product_sum(n, [(1, u[r], v[c]), (-1, H[r, c], one)]) for r, c in H
+    ):
+        return None
+    return u, v
 
 
 def rank_one_split(G: AdjugateTable, X: Sequence[int]) -> FactorSplit:
     """Split the two off-diagonal blocks of G into products of one-index factors.
 
-    The X^c-side factors are read off a single row (resp. column) of G at a
-    generic evaluation point for the X-variables; the X-side factors then come
-    out of exact polynomial division.  Every product identity is re-checked,
-    so a successful return is a proof that the factorization holds.
+    Each block's factors are coefficient slices of its entries in one row
+    and one column (see _split_block), the way _rank_one_factors splits a
+    block of A: no evaluation point and no polynomial division.  Every
+    product identity is checked exactly, so a successful return is a proof
+    that the factorization holds.
     """
-    n = G.n
-    Xs, Xc = _split_indices(n, X)
-    i0, j0 = Xs[0], Xc[0]
-    failure = "every generic evaluation point vanished"
-    for attempt in range(_SPLIT_ATTEMPTS):
-        values = _generic_values(attempt, len(Xs))
-        sub = dict(zip(Xs, values))
-        b = {j: G.entry(i0, j).substitute_many(sub) for j in Xc}
-        c = {i: G.entry(i, i0).substitute_many(sub) for i in Xc}
-        if b[j0].is_zero() or c[j0].is_zero():
-            continue
-        try:
-            a = {i: _alt(i) * exact_divide(G.entry(i, j0), b[j0]) for i in Xs}
-            d = {j: _alt(j) * exact_divide(G.entry(j0, j), c[j0]) for j in Xs}
-        except ExactDivisionError as exc:
-            failure = f"exact division failed: {exc}"
-            continue
-        if any(p.is_zero() for p in (*a.values(), *b.values(), *c.values(), *d.values())):
-            failure = "a factor vanished"
-            continue
-        upper_ok = all(
-            G.entry(i, j) == _alt(i) * (a[i] * b[j]) for i in Xs for j in Xc
-        )
-        lower_ok = all(
-            G.entry(j, i) == _alt(i) * (c[j] * d[i]) for j in Xc for i in Xs
-        )
-        if upper_ok and lower_ok:
-            return FactorSplit(Xs, Xc, a, b, c, d)
-        failure = "product identities failed"
-    raise VerificationError(
-        f"rank-one splitting failed for X={Xs} ({failure}); "
-        "X is not a cut of an irreducible matrix"
-    )
+    Xs, Xc = _split_indices(G.n, X)
+    upper = _split_block(G, Xs, Xc, lambda i, j: _alt(i))
+    lower = _split_block(G, Xc, Xs, lambda j, i: _alt(i))
+    if upper is None or lower is None:
+        raise VerificationError(f"rank-one splitting failed for X={Xs}; X is not a cut of an irreducible matrix")
+    return FactorSplit(Xs, Xc, *upper, *lower)
 
 
 # -- second fiber points ----------------------------------------------------------
@@ -273,8 +276,7 @@ def swap_factors_degenerate(A: SquareMatrix, X: Sequence[int]) -> bool:
     Instance generators use this to reject draws that the swap construction
     provably cannot separate.
     """
-    Xs, Xc = _cut_sides(A, X)
-    return diagonal_equivalence(A, _swap(A, Xs, Xc)) is not None
+    return _proved_swap(A, *_cut_sides(A, X)) is None
 
 
 def _same_swap_form(
@@ -324,23 +326,29 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
         raise PreconditionError("factor swapping needs n >= 4")
     Xs, Xc = _cut_sides(A, X)
     if symmetrizability(A).solvable:
-        raise PreconditionError(
-            "matrix is diagonally equivalent to a symmetric matrix; "
-            "its fiber is a single class and no witness exists"
-        )
-    B = _swap(A, Xs, Xc)
-    if not _same_swap_form(A, B, Xs, Xc):
-        failure = "recovered matrix does not reproduce the pencil determinant"
-    elif diagonal_equivalence(A, B) is None:
-        return B
-    else:
-        failure = "swap produced a diagonally equivalent matrix"
+        raise PreconditionError(NO_WITNESS_SYMMETRIZABLE)
+    B = _proved_swap(A, Xs, Xc)
+    if B is None:
+        raise _swap_refusal("swap produced a diagonally equivalent matrix")
+    return B
+
+
+def _swap_refusal(failure: str) -> VerificationError:
     # The transposed swap fails the same way, hence "both orientations".
-    raise VerificationError(
+    return VerificationError(
         f"factor swap failed on both orientations ({failure}); "
         "factor swapping across this cut cannot leave the "
         "diagonal-equivalence class of the input"
     )
+
+
+def _proved_swap(A: SquareMatrix, Xs: Sequence[int], Xc: Sequence[int]) -> Optional[SquareMatrix]:
+    """A's swap across the cut (Xs, Xc), proved a fiber point by its swap
+    form, or None when it is diagonally equivalent to A."""
+    B = _swap(A, Xs, Xc)
+    if not _same_swap_form(A, B, Xs, Xc):
+        raise _swap_refusal("recovered matrix does not reproduce the pencil determinant")
+    return B if diagonal_equivalence(A, B) is None else None
 
 
 def reducible_witness(A: SquareMatrix) -> SquareMatrix:
@@ -394,12 +402,12 @@ def classify_fiber(A: SquareMatrix) -> FiberClassification:
     Reducible matrices always get a witness.  An irreducible matrix is
     reported a single class when n <= 3 (no cut exists, own reason code),
     when it has no cut, or when it is diagonally equivalent to a symmetric
-    matrix.  Otherwise only the first cut of ``find_cuts`` is tried: its
-    factor swap is returned as the witness of a second class, and when that
-    swap is diagonally equivalent to A, ``cut_swap_witness`` raises
-    ``VerificationError`` (CLI exit 4) instead of returning a verdict, though
-    the fiber may be a single class.  That is the README's "honest edge
-    case"; ROADMAP item 1 plans a proven verdict for it.
+    matrix.  Otherwise the witness of a second class is the factor swap
+    across the first cut, in ``find_cuts`` order, whose swap is not
+    diagonally equivalent to A.  Only when every cut's swap is, it raises
+    ``VerificationError`` (CLI exit 4) instead of returning a verdict,
+    though the fiber may be a single class.  That is the README's "honest
+    edge case"; ROADMAP item 1 plans a proven verdict for it.
     """
     n = A.n
     if not is_irreducible(A):
@@ -440,16 +448,16 @@ def classify_fiber(A: SquareMatrix) -> FiberClassification:
         return FiberClassification(
             SINGLE_POINT, REASON_SYMMETRIZABLE, cuts[0], None, sym, note
         )
-    witness = cut_swap_witness(A, cuts[0].X)
-    return FiberClassification(
-        MULTI_POINT,
-        REASON_HAS_CUT,
-        cuts[0],
-        witness,
-        sym,
-        "irreducible with a cut and not symmetrizable: swapping rank-one "
-        "factors across the first cut yields an inequivalent fiber point",
-    )
+    for k, cut in enumerate(cuts):
+        witness = _proved_swap(A, cut.X, cut.complement(n))
+        if witness is not None:
+            across = "the first cut" + (" whose swap leaves the input's class" if k else "")
+            note = f"swapping rank-one factors across {across} yields an inequivalent fiber point"
+            return FiberClassification(
+                MULTI_POINT, REASON_HAS_CUT, cut, witness, sym,
+                "irreducible with a cut and not symmetrizable: " + note,
+            )
+    raise _swap_refusal("swap produced a diagonally equivalent matrix")
 
 
 # -- symmetric and stable special cases ---------------------------------------------

@@ -190,12 +190,6 @@ class MPoly:
         )
         return MPoly._raw(self.n, _merged({}, moved))
 
-    def substitute_many(self, values: Mapping[int, Scalar]) -> "MPoly":
-        p = self
-        for k, v in values.items():
-            p = p.substitute(k, v)
-        return p
-
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.n:
             raise ValueError("point has wrong length")
@@ -491,20 +485,6 @@ def product_sum(n: int, pairs: Iterable[Tuple[int, MPoly, MPoly]]) -> MPoly:
 
 
 # -- module operations ------------------------------------------------------
-
-
-def coefficient_of(p: MPoly, subset: Iterable[int]) -> Scalar:
-    """Coefficient of the squarefree monomial prod_{k in subset} x_{k+1}.
-
-    p must be multiaffine.
-    """
-    if not p.is_multiaffine():
-        raise ValueError("coefficient_of requires a multiaffine polynomial")
-    S = frozenset(subset)
-    if any(not 0 <= k < p.n for k in S):
-        raise ValueError("subset indices outside variable range")
-    exp = tuple(1 if k in S else 0 for k in range(p.n))
-    return p.terms.get(exp, 0)
 
 
 def rayleigh_difference(f: MPoly, i: int, j: int) -> MPoly:

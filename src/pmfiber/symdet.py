@@ -48,7 +48,6 @@ from .mpoly import (
     Packed,
     _rayleigh_pairs,
     _resultant_pairs,
-    coefficient_of,
     pack,
     packed_product_terms,
 )
@@ -366,12 +365,6 @@ class AdjugateTable:
     def entry(self, i: int, j: int) -> MPoly:
         return self.entries[i][j]
 
-    def transpose(self) -> "AdjugateTable":
-        n = self.n
-        return AdjugateTable(
-            n, tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n))
-        )
-
 
 def _minor_walk(
     A: SquareMatrix, full: bool
@@ -564,15 +557,12 @@ def matrix_from_adjugate(H: AdjugateTable, f: MPoly, field: Optional[str] = None
     check_size("matrix_from_adjugate", n)
     if f.n != n:
         raise ValueError("pencil polynomial has wrong variable count")
-    full = frozenset(range(n))
     rows: List[List[Scalar]] = []
     for i in range(n):
         row: List[Scalar] = []
         for j in range(n):
-            if i == j:
-                row.append(coefficient_of(f, full - {i}))
-            else:
-                row.append(-coefficient_of(H.entries[i][j], full - {i, j}))
+            exp = tuple(0 if k in (i, j) else 1 for k in range(n))
+            row.append(f.coefficient(exp) if i == j else -H.entries[i][j].coefficient(exp))
         rows.append(row)
     B = matrix(rows, field)
     if adjugate_table(B).entries != H.entries:

@@ -34,6 +34,17 @@ A6_ROWS = [
     [0, 0, 2, 0, 0, 3],
 ]
 
+# A benchmark classify input (index 103 at seed 21): the swap across its first
+# cut {0, 1} is diagonally equivalent to it, the one across {0, 1, 3} is not.
+LATER_CUT_ROWS = [
+    [-1, 1, -1, -2, 2, -1],
+    [1, -2, 1, 2, -2, 1],
+    [1, -1, 2, 1, 1, 2],
+    [1, -1, 2, 1, -4, 2],
+    [-1, 1, -1, -1, 2, 2],
+    [-1, 1, -2, -1, -2, -2],
+]
+
 
 @pytest.fixture
 def golden_a4():

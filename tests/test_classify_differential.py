@@ -6,9 +6,9 @@ certificate; no pencil is expanded.  These tests check the claim itself
 from outside, equal principal minors by the permutation-sum oracle, on
 unfiltered draws at n = 4..6: planted cuts (symmetrizable and degenerate
 draws included), relabeled block upper triangular matrices and dense
-matrices.  The only failure classify_fiber may report is the degenerate cut
-whose swaps all stay diagonally equivalent to the input, and
-swap_factors_degenerate names exactly those cuts.
+matrices.  The only failure classify_fiber may report is an input whose
+every cut is degenerate, its swaps all staying diagonally equivalent to the
+input, and swap_factors_degenerate names exactly those cuts.
 """
 
 from hypothesis import given, settings
@@ -84,6 +84,7 @@ def _check_classification(rows):
         result = classify_fiber(A)
     except VerificationError as exc:
         assert "diagonally equivalent" in str(exc)
+        assert all(swap_factors_degenerate(A, cut.X) for cut in find_cuts(A))
         return
     if result.verdict == MULTI_POINT:
         W = result.witness

@@ -1,14 +1,27 @@
 """End-to-end command line behavior: JSON documents, exit codes, stability."""
 
+import contextlib
+import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmfiber import VerificationError, det_poly, matrix, scalar_parse
+from pmfiber import (
+    VerificationError,
+    det_poly,
+    find_cuts,
+    matrix,
+    scalar_parse,
+    swap_factors_degenerate,
+)
 from pmfiber.cli import main
+from pmfiber.scalars import gaussian, scalar_format
 
-from conftest import A4_ROWS, A6_ROWS, cut_rows
+from conftest import A4_ROWS, A6_ROWS, LATER_CUT_ROWS, cut_rows
 
 
 def write_matrix(path, rows, field="Q"):
@@ -502,3 +515,70 @@ def test_structure_caps_the_block_pencil(capsys, tmp_path):
     code, doc, _ = run_cli(capsys, "structure", f)
     assert code == 3
     assert "block_det_poly limited to n <= 12, got n = 13" in doc["error"]
+
+
+# -- the contract on drawn input ----------------------------------------------------
+
+MATRIX_COMMANDS = [c for c in COMMANDS if c != "selftest"]
+POLY_COMMANDS = {"detpoly", "adjugate", "structure", "fibershape", "symfiber", "stablecert"}
+CONTRACT_POOLS = {
+    "Q": [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), 5],
+    "Q(i)": [0, 0, 0, 1, -1, 2, gaussian(0, 1), gaussian(1, -1), Fraction(1, 2), gaussian(-2, 3)],
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, matrix documents): one of the matrix commands on drawn input at
+    n = 1..6 over Q or Q(i), about 30% zeros, a fifth of the draws symmetric."""
+    command = draw(st.sampled_from(MATRIX_COMMANDS))
+    field = draw(st.sampled_from(sorted(CONTRACT_POOLS)))
+    pool = st.sampled_from(CONTRACT_POOLS[field])
+    n = draw(st.integers(1, 6))
+    symmetric = draw(st.integers(0, 4)) == 0
+    docs = []
+    for _ in range(2 if command == "equiv" else 1):
+        rows = [[draw(pool) for _ in range(n)] for _ in range(n)]
+        if symmetric:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        docs.append({"n": n, "field": field, "entries": [[scalar_format(x) for x in r] for r in rows]})
+    flags = ["--json-poly"] if command in POLY_COMMANDS and draw(st.booleans()) else []
+    return [command, *flags], docs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cli_calls())
+def test_cli_contract_on_drawn_input(tmp_path_factory, call):
+    # One JSON document per call, exit 0, 2, 3 or 4; exit 4 only as the
+    # refusal when every cut's swap is diagonally equivalent to the input.
+    argv, docs = call
+    folder = tmp_path_factory.mktemp("contract")
+    paths = []
+    for k, doc in enumerate(docs):
+        path = folder / f"m{k}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + paths)
+    doc = json.loads(out.getvalue())
+    assert doc["command"] == argv[0]
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert list(doc) == ["command", "error"]
+    if code == 4:
+        assert argv[0] in ("classify", "witness")
+        assert "swap produced a diagonally equivalent matrix" in doc["error"]
+        A = matrix([[scalar_parse(x, docs[0]["field"]) for x in r] for r in docs[0]["entries"]], docs[0]["field"])
+        assert all(swap_factors_degenerate(A, cut.X) for cut in find_cuts(A))
+
+
+def test_witness_without_cut_takes_the_first_cut_that_leaves_the_class(capsys, tmp_path):
+    f = write_matrix(tmp_path / "later.json", LATER_CUT_ROWS)
+    code, doc, _ = run_cli(capsys, "witness", f)
+    assert code == 0
+    assert doc["result"] == {"kind": "CutSwap", "cut": [1, 2, 4]}
+    _, classified, _ = run_cli(capsys, "classify", f)
+    assert classified["witness"] == doc["witness"]
+    code, doc, _ = run_cli(capsys, "witness", "--cut", "1,2", f)
+    assert code == 4 and "diagonally equivalent" in doc["error"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pmfiber import (
@@ -40,6 +40,7 @@ from pmfiber.scalars import gaussian
 from pmfiber.structure import FrobeniusForm, is_irreducible
 
 import oracles
+from conftest import LATER_CUT_ROWS
 
 
 # -- cut detection ------------------------------------------------------------------
@@ -178,6 +179,73 @@ def test_rank_one_split_rejects_non_cut(golden_a4):
     G = adjugate_table(golden_a4)
     with pytest.raises(VerificationError):
         rank_one_split(G, (0, 2))
+
+
+SPLIT_POOLS = {
+    "Q": [0, 0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)],
+    "Q(i)": [0, 0, 0, 1, -1, 2, gaussian(0, 1), gaussian(1, -1), gaussian(-2, 1), Fraction(1, 2)],
+}
+
+
+@st.composite
+def planted_split_cases(draw):
+    """An irreducible matrix with a planted cut, about 30% of its diagonal
+    block entries and cross factors zero, and a subset to split at."""
+    field = draw(st.sampled_from(sorted(SPLIT_POOLS)))
+    pool = st.sampled_from(SPLIT_POOLS[field])
+    n = draw(st.sampled_from([4, 5, 6, 7]))
+    perm = draw(st.permutations(range(n)))
+    k = draw(st.integers(2, n - 2))
+    X, Xc = sorted(perm[:k]), sorted(perm[k:])
+    rows = [[0] * n for _ in range(n)]
+    for part in (X, Xc):
+        for i in part:
+            for j in part:
+                rows[i][j] = draw(pool)
+    p, s = [draw(pool) for _ in X], [draw(pool) for _ in X]
+    q, r = [draw(pool) for _ in Xc], [draw(pool) for _ in Xc]
+    for a, i in enumerate(X):
+        for b, j in enumerate(Xc):
+            rows[i][j], rows[j][i] = p[a] * q[b], r[b] * s[a]
+    A = matrix(rows, field)
+    assume(is_irreducible(A))
+    subset = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n - 2))
+    return A, tuple(sorted(subset))
+
+
+def _free_of(p, indices):
+    return all(not exp[k] for exp in p.terms for k in indices)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(planted_split_cases())
+def test_rank_one_split_on_every_cut(case):
+    A, subset = case
+    G = adjugate_table(A)
+    rows = A.rows_list()
+    point = [k + 2 for k in range(A.n)]
+
+    def sign(k):
+        return -1 if k % 2 == 0 else 1
+
+    for cut in find_cuts(A):
+        X, Xc = cut.X, cut.complement(A.n)
+        split = rank_one_split(G, X)
+        assert all(_free_of(split.a[i], Xc) and _free_of(split.d[i], Xc) for i in X)
+        assert all(_free_of(split.b[j], X) and _free_of(split.c[j], X) for j in Xc)
+        for i in X:
+            for j in Xc:
+                assert sign(i) * (split.a[i] * split.b[j]) == G.entry(i, j)
+                assert sign(i) * (split.c[j] * split.d[i]) == G.entry(j, i)
+        # one entry of each block against the permutation-sum adjugate
+        i, j = X[0], Xc[-1]
+        upper = sign(i) * split.a[i].evaluate(point) * split.b[j].evaluate(point)
+        lower = sign(i) * split.c[j].evaluate(point) * split.d[i].evaluate(point)
+        assert oracles.to_pair(upper) == oracles.adjugate_entry_at_point(rows, point, i, j)
+        assert oracles.to_pair(lower) == oracles.adjugate_entry_at_point(rows, point, j, i)
+    if not is_cut(A, subset):
+        with pytest.raises(VerificationError, match="not a cut of an irreducible matrix"):
+            rank_one_split(G, subset)
 
 
 # -- swap witness -------------------------------------------------------------------
@@ -389,6 +457,29 @@ def test_classify_golden_a6(golden_a6):
     assert res.reason == REASON_REDUCIBLE
     assert res.witness is not None
     assert principal_minors(res.witness) == principal_minors(golden_a6)
+
+
+def test_classify_tries_every_cut():
+    A = matrix(LATER_CUT_ROWS)
+    cuts = find_cuts(A)
+    assert cuts[0].X == (0, 1) and swap_factors_degenerate(A, (0, 1))
+    with pytest.raises(VerificationError, match="diagonally equivalent"):
+        cut_swap_witness(A, (0, 1))
+    res = classify_fiber(A)
+    assert res.verdict == MULTI_POINT and res.reason == REASON_HAS_CUT
+    assert res.cut.X == (0, 1, 3)
+    assert "first cut whose swap leaves the input's class" in res.note
+    W = res.witness
+    assert oracles.all_principal_minors(W.rows_list()) == oracles.all_principal_minors(LATER_CUT_ROWS)
+    assert diagonal_equivalence(A, W) is None
+    assert W == cut_swap_witness(A, (0, 1, 3))
+
+
+def test_classify_refuses_only_when_every_swap_is_equivalent():
+    A = matrix([[1, 2, 1, 3], [3, 4, 2, 6], [1, 2, 5, 6], [3, 6, 6, 8]])
+    assert all(swap_factors_degenerate(A, c.X) for c in find_cuts(A))
+    with pytest.raises(VerificationError, match="diagonally equivalent"):
+        classify_fiber(A)
 
 
 def test_classify_small_matrices():

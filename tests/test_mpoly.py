@@ -20,7 +20,6 @@ from pmfiber import (
 )
 import pmfiber.mpoly as mpoly
 from pmfiber.mpoly import (
-    coefficient_of,
     exact_divide,
     pack,
     packed_product_terms,
@@ -71,7 +70,6 @@ def test_substitute_and_evaluate():
     x, y = MPoly.var(2, 0), MPoly.var(2, 1)
     p = x * y + 2 * x - y + 5
     assert p.substitute(0, 3) == 3 * y + 6 - y + 5
-    assert p.substitute_many({0: 1, 1: 2}) == MPoly.const(2, 2 + 2 - 2 + 5)
     assert p.evaluate([Fraction(1, 2), 4]) == Fraction(1, 2) * 4 + 1 - 4 + 5
     q = p.substitute(0, gaussian(0, 1))
     assert q.coefficient((0, 1)) == gaussian(0, 1) - 1
@@ -83,13 +81,6 @@ def test_derivative():
     assert p.derivative(0) == y + 3
     assert p.derivative(1) == x
     assert p.derivative(1).derivative(0) == MPoly.const(2, 1)
-
-
-def test_coefficient_of_subsets():
-    p = poly_of(3, {(0, 2): 5, (): -1})
-    assert coefficient_of(p, [0, 2]) == 5
-    assert coefficient_of(p, []) == -1
-    assert coefficient_of(p, [1]) == 0
 
 
 def test_exact_divide_recovers_factor():
