@@ -57,6 +57,7 @@ from .mpoly import (
     affine_resultant,
     poly_subset_map,
     poly_text,
+    poly_texts,
     rayleigh_difference,
 )
 from .scalars import (
@@ -150,6 +151,7 @@ __all__ = [
     "principal_minors",
     "poly_subset_map",
     "poly_text",
+    "poly_texts",
     "rank_one_split",
     "rayleigh_difference",
     "recover_diag_from_fiber",

@@ -36,7 +36,7 @@ from .fiber import (
     stable_certify,
     symmetric_fiber_describe,
 )
-from .mpoly import MPoly, poly_subset_map, poly_text
+from .mpoly import MPoly, poly_subset_map, poly_text, poly_texts
 from .scalars import FIELDS, scalar_format, scalar_parse
 from .selftest import SUITES, run_selftest
 from .structure import fiber_shape, structure_check
@@ -97,6 +97,12 @@ def _poly_doc(p: MPoly, args):
     return poly_subset_map(p) if getattr(args, "json_poly", False) else poly_text(p)
 
 
+def _poly_docs(polys: Sequence[MPoly], args) -> List:
+    if getattr(args, "json_poly", False):
+        return [poly_subset_map(p) for p in polys]
+    return poly_texts(polys)
+
+
 def _certificate_doc(cert: Optional[DiagonalCertificate]) -> Optional[Dict]:
     if cert is None:
         return None
@@ -131,7 +137,8 @@ def _parse_cut(text: str, n: int) -> Tuple[int, ...]:
 
 def _cmd_minors(A: SquareMatrix, args) -> Tuple[Dict, int]:
     pm = principal_minors(A)
-    table = {",".join(str(i + 1) for i in subset): scalar_format(value)
+    labels = [str(i + 1) for i in range(A.n)]
+    table = {",".join(map(labels.__getitem__, subset)): scalar_format(value)
              for subset, value in pm.items_canonical()}
     return {
         "result": {"n": A.n, "field": A.field, "minors": table},
@@ -148,7 +155,8 @@ def _cmd_detpoly(A: SquareMatrix, args) -> Tuple[Dict, int]:
 
 def _cmd_adjugate(A: SquareMatrix, args) -> Tuple[Dict, int]:
     G = adjugate_table(A)
-    grid = [[_poly_doc(G.entry(i, j), args) for j in range(A.n)] for i in range(A.n)]
+    docs = _poly_docs([p for row in G.entries for p in row], args)
+    grid = [docs[i * A.n : (i + 1) * A.n] for i in range(A.n)]
     return {
         "result": {"n": A.n, "field": A.field},
         "polynomials": {"adjugate": grid},
@@ -230,7 +238,7 @@ def _cmd_structure(A: SquareMatrix, args) -> Tuple[Dict, int]:
             "product_matches": report.product_matches,
             "blocks_irreducible": list(report.blocks_irreducible),
         },
-        "polynomials": {"factors": [_poly_doc(f, args) for f in report.factors]},
+        "polynomials": {"factors": _poly_docs(report.factors, args)},
     }, 0 if report.all_ok else 4
 
 
@@ -242,7 +250,7 @@ def _cmd_fibershape(A: SquareMatrix, args) -> Tuple[Dict, int]:
             "blocks": [_subset_doc(b) for b in shape.blocks],
             "free_positions": [[p + 1, q + 1] for p, q in shape.free_positions],
         },
-        "polynomials": {"factors": [_poly_doc(f, args) for f in shape.factors]},
+        "polynomials": {"factors": _poly_docs(shape.factors, args)},
     }, 0
 
 
@@ -263,7 +271,7 @@ def _cmd_symfiber(A: SquareMatrix, args) -> Tuple[Dict, int]:
         result["blocks"] = [_subset_doc(b) for b in desc.shape.blocks]
         result["free_positions"] = [[p + 1, q + 1] for p, q in desc.shape.free_positions]
         doc["polynomials"] = {
-            "factors": [_poly_doc(f, args) for f in desc.shape.factors]
+            "factors": _poly_docs(desc.shape.factors, args)
         }
     return doc, 0
 
@@ -278,7 +286,7 @@ def _cmd_stablecert(A: SquareMatrix, args) -> Tuple[Dict, int]:
             "failing_block": None if cert.failing_block is None else _subset_doc(cert.failing_block),
         },
         "report": [_symmetrizability_doc(r) for r in cert.reports],
-        "polynomials": {"factors": [_poly_doc(f, args) for f in cert.factors]},
+        "polynomials": {"factors": _poly_docs(cert.factors, args)},
     }, 0
 
 

@@ -4,7 +4,8 @@ A polynomial in n variables is a dict mapping dense exponent tuples of
 length n to nonzero scalar coefficients, wrapped in :class:`MPoly`.  All
 coefficients are exact (int / Fraction / GaussianRational); there is no
 floating point.  The canonical text form sorts terms in descending graded
-lexicographic order and writes explicit ``*`` and ``^``.
+lexicographic order and writes explicit ``*`` and ``^``; ``poly_texts``
+writes a list of polynomials from one monomial table per call.
 
 Variables are indexed 0..n-1 internally and printed 1-based as x1..xn.
 Exponents are non-negative ints; the constructor rejects anything else.
@@ -567,37 +568,64 @@ def _monomial_text(exp: Exponent, names: Sequence[str]) -> str:
 
 
 def poly_text(p: MPoly, names: Optional[Sequence[str]] = None) -> str:
-    """Canonical form: terms in descending graded-lex order, explicit * and ^.
+    """Canonical form: terms in descending graded-lex order, explicit * and ^
+    (``poly_texts`` on one polynomial)."""
+    return poly_texts([p], names)[0]
+
+
+def poly_texts(polys: Sequence[MPoly], names: Optional[Sequence[str]] = None) -> List[str]:
+    """The canonical text of each polynomial, as ``poly_text`` gives it.
 
     Descending grlex is descending lex order, then a stable sort by
-    descending degree, so neither sort needs a per-term key function.
+    descending degree, so neither sort needs a per-term key function.  One
+    exponent -> monomial text table, local to the call and filled as
+    exponents are met, serves every polynomial, so a monomial shared by the
+    entries of an adjugate table is joined once; a squarefree one is the
+    names its exponent selects.  A polynomial whose coefficients are all
+    ``int`` is formatted in one comprehension.
     """
-    if p.is_zero():
-        return "0"
     if names is None:
-        names = [f"x{k + 1}" for k in range(p.n)]
-    terms = p.terms
-    order = sorted(terms, reverse=True)
-    order.sort(key=sum, reverse=True)
-    if p.n and max(map(max, terms)) > 1:
-        monos = [_monomial_text(exp, names) for exp in order]
-    else:
-        monos = ["*".join(compress(names, exp)) for exp in order]
-    pieces = []
-    for exp, mono in zip(order, monos):
-        coeff = terms[exp]
-        if type(coeff) is int:
-            sign, body = ("-", str(-coeff)) if coeff < 0 else ("+", str(coeff))
-        elif is_rational(coeff):
-            sign, body = ("-", scalar_format(-coeff)) if coeff < 0 else ("+", scalar_format(coeff))
+        names = [f"x{k + 1}" for k in range(max((p.n for p in polys), default=0))]
+    table: Dict[Exponent, str] = {}
+    texts = []
+    for p in polys:
+        terms = p.terms
+        if not terms:
+            texts.append("0")
+            continue
+        order = sorted(terms, reverse=True)
+        order.sort(key=sum, reverse=True)
+        new = [exp for exp in order if exp not in table] if table else order
+        if new:
+            if not p.n or max(map(max, new)) < 2:
+                made = ["*".join(compress(names, exp)) for exp in new]
+            else:
+                made = [_monomial_text(exp, names) for exp in new]
+            table.update(zip(new, made))
+        monos = made if new is order else [table[exp] for exp in order]
+        coeffs = [terms[exp] for exp in order]
+        if all(type(c) is int for c in coeffs):
+            pieces = [
+                (f"- {m}" if c == -1 else f"- {-c}*{m}") if c < 0 else (f"+ {m}" if c == 1 else f"+ {c}*{m}")
+                for c, m in zip(coeffs, monos)
+            ]
+            if not monos[-1]:  # the constant term, which sorts last
+                c = coeffs[-1]
+                pieces[-1] = f"- {-c}" if c < 0 else f"+ {c}"
         else:
-            sign, body = "+", f"({scalar_format(coeff)})"
-        if mono:
-            body = mono if body == "1" else f"{body}*{mono}"
-        pieces.append(f"{sign} {body}")
-    first = pieces[0]
-    pieces[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
-    return " ".join(pieces)
+            pieces = []
+            for coeff, mono in zip(coeffs, monos):
+                if is_rational(coeff):
+                    sign, body = ("-", scalar_format(-coeff)) if coeff < 0 else ("+", scalar_format(coeff))
+                else:
+                    sign, body = "+", f"({scalar_format(coeff)})"
+                if mono:
+                    body = mono if body == "1" else f"{body}*{mono}"
+                pieces.append(f"{sign} {body}")
+        first = pieces[0]
+        pieces[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
+        texts.append(" ".join(pieces))
+    return texts
 
 
 def poly_subset_map(p: MPoly) -> Dict[str, str]:

@@ -18,10 +18,11 @@ det(A[T+i, T+j]) and updates them by Sylvester's identity with exact
 Griffin and Tsatsomeros.  Single determinants, the principal minor vector
 (one per subset) and exact ranks read one fraction-free (Bareiss) row
 echelon kernel: ``det_fraction_free`` stops at the first column without a
-pivot, ``rank_exact`` counts the pivots.  The kernel clears each row's
-denominators first and then runs in Z on rational input and in Z[i], on
-pairs of int parts, on Q(i) input; the walk stays in integers on integer
-input.  Both are exact over every supported field.
+pivot, ``rank_exact`` counts the pivots.  The kernel and the walk both
+clear each row's denominators first and then run in Z on rational input
+and in Z[i], on pairs of int parts with the conjugate-and-norm quotient,
+on Q(i) input; the walk divides each minor it yields by the scales of its
+rows.  Both are exact over every supported field.
 
 The generalized Laplace expansion (``laplace_expand`` and the Laplace
 check of ``verify_identities``) reads its non-principal block minors
@@ -58,7 +59,6 @@ from .scalars import (
     GaussianRational,
     Scalar,
     conj,
-    div_exact,
     gaussian,
     is_rational,
     normalize_scalar,
@@ -175,14 +175,6 @@ def identity_matrix(n: int, field: str = FIELD_Q) -> SquareMatrix:
 # -- exact elimination ----------------------------------------------------------
 
 
-def _division(types: set):
-    """Division for the minor walk's fraction-free steps, whose quotients are
-    exact: floor division when every entry type is ``int``, else
-    ``div_exact``.  ``_echelon`` needs neither: it clears denominators and
-    runs in Z or Z[i]."""
-    return int.__floordiv__ if types <= {int} else div_exact
-
-
 def _echelon(rows: Sequence[Sequence[Scalar]]) -> Iterator[Scalar]:
     """Fraction-free (Bareiss) row echelon elimination, one value per column.
 
@@ -252,7 +244,8 @@ def _gaussian_echelon(rows: Sequence[Sequence[Scalar]], start: int) -> Iterator[
     itself when q is real.  A ``GaussianRational`` is built only for the
     values yielded.
     """
-    R, I, scale = _int_parts(rows)
+    R, I, scales = _int_parts(rows)
+    scale = prod(scales)
     nrows, ncols = len(rows), len(rows[0])
     rank, sign, qr, qi = 0, 1, 1, 0
     for col in range(start, ncols):
@@ -292,18 +285,26 @@ def _gaussian_echelon(rows: Sequence[Sequence[Scalar]], start: int) -> Iterator[
         yield gaussian(pr, pi)
 
 
-def _int_parts(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], List[List[int]], int]:
+def _int_parts(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], List[List[int]], List[int]]:
     """The real and imaginary parts of ``rows`` as ``int`` lists, each row
-    multiplied by the lcm of the denominators of its parts, and the product
-    of those row scales."""
+    multiplied by the lcm of the denominators of its parts, and those row
+    scales."""
     R = [[x.re if type(x) is GaussianRational else x for x in row] for row in rows]
     I = [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows]
     if Fraction not in set(map(type, chain(*R, *I))):
-        return R, I, 1
+        return R, I, [1] * len(rows)
     lcms = [lcm(*(x.denominator for x in Rr + Ir)) for Rr, Ir in zip(R, I)]
     R = [[x.numerator * (c // x.denominator) for x in Rr] for Rr, c in zip(R, lcms)]
     I = [[x.numerator * (c // x.denominator) for x in Ir] for Ir, c in zip(I, lcms)]
-    return R, I, prod(lcms)
+    return R, I, lcms
+
+
+def _cleared_rows(A: SquareMatrix) -> Tuple[List[List[int]], Optional[List[List[int]]], List[int]]:
+    """A's rows for the minor walk and the cofactor table: ``_int_parts``,
+    with the imaginary parts None when all are zero, so both run in Z, or
+    else in Z[i] on pairs of ints."""
+    R, I, scales = _int_parts(A.entries)
+    return R, I if any(map(any, I)) else None, scales
 
 
 def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -337,9 +338,10 @@ class PMVector:
         return self.values[frozenset(subset)]
 
     def items_canonical(self) -> List[Tuple[Tuple[int, ...], Scalar]]:
-        """(sorted subset, minor) pairs by subset size, then lexicographically."""
-        keyed = sorted([(len(s), tuple(sorted(s)), v) for s, v in self.values.items()])
-        return [(subset, v) for _, subset, v in keyed]
+        """(sorted subset, minor) pairs by subset size, then lexicographically:
+        the order in which ``combinations`` yields each size."""
+        values, n = self.values, self.n
+        return [(S, values[frozenset(S)]) for k in range(n + 1) for S in combinations(range(n), k)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PMVector):
@@ -373,8 +375,9 @@ def _minor_walk(
 
     Yields ``(mask, det A[T], R, M)`` per subset, ``mask`` having bit k set
     for k in T.  With ``full`` R holds every index outside T and
-    ``M[a][b] = det A[T+R[a], T+R[b]]`` (T's rows and columns first in
-    increasing order, row R[a] and column R[b] last); otherwise R holds the
+    ``M[a][b] = -det A[T+R[a], T+R[b]]`` (T's rows and columns first in
+    increasing order, row R[a] and column R[b] last; the sign is the
+    adjugate's, see ``adjugate_table``); otherwise R holds the
     indices above max(T), all that T's descendants need, and M is None.
     The caller must not modify ``M``.
 
@@ -385,66 +388,134 @@ def _minor_walk(
     and s the sign of listing T as I then U times that of J then V.  A
     child T+k appends k to U and V and pivots on that block while it has a
     nonzero entry: since W vanishes on U x V, at most two exact steps of
-    Sylvester's identity W'(x, y) = (W(u, v) W(x, y) - W(x, v) W(u, y)) / p.
-    So a node costs O(|R|^2) however many of its ancestors have a zero
-    determinant; while none has, U and V stay empty and the step is the
-    Schur-complement recursion of Griffin and Tsatsomeros with pivot (k, k).
+    Sylvester's identity W'(x, y) = (W(u, v) W(x, y) - W(x, v) W(u, y)) / p
+    (``_pivot``).  So a node costs O(|R|^2) however many of its ancestors
+    have a zero determinant; while none has, U and V stay empty and the
+    step is the Schur-complement recursion of Griffin and Tsatsomeros with
+    pivot (k, k).
+
+    The walk runs on A with each row's denominators cleared
+    (``_cleared_rows``), on ``int`` lists: in Z with W = (real parts, None)
+    and p an int, or in Z[i] with W = (real parts, imaginary parts) and p a
+    pair of ints.  A minor of the cleared rows is the minor of A times the
+    scales of its rows, so each yielded minor is divided by them, and a
+    scalar is built only for the values yielded.
     """
-    div = _division(set(map(type, chain.from_iterable(A.entries))))
-    # (mask, max(T), R, W, |U|, p, s)
-    stack = [(0, -1, list(range(A.n)), [list(r) for r in A.entries], 0, 1, 1)]
+    Wr, Wi, scales = _cleared_rows(A)
+    unit = all(c == 1 for c in scales)
+    # (mask, max(T), R, (W real, W imaginary or None), |U|, p, s, scale of T's rows)
+    stack = [(0, -1, list(range(A.n)), (Wr, Wi), 0, 1 if Wi is None else (1, 0), 1, 1)]
     while stack:
-        mask, last, R, W, m, p, s = stack.pop()
-        d = 0 if m else p if s == 1 else -p
-        yield mask, d, R, _bordered(W, m, p, s, div) if full else None
+        mask, last, R, W, m, p, s, scale = stack.pop()
+        Wr, Wi = W
+        if m:
+            d = 0
+        elif Wi is None:
+            d = s * p if scale == 1 else _scaled(s * p, 0, scale)
+        else:
+            d = _scaled(s * p[0], s * p[1], scale)
+        if full:
+            yield mask, d, R, _bordered(W, m, p, s, None if unit else [scale * scales[r] for r in R])
+        else:
+            yield mask, d, R, None
         for a, k in enumerate(R):
             if k <= last:
                 continue
             keep = [b for b in range(len(R)) if b != a] if full else range(a + 1, len(R))
-            child_R = [R[b] for b in keep]
-            if m == 0 and W[a][a]:
-                Wa, pkk = W[a], W[a][a]
-                child = [
-                    [div(pkk * Wb[c] - Wb[a] * Wa[c], p) for c in keep]
-                    for Wb in [W[b] for b in keep]
-                ]
-                stack.append((mask | 1 << k, k, child_R, child, 0, pkk, s))
+            child_R = R[:a] + R[a + 1 :] if full else R[a + 1 :]
+            pivot = Wr[a][a] if Wi is None else (Wr[a][a], Wi[a][a])
+            if m == 0 and pivot not in _ZEROS:
+                if Wi is None:  # ``_pivot`` in Z on (a, a), inlined: this step runs at every node
+                    Wa = Wr[a]
+                    child_W = [[(pivot * Wb[c] - Wb[a] * Wa[c]) // p for c in keep] for Wb in [Wr[b] for b in keep]], None
+                else:
+                    child_W = _pivot(W, a, a, 0 if full else a + 1, p)
+                stack.append((mask | 1 << k, k, child_R, child_W, 0, pivot, s, scale * scales[k]))
             else:
                 at = list(range(m)) + [m + a] + [m + b for b in keep]
-                child = [[W[x][y] for y in at] for x in at]
-                stack.append((mask | 1 << k, k, child_R) + _eliminate(child, m + 1, p, s, div))
+                W_at = tuple(None if P is None else [[P[x][y] for y in at] for x in at] for P in W)
+                stack.append((mask | 1 << k, k, child_R, *_eliminate(W_at, m + 1, p, s), scale * scales[k]))
 
 
-def _eliminate(W: List[List[Scalar]], m: int, p: Scalar, s: int, div):
+# The zero pivot: an int in Z, a pair of ints in Z[i].
+_ZEROS = (0, (0, 0))
+
+
+def _pivot(W, u: int, v: int, start: int, p):
+    """One exact Sylvester step on the walk's ``W = (real parts, imaginary
+    parts or None)``: (W(u, v) W(x, y) - W(x, v) W(u, y)) / p for rows x and
+    columns y from ``start`` on, x != u and y != v.  In Z the quotient is
+    floor division; in Z[i] it is the product with conj(p) floor-divided,
+    part by part, by |p|^2, or by p itself when p is real, as in
+    ``_gaussian_echelon``."""
+    Wr, Wi = W
+    n = len(Wr)
+    rows = range(start, n) if u < start else [x for x in range(start, n) if x != u]
+    cols = range(start, n) if v < start else [y for y in range(start, n) if y != v]
+    if Wi is None:
+        Wu, q = Wr[u], Wr[u][v]
+        return [[(q * Wx[y] - Wx[v] * Wu[y]) // p for y in cols] for Wx in [Wr[x] for x in rows]], None
+    pr, pi = p
+    qr, qi = Wr[u][v], Wi[u][v]
+    # (x q - l k) / p = (x Q - k L) / d with Q = q conj(p), L = l conj(p)
+    # and d = |p|^2, or Q = q, L = l and d = p when p is real.
+    Qr, Qi, d = (qr * pr + qi * pi, qi * pr - qr * pi, pr * pr + pi * pi) if pi else (qr, qi, pr)
+    Kr, Ki = Wr[u], Wi[u]
+    outr, outi = [], []
+    for x in rows:
+        Xr, Xi = Wr[x], Wi[x]
+        lr, li = Xr[v], Xi[v]
+        Lr, Li = (lr * pr + li * pi, li * pr - lr * pi) if pi else (lr, li)
+        outr.append([(Xr[y] * Qr - Xi[y] * Qi - Kr[y] * Lr + Ki[y] * Li) // d for y in cols])
+        outi.append([(Xr[y] * Qi + Xi[y] * Qr - Kr[y] * Li - Ki[y] * Lr) // d for y in cols])
+    return outr, outi
+
+
+def _eliminate(W, m: int, p, s: int):
     """Pivot on nonzero entries of W's leading m x m block while there are
     any, dropping each pivot's row and column: ``(W, m, p, s)`` after.  A
     pivot's row and column move from place u of U and v of V to the end of
     I and J, which multiplies s by (-1)^(u+v)."""
     while True:
-        found = next(((u, v) for u in range(m) for v in range(m) if W[u][v]), None)
+        Wr, Wi = W
+        found = next(((u, v) for u in range(m) for v in range(m) if Wr[u][v] or Wi and Wi[u][v]), None)
         if found is None:
             return W, m, p, s
         u, v = found
-        Wu, pivot = W[u], W[u][v]
-        W = [
-            [div(pivot * Wx[y] - Wx[v] * Wu[y], p) for y in range(len(Wx)) if y != v]
-            for x, Wx in enumerate(W)
-            if x != u
-        ]
+        pivot = Wr[u][v] if Wi is None else (Wr[u][v], Wi[u][v])
+        W = _pivot(W, u, v, 0, p)
         m, p, s = m - 1, pivot, s * (-1) ** (u + v)
 
 
-def _bordered(W: List[List[Scalar]], m: int, p: Scalar, s: int, div) -> List[List[Scalar]]:
-    """det A[T+i, T+j] for i, j in R: s W(i, j) with no deficiency; with one
-    row u and column v left (W(u, v) = 0) Sylvester's identity gives
-    -s W(u, j) W(i, v) / p; with more, A[T+i, T+j] is singular."""
-    if m == 0:
-        return W if s == 1 else [[-x for x in row] for row in W]
-    size = len(W) - m
+def _bordered(W, m: int, p, s: int, scales: Optional[List[int]]) -> List[List[Scalar]]:
+    """-det A[T+i, T+j] for i, j in R: -s W(i, j) with no deficiency; with
+    one row u and column v left (W(u, v) = 0) Sylvester's identity gives
+    det A[T+i, T+j] = -s W(u, j) W(i, v) / p, s times the ``_pivot`` step
+    on (u, v); with more, A[T+i, T+j] is singular.  Row i is divided by
+    ``scales[i]``, the scale of the cleared rows T+i, unless ``scales`` is
+    None (every row scale is 1)."""
+    Wr, Wi = W
+    size = len(Wr) - m
+    if m >= 2:
+        return [[0] * size for _ in range(size)]
     if m == 1:
-        Wu = W[0]
-        return [[div(-s * Wu[1 + j] * W[1 + i][0], p) for j in range(size)] for i in range(size)]
-    return [[0] * size for _ in range(size)]
+        Wr, Wi = _pivot(W, 0, 0, 1, p)
+    t = -s
+    if scales is None:
+        if Wi is None:
+            return Wr if t == 1 else [[-x for x in row] for row in Wr]
+        make = GaussianRational._make
+        return [[make(t * x, t * y) for x, y in zip(Xr, Xi)] for Xr, Xi in zip(Wr, Wi)]
+    if Wi is None:
+        Wi = [[0] * size] * size
+    return [[_scaled(t * x, t * y, c) for x, y in zip(Xr, Xi)] for Xr, Xi, c in zip(Wr, Wi, scales)]
+
+
+def _scaled(re: int, im: int, scale: int) -> Scalar:
+    """The scalar (re + im i) / scale."""
+    if scale != 1:
+        re, im = Fraction(re, scale), Fraction(im, scale) if im else 0
+    return GaussianRational._make(re, im)
 
 
 def _exponents(n: int) -> List[Tuple[int, ...]]:
@@ -488,7 +559,7 @@ def adjugate_table(A: SquareMatrix) -> AdjugateTable:
     det A[T] when i == j, and -det A[T+i, T+j] when i != j, for the bordered
     minor with T's rows and columns first: the cofactor sign of (i,j) in U
     and the signs of moving row i and column j from last place to their
-    places in U multiply to -1.
+    places in U multiply to -1.  The walk yields these coefficients as M.
     """
     n = A.n
     check_size("adjugate_table", n)
@@ -504,7 +575,7 @@ def adjugate_table(A: SquareMatrix) -> AdjugateTable:
                     if d:
                         row[i][exps[without_i]] = d
                 elif Ma[b]:
-                    row[j][exps[without_i ^ 1 << j]] = -Ma[b]
+                    row[j][exps[without_i ^ 1 << j]] = Ma[b]
     return AdjugateTable(n, tuple(tuple(MPoly._raw(n, t) for t in row) for row in terms))
 
 
@@ -583,15 +654,7 @@ def laplace_expand(A: SquareMatrix, S: Iterable[int]) -> Scalar:
         raise PreconditionError("row subset must be proper and nonempty")
     if srows[0] < 0 or srows[-1] >= n:
         raise ValueError("row subset outside matrix range")
-    return _laplace_sum(_cofactor_rows(A), tuple(srows), {})
-
-
-def _cofactor_rows(A: SquareMatrix) -> Tuple[List[List[int]], Optional[List[List[int]]], int]:
-    """A's rows for the cofactor table: ``_int_parts``, with the imaginary
-    parts None when all are zero, so the table runs in Z, or else in Z[i]
-    on pairs of ints."""
-    R, I, scale = _int_parts(A.entries)
-    return R, I if any(map(any, I)) else None, scale
+    return _laplace_sum(_cleared_rows(A), tuple(srows), {})
 
 
 def _laplace_sum(
@@ -600,7 +663,7 @@ def _laplace_sum(
     minors: Dict[int, dict],
 ) -> Scalar:
     """``laplace_expand`` on a sorted proper row subset S, from the rows
-    ``_cofactor_rows`` clears.  Every det A[R, C] comes from the cofactor
+    ``_cleared_rows`` clears.  Every det A[R, C] comes from the cofactor
     table ``minors`` (see ``_cofactor_layer``), so expansions sharing it
     compute each minor once: the upper blocks of S are the lower blocks of
     its complement.  The sign of the term for the columns T is
@@ -608,7 +671,8 @@ def _laplace_sum(
     T.  Each term is a product of minors of cleared rows, S's and the rest,
     so the sum is det(A) times the product of all row scales, divided out
     once at the end."""
-    R, I, scale = rows
+    R, I, scales = rows
+    scale = prod(scales)
     n = len(R)
     full = (1 << n) - 1
     odd = sum(1 << k for k in range(1, n, 2))
@@ -641,7 +705,7 @@ def _cofactor_layer(
 ) -> dict:
     """det A'[R, C] for the sorted row list R = ``rowlist`` and every column
     set C of its size, as {column mask: minor}, A' being A with each row's
-    denominators cleared (``_cofactor_rows``): an ``int``, or a pair of ints
+    denominators cleared (``_cleared_rows``): an ``int``, or a pair of ints
     (real, imaginary) over Z[i].  A zero minor may be absent.
 
     ``minors`` is the cofactor table: row mask -> such a layer.  The layers
@@ -794,7 +858,7 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
         else:
             small = [S for k in (1, 2) for S in combinations(range(n), k)]
             subsets = small + [tuple(x for x in range(n) if x not in S) for S in small]
-        rows, minors = _cofactor_rows(A), {}
+        rows, minors = _cleared_rows(A), {}
         laplace: Dict[Tuple[int, ...], bool] = {}
         for S in subsets:
             comp = tuple(x for x in range(n) if x not in S)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: JSON documents, exit codes, stability."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -582,3 +583,68 @@ def test_witness_without_cut_takes_the_first_cut_that_leaves_the_class(capsys, t
     assert classified["witness"] == doc["witness"]
     code, doc, _ = run_cli(capsys, "witness", "--cut", "1,2", f)
     assert code == 4 and "diagonally equivalent" in doc["error"]
+
+
+# -- golden bytes of the polynomial commands ------------------------------------------
+
+
+def _golden_inputs():
+    """(field, rows) by name: dense int, Fraction, Q(i) with Fraction parts,
+    Q(i) with a zero diagonal (the walk's deficiency path) and n = 1."""
+    q = Fraction
+    return {
+        "int-6": ("Q", [[(-1) ** (i + j) * ((i * 5 + j * 3 + i * j) % 6 + 1) for j in range(6)] for i in range(6)]),
+        "fraction-5": ("Q", [[q((i * 3 + j * 2) % 7 - 3, (i + 2 * j) % 4 + 1) for j in range(5)] for i in range(5)]),
+        "gaussian-fraction-5": ("Q(i)", [
+            [gaussian(q((i + 2 * j) % 5 - 2, j % 3 + 1), q((3 * i + j) % 5 - 2, i % 2 + 1)) for j in range(5)]
+            for i in range(5)
+        ]),
+        "gaussian-zero-diagonal-4": ("Q(i)", [
+            [0 if i == j else gaussian(q((i + j) % 3 + 1, i + 1), q(j - i, 2)) for j in range(4)]
+            for i in range(4)
+        ]),
+        "n-1": ("Q(i)", [[gaussian(q(-3, 2), q(1, 3))]]),
+    }
+
+
+# SHA-256 of stdout; the walk and the text formatter must keep every byte.
+GOLDEN_DIGESTS = {
+    ('fraction-5', 'minors'): "4b089f8daf56f2838707c7775a3810ea75535899cdb988914b54baef73f8075c",
+    ('fraction-5', 'detpoly'): "1d3c2d7c2f6040f567a4478a3952274e57b11c90c7d5b62e168f535297050d24",
+    ('fraction-5', 'adjugate'): "1cb24d4448bc43d3df42d9b8edd4b71bd4f95733178583f997f7d590531d508b",
+    ('fraction-5', 'detpoly --json-poly'): "794924c924a202b8320faf501505067aa1b7b8aaa0c9693cb55418eb92e8439c",
+    ('fraction-5', 'adjugate --json-poly'): "04203b1fc89bacc1833e11d3fbbf522559fc7e12811f2f79c3fbf82c0020cf86",
+    ('gaussian-fraction-5', 'minors'): "fe739e165f0b390cc669fba4fa70db697750d30753ab0db26964bd2494cddd94",
+    ('gaussian-fraction-5', 'detpoly'): "700d6ecc82a0ee81fe1087862760e7d6b8a470e7bb8399c8ad9967b3f3437a9d",
+    ('gaussian-fraction-5', 'adjugate'): "f42d73855dab99454212e408347e3009942e8ff8a0780c77b2c605b6a192cdf6",
+    ('gaussian-fraction-5', 'detpoly --json-poly'): "b40ee10cb2f2087eaed723596b89ea7039b8e9f4b64df18439b50c2cf319a816",
+    ('gaussian-fraction-5', 'adjugate --json-poly'): "0f835da4d0b36d269be8385360c7139342a385da3eadeeb06e9bda4cb5b0ed72",
+    ('gaussian-zero-diagonal-4', 'minors'): "094a43c395e4c540a0a4e48931b9371f0ce12ef87707b7359c2ea9b0122040bc",
+    ('gaussian-zero-diagonal-4', 'detpoly'): "9ed2094450f754708c8a6c35723301d87e48f06c4cb7253491255d9e1dcdd6c0",
+    ('gaussian-zero-diagonal-4', 'adjugate'): "ed993c466a6274749071b67a30bf97ae27b1f1bd5878554e2287c62ccd31cee5",
+    ('gaussian-zero-diagonal-4', 'detpoly --json-poly'): "0e154b01bffd2e15f68e100b0c94cbffdcc59cd1cba50662050f795830babbb9",
+    ('gaussian-zero-diagonal-4', 'adjugate --json-poly'): "a2fe739c4268e63fb86ceadb809747091a80b6cc612d2ce9c5017977b0af1ccb",
+    ('int-6', 'minors'): "00293b55e13e234153466f8fd8219a24529d7c5de8c9220f50d5d5ec38bfb8c7",
+    ('int-6', 'detpoly'): "5339fa026e52b95e7a30ca6ef6476b1ae019348f8708f549f2ad47242e6c1eb2",
+    ('int-6', 'adjugate'): "a119cbce329b6d51563a4dc482f48921837311457f33d7ac309e42817616cb1a",
+    ('int-6', 'detpoly --json-poly'): "457afbef95113d0fa8c082ecc7146910ad71b889d57f854132e88a41db48f8a6",
+    ('int-6', 'adjugate --json-poly'): "25d882c4b783321fdffc6ecbf047dffe480a01f08105e89730310444b38204b5",
+    ('n-1', 'minors'): "1f5a7dbd1b71d97bd3dce0ae0d0d167b4127332a7fed120266bb6cdb21e45d30",
+    ('n-1', 'detpoly'): "1c5c10b7b89d65a323604ce8e631f0bfcafa425f6436762cb23446472f38f73a",
+    ('n-1', 'adjugate'): "cbf5bfd20df4d9a39a745fd502e7a95d40c561bf68a93aef0970fa43f1801537",
+    ('n-1', 'detpoly --json-poly'): "29b62ac37cfe9eddc4994c6ae67666adeb08ce983513cc679a2c3114ba3246d0",
+    ('n-1', 'adjugate --json-poly'): "d96631ed80c9a3d4e82c481263606916cbe49cc0849a947e7c6b8adc8bb9b021",
+}
+
+GOLDEN_CALLS = [["minors"], ["detpoly"], ["adjugate"], ["detpoly", "--json-poly"], ["adjugate", "--json-poly"]]
+
+
+@pytest.mark.parametrize("name", sorted(_golden_inputs()))
+def test_polynomial_commands_keep_their_bytes(capsys, tmp_path, name):
+    field, rows = _golden_inputs()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"n": len(rows), "field": field, "entries": [[scalar_format(x) for x in r] for r in rows]}))
+    for argv in GOLDEN_CALLS:
+        code, _, out = run_cli(capsys, *argv, str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name, " ".join(argv)], argv

@@ -7,7 +7,8 @@ unfiltered: small integer entries make many principal minors vanish, which
 sends the walk down its zero-pivot path, and Fraction and Q(i) entries leave
 the integer fast path.  A matrix draws its entries from one of int,
 Fraction, Gaussian integers, Q(i) with Fraction parts, or a mix of all four
-within each row.  Fixed cases pin down the degenerate patterns.
+within each row.  Fixed cases pin down the degenerate patterns, each also
+over Q(i) with Fraction parts, where the walk runs in Z[i].
 ``rank_exact`` and ``det_fraction_free``, two readers of one fraction-free
 row echelon kernel, face ``oracles.rank_gauss`` and ``oracles.det_perm`` on
 rectangular blocks and their leading square blocks: dense, rank-one and with
@@ -202,6 +203,17 @@ ZERO_PIVOT_CASES = {
 }
 
 
+def _gaussian_rows(rows):
+    """Row r times 1/(r + 2) + i/3: Q(i) entries with Fraction parts, a
+    different denominator in each row, and every minor zero exactly where
+    it is zero for ``rows``."""
+    return [[x * gaussian(Fraction(1, r + 2), Fraction(1, 3)) for x in row] for r, row in enumerate(rows)]
+
+
+GAUSSIAN_ZERO_PIVOT_CASES = {f"{name}-qi": _gaussian_rows(rows) for name, rows in ZERO_PIVOT_CASES.items()}
+ZERO_PIVOT_CASES.update(GAUSSIAN_ZERO_PIVOT_CASES)
+
+
 @pytest.mark.parametrize("name", sorted(ZERO_PIVOT_CASES))
 def test_zero_pivot_cases_match_oracle(name):
     rows = ZERO_PIVOT_CASES[name]
@@ -225,6 +237,30 @@ def test_zero_pivots_cost_the_walk_no_determinant(name, monkeypatch):
     monkeypatch.setattr(symdet, "det_fraction_free", refuse)
     det_poly(A)
     adjugate_table(A)
+
+
+def test_gaussian_walk_takes_every_deficiency_path(monkeypatch):
+    """On Q(i) input the walk runs in Z[i] (W carries imaginary parts) down
+    each zero-pivot path: an elimination entered with deficiency 2, and the
+    bordered minors with one row left unpivoted and with more."""
+    reached = set()
+    eliminate, bordered = symdet._eliminate, symdet._bordered
+
+    def count_eliminate(W, m, p, s):
+        if W[1] is not None:
+            reached.add(("eliminate", m))
+        return eliminate(W, m, p, s)
+
+    def count_bordered(W, m, p, s, scales):
+        if W[1] is not None:
+            reached.add(("bordered", min(m, 2)))
+        return bordered(W, m, p, s, scales)
+
+    monkeypatch.setattr(symdet, "_eliminate", count_eliminate)
+    monkeypatch.setattr(symdet, "_bordered", count_bordered)
+    for rows in GAUSSIAN_ZERO_PIVOT_CASES.values():
+        adjugate_table(matrix(rows))
+    assert {("eliminate", 2), ("bordered", 1), ("bordered", 2)} <= reached
 
 
 def test_singular_leading_block_has_a_zero_pivot():

@@ -16,6 +16,7 @@ from pmfiber import (
     gaussian,
     poly_subset_map,
     poly_text,
+    poly_texts,
     rayleigh_difference,
 )
 import pmfiber.mpoly as mpoly
@@ -159,21 +160,33 @@ COEFFS = st.one_of(
 
 
 @st.composite
-def polys_and_names(draw):
-    """Polynomials in 0..4 variables, multiaffine or with exponents up to 3,
-    with int, Fraction or Q(i) coefficients, and default or custom names."""
-    n = draw(st.integers(0, 4))
-    top = draw(st.sampled_from([1, 3]))
-    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, top)] * n), COEFFS, max_size=12))
+def poly_lists_and_names(draw):
+    """Lists of 1..6 polynomials in one n = 0..8 variables, default or custom
+    names.  Each polynomial is multiaffine or has exponents up to 3, and its
+    coefficients are drawn from COEFFS, from the ints -4..4 or from +-1; its
+    exponents come from a pool shared by the list, which holds the constant
+    term, or are drawn afresh.  Empty draws give the zero polynomial."""
+    n = draw(st.integers(0, 8))
+    exponents = {top: st.tuples(*[st.integers(0, top)] * n) for top in (1, 3)}
+    pool = draw(st.lists(exponents[3] | exponents[1], max_size=10)) + [(0,) * n]
+    polys = []
+    for _ in range(draw(st.integers(1, 6))):
+        top = draw(st.sampled_from([1, 3]))
+        coeff = draw(st.sampled_from([COEFFS, st.integers(-4, 4), st.sampled_from([1, -1])]))
+        terms = draw(st.dictionaries(st.sampled_from(pool) | exponents[top], coeff, max_size=12))
+        polys.append(MPoly(n, terms))
     names = draw(st.none() | st.lists(st.sampled_from(["a", "b", "zz"]), min_size=n, max_size=n))
-    return MPoly(n, terms), names
+    return polys, names
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(polys_and_names())
+@given(poly_lists_and_names())
 def test_poly_text_matches_reference(drawn):
-    p, names = drawn
-    assert poly_text(p, names) == oracles.poly_text_reference(p.terms, p.n, names)
+    # One poly_texts call shares its monomial table across the list.
+    polys, names = drawn
+    expected = [oracles.poly_text_reference(p.terms, p.n, names) for p in polys]
+    assert poly_texts(polys, names) == expected
+    assert [poly_text(p, names) for p in polys] == expected
 
 
 def test_poly_subset_map_golden():
