@@ -97,12 +97,6 @@ def _poly_doc(p: MPoly, args):
     return poly_subset_map(p) if getattr(args, "json_poly", False) else poly_text(p)
 
 
-def _poly_docs(polys: Sequence[MPoly], args) -> List:
-    if getattr(args, "json_poly", False):
-        return [poly_subset_map(p) for p in polys]
-    return poly_texts(polys)
-
-
 def _certificate_doc(cert: Optional[DiagonalCertificate]) -> Optional[Dict]:
     if cert is None:
         return None
@@ -137,8 +131,7 @@ def _parse_cut(text: str, n: int) -> Tuple[int, ...]:
 
 def _cmd_minors(A: SquareMatrix, args) -> Tuple[Dict, int]:
     pm = principal_minors(A)
-    labels = [str(i + 1) for i in range(A.n)]
-    table = {",".join(map(labels.__getitem__, subset)): scalar_format(value)
+    table = {",".join(str(i + 1) for i in subset): scalar_format(value)
              for subset, value in pm.items_canonical()}
     return {
         "result": {"n": A.n, "field": A.field, "minors": table},
@@ -155,8 +148,11 @@ def _cmd_detpoly(A: SquareMatrix, args) -> Tuple[Dict, int]:
 
 def _cmd_adjugate(A: SquareMatrix, args) -> Tuple[Dict, int]:
     G = adjugate_table(A)
-    docs = _poly_docs([p for row in G.entries for p in row], args)
-    grid = [docs[i * A.n : (i + 1) * A.n] for i in range(A.n)]
+    if getattr(args, "json_poly", False):
+        grid = [[poly_subset_map(p) for p in row] for row in G.entries]
+    else:  # one poly_texts call, so the grid shares one monomial table
+        texts = poly_texts([p for row in G.entries for p in row])
+        grid = [texts[i * A.n : (i + 1) * A.n] for i in range(A.n)]
     return {
         "result": {"n": A.n, "field": A.field},
         "polynomials": {"adjugate": grid},
@@ -238,7 +234,7 @@ def _cmd_structure(A: SquareMatrix, args) -> Tuple[Dict, int]:
             "product_matches": report.product_matches,
             "blocks_irreducible": list(report.blocks_irreducible),
         },
-        "polynomials": {"factors": _poly_docs(report.factors, args)},
+        "polynomials": {"factors": [_poly_doc(f, args) for f in report.factors]},
     }, 0 if report.all_ok else 4
 
 
@@ -250,7 +246,7 @@ def _cmd_fibershape(A: SquareMatrix, args) -> Tuple[Dict, int]:
             "blocks": [_subset_doc(b) for b in shape.blocks],
             "free_positions": [[p + 1, q + 1] for p, q in shape.free_positions],
         },
-        "polynomials": {"factors": _poly_docs(shape.factors, args)},
+        "polynomials": {"factors": [_poly_doc(f, args) for f in shape.factors]},
     }, 0
 
 
@@ -271,7 +267,7 @@ def _cmd_symfiber(A: SquareMatrix, args) -> Tuple[Dict, int]:
         result["blocks"] = [_subset_doc(b) for b in desc.shape.blocks]
         result["free_positions"] = [[p + 1, q + 1] for p, q in desc.shape.free_positions]
         doc["polynomials"] = {
-            "factors": _poly_docs(desc.shape.factors, args)
+            "factors": [_poly_doc(f, args) for f in desc.shape.factors]
         }
     return doc, 0
 
@@ -286,7 +282,7 @@ def _cmd_stablecert(A: SquareMatrix, args) -> Tuple[Dict, int]:
             "failing_block": None if cert.failing_block is None else _subset_doc(cert.failing_block),
         },
         "report": [_symmetrizability_doc(r) for r in cert.reports],
-        "polynomials": {"factors": _poly_docs(cert.factors, args)},
+        "polynomials": {"factors": [_poly_doc(f, args) for f in cert.factors]},
     }, 0
 
 

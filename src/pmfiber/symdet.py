@@ -285,26 +285,24 @@ def _gaussian_echelon(rows: Sequence[Sequence[Scalar]], start: int) -> Iterator[
         yield gaussian(pr, pi)
 
 
-def _int_parts(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+def _int_parts(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], Optional[List[List[int]]], List[int]]:
     """The real and imaginary parts of ``rows`` as ``int`` lists, each row
     multiplied by the lcm of the denominators of its parts, and those row
-    scales."""
-    R = [[x.re if type(x) is GaussianRational else x for x in row] for row in rows]
-    I = [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows]
-    if Fraction not in set(map(type, chain(*R, *I))):
-        return R, I, [1] * len(rows)
-    lcms = [lcm(*(x.denominator for x in Rr + Ir)) for Rr, Ir in zip(R, I)]
-    R = [[x.numerator * (c // x.denominator) for x in Rr] for Rr, c in zip(R, lcms)]
-    I = [[x.numerator * (c // x.denominator) for x in Ir] for Ir, c in zip(I, lcms)]
-    return R, I, lcms
-
-
-def _cleared_rows(A: SquareMatrix) -> Tuple[List[List[int]], Optional[List[List[int]]], List[int]]:
-    """A's rows for the minor walk and the cofactor table: ``_int_parts``,
-    with the imaginary parts None when all are zero, so both run in Z, or
-    else in Z[i] on pairs of ints."""
-    R, I, scales = _int_parts(A.entries)
-    return R, I if any(map(any, I)) else None, scales
+    scales.  The imaginary parts are None when no entry is a
+    ``GaussianRational``, so the callers run in Z, or else in Z[i] on pairs
+    of ints."""
+    if GaussianRational in set(map(type, chain.from_iterable(rows))):
+        parts = [
+            [[x.re if type(x) is GaussianRational else x for x in row] for row in rows],
+            [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows],
+        ]
+    else:
+        parts = [[list(row) for row in rows]]
+    scales = [1] * len(rows)
+    if Fraction in set(map(type, chain.from_iterable(chain.from_iterable(parts)))):
+        scales = [lcm(*(x.denominator for P in parts for x in P[r])) for r in range(len(rows))]
+        parts = [[[x.numerator * (c // x.denominator) for x in row] for row, c in zip(P, scales)] for P in parts]
+    return parts[0], parts[1] if len(parts) == 2 else None, scales
 
 
 def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -395,14 +393,15 @@ def _minor_walk(
     pivot (k, k).
 
     The walk runs on A with each row's denominators cleared
-    (``_cleared_rows``), on ``int`` lists: in Z with W = (real parts, None)
+    (``_int_parts``), on ``int`` lists: in Z with W = (real parts, None)
     and p an int, or in Z[i] with W = (real parts, imaginary parts) and p a
     pair of ints.  A minor of the cleared rows is the minor of A times the
     scales of its rows, so each yielded minor is divided by them, and a
     scalar is built only for the values yielded.
     """
-    Wr, Wi, scales = _cleared_rows(A)
-    unit = all(c == 1 for c in scales)
+    Wr, Wi, scales = _int_parts(A.entries)
+    if all(c == 1 for c in scales):
+        scales = None  # nothing to divide: every node's scale stays 1
     # (mask, max(T), R, (W real, W imaginary or None), |U|, p, s, scale of T's rows)
     stack = [(0, -1, list(range(A.n)), (Wr, Wi), 0, 1 if Wi is None else (1, 0), 1, 1)]
     while stack:
@@ -415,43 +414,37 @@ def _minor_walk(
         else:
             d = _scaled(s * p[0], s * p[1], scale)
         if full:
-            yield mask, d, R, _bordered(W, m, p, s, None if unit else [scale * scales[r] for r in R])
+            yield mask, d, R, _bordered(W, m, p, s, scales and [scale * scales[r] for r in R])
         else:
             yield mask, d, R, None
         for a, k in enumerate(R):
             if k <= last:
                 continue
-            keep = [b for b in range(len(R)) if b != a] if full else range(a + 1, len(R))
             child_R = R[:a] + R[a + 1 :] if full else R[a + 1 :]
+            keep = [b for b in range(len(R)) if b != a] if full else range(a + 1, len(R))
+            child_scale = scale * scales[k] if scales else 1
             pivot = Wr[a][a] if Wi is None else (Wr[a][a], Wi[a][a])
             if m == 0 and pivot not in _ZEROS:
-                if Wi is None:  # ``_pivot`` in Z on (a, a), inlined: this step runs at every node
-                    Wa = Wr[a]
-                    child_W = [[(pivot * Wb[c] - Wb[a] * Wa[c]) // p for c in keep] for Wb in [Wr[b] for b in keep]], None
-                else:
-                    child_W = _pivot(W, a, a, 0 if full else a + 1, p)
-                stack.append((mask | 1 << k, k, child_R, child_W, 0, pivot, s, scale * scales[k]))
+                child_W = _pivot(W, a, a, keep, keep, p)
+                stack.append((mask | 1 << k, k, child_R, child_W, 0, pivot, s, child_scale))
             else:
                 at = list(range(m)) + [m + a] + [m + b for b in keep]
                 W_at = tuple(None if P is None else [[P[x][y] for y in at] for x in at] for P in W)
-                stack.append((mask | 1 << k, k, child_R, *_eliminate(W_at, m + 1, p, s), scale * scales[k]))
+                stack.append((mask | 1 << k, k, child_R, *_eliminate(W_at, m + 1, p, s), child_scale))
 
 
 # The zero pivot: an int in Z, a pair of ints in Z[i].
 _ZEROS = (0, (0, 0))
 
 
-def _pivot(W, u: int, v: int, start: int, p):
+def _pivot(W, u: int, v: int, rows: Sequence[int], cols: Sequence[int], p):
     """One exact Sylvester step on the walk's ``W = (real parts, imaginary
-    parts or None)``: (W(u, v) W(x, y) - W(x, v) W(u, y)) / p for rows x and
-    columns y from ``start`` on, x != u and y != v.  In Z the quotient is
+    parts or None)``: (W(u, v) W(x, y) - W(x, v) W(u, y)) / p for x in
+    ``rows`` and y in ``cols``, which hold neither u nor v.  In Z the quotient is
     floor division; in Z[i] it is the product with conj(p) floor-divided,
     part by part, by |p|^2, or by p itself when p is real, as in
     ``_gaussian_echelon``."""
     Wr, Wi = W
-    n = len(Wr)
-    rows = range(start, n) if u < start else [x for x in range(start, n) if x != u]
-    cols = range(start, n) if v < start else [y for y in range(start, n) if y != v]
     if Wi is None:
         Wu, q = Wr[u], Wr[u][v]
         return [[(q * Wx[y] - Wx[v] * Wu[y]) // p for y in cols] for Wx in [Wr[x] for x in rows]], None
@@ -483,7 +476,8 @@ def _eliminate(W, m: int, p, s: int):
             return W, m, p, s
         u, v = found
         pivot = Wr[u][v] if Wi is None else (Wr[u][v], Wi[u][v])
-        W = _pivot(W, u, v, 0, p)
+        rest = range(len(Wr))
+        W = _pivot(W, u, v, [x for x in rest if x != u], [y for y in rest if y != v], p)
         m, p, s = m - 1, pivot, s * (-1) ** (u + v)
 
 
@@ -499,7 +493,8 @@ def _bordered(W, m: int, p, s: int, scales: Optional[List[int]]) -> List[List[Sc
     if m >= 2:
         return [[0] * size for _ in range(size)]
     if m == 1:
-        Wr, Wi = _pivot(W, 0, 0, 1, p)
+        rest = range(1, len(Wr))
+        Wr, Wi = _pivot(W, 0, 0, rest, rest, p)
     t = -s
     if scales is None:
         if Wi is None:
@@ -654,7 +649,7 @@ def laplace_expand(A: SquareMatrix, S: Iterable[int]) -> Scalar:
         raise PreconditionError("row subset must be proper and nonempty")
     if srows[0] < 0 or srows[-1] >= n:
         raise ValueError("row subset outside matrix range")
-    return _laplace_sum(_cleared_rows(A), tuple(srows), {})
+    return _laplace_sum(_int_parts(A.entries), tuple(srows), {})
 
 
 def _laplace_sum(
@@ -663,7 +658,7 @@ def _laplace_sum(
     minors: Dict[int, dict],
 ) -> Scalar:
     """``laplace_expand`` on a sorted proper row subset S, from the rows
-    ``_cleared_rows`` clears.  Every det A[R, C] comes from the cofactor
+    ``_int_parts`` clears.  Every det A[R, C] comes from the cofactor
     table ``minors`` (see ``_cofactor_layer``), so expansions sharing it
     compute each minor once: the upper blocks of S are the lower blocks of
     its complement.  The sign of the term for the columns T is
@@ -705,7 +700,7 @@ def _cofactor_layer(
 ) -> dict:
     """det A'[R, C] for the sorted row list R = ``rowlist`` and every column
     set C of its size, as {column mask: minor}, A' being A with each row's
-    denominators cleared (``_cleared_rows``): an ``int``, or a pair of ints
+    denominators cleared (``_int_parts``): an ``int``, or a pair of ints
     (real, imaginary) over Z[i].  A zero minor may be absent.
 
     ``minors`` is the cofactor table: row mask -> such a layer.  The layers
@@ -858,7 +853,7 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
         else:
             small = [S for k in (1, 2) for S in combinations(range(n), k)]
             subsets = small + [tuple(x for x in range(n) if x not in S) for S in small]
-        rows, minors = _cleared_rows(A), {}
+        rows, minors = _int_parts(A.entries), {}
         laplace: Dict[Tuple[int, ...], bool] = {}
         for S in subsets:
             comp = tuple(x for x in range(n) if x not in S)
