@@ -13,15 +13,16 @@ cut's swap is diagonally equivalent to A it has neither and raises, though
 such a fiber is often a single class (see classify_fiber).  Each witness is
 proved by its form, entry by entry (the swap form across the cut, or the
 block form of a reducible matrix), and by having no diagonal equivalence to
-A; no pencil is expanded, so the only exponential step left in the
-classifier is find_cuts, and in the symmetric and stable descriptions
-block_det_poly, capped by block size.
-find_cuts runs no elimination: one reader, _rank_one_factors, tests a cross
-block for rank at most one by the 2x2 minors through its first nonzero
-entry, and the same reader hands the swap its factors.  rank_one_split is
-the same cut seen in the adjugate table, split the same way: its factors
-are coefficient slices of one row and one column of each cross block, with
-no evaluation point and no polynomial division; no witness needs it.
+A; no pencil is expanded.  find_cuts is a depth-first search that drops a
+split once a cross block reaches rank 2; block_det_poly, in the symmetric
+and stable descriptions, is capped by block size.  One test, _through_pivot,
+reads rank at most one off the 2x2 minors through a pivot, with no
+elimination: on each search step's new entries, and in _rank_one_factors on
+a whole block through its first nonzero entry, which hands the swap its
+factors.  rank_one_split is the same cut seen in the adjugate table, split
+the same way: its factors are coefficient slices of one row and one column
+of each cross block, with no evaluation point and no polynomial division;
+no witness needs it.
 """
 
 from __future__ import annotations
@@ -93,25 +94,31 @@ def _split_indices(n: int, X: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int
     return Xs, tuple(j for j in range(n) if j not in inside)
 
 
+def _through_pivot(E: Sequence[Sequence[Scalar]], pivot: Tuple[int, int], rows, cols) -> bool:
+    """True when every 2x2 minor of E[rows, cols] through the nonzero entry
+    pivot = (i0, j0) vanishes, E_ij E_i0j0 = E_ij0 E_i0j: for a block that
+    holds the pivot, rank at most one.  It stops at the first failing entry."""
+    i0, j0 = pivot
+    e, top = E[i0][j0], E[i0]
+    return all(E[i][j] * e == E[i][j0] * top[j] for i in rows for j in cols)
+
+
 def _rank_one_factors(
     E: Sequence[Sequence[Scalar]], rows: Sequence[int], cols: Sequence[int]
 ) -> Optional[Tuple[Dict[int, Scalar], Dict[int, Scalar]]]:
     """The block E[rows, cols] as p q^T, or None when its rank is 2 or more.
 
-    Through the first nonzero entry (i0, j0) in row-major order, the block
-    has rank at most one exactly when E_ij E_i0j0 = E_ij0 E_i0j for every
-    i, j; then p is column j0 and q is row i0 divided by E_i0j0.  A zero
-    block gives empty p and q.  No elimination runs, and a block of rank 2
-    or more is refused at its first failing entry.
+    The block is tested through its first nonzero entry (i0, j0) in
+    row-major order; p is column j0 and q is row i0 divided by E_i0j0.  A
+    zero block gives empty p and q.  No elimination runs.
     """
     pivot = next(((i, j) for i in rows for j in cols if E[i][j]), None)
     if pivot is None:
         return {}, {}
-    i0, j0 = pivot
-    e, top = E[i0][j0], E[i0]
-    if any(E[i][j] * e != E[i][j0] * top[j] for i in rows for j in cols):
+    if not _through_pivot(E, pivot, rows, cols):
         return None
-    return {i: E[i][j0] for i in rows}, {j: div_exact(top[j], e) for j in cols}
+    i0, j0 = pivot
+    return {i: E[i][j0] for i in rows}, {j: div_exact(E[i0][j], E[i0][j0]) for j in cols}
 
 
 def is_cut(A: SquareMatrix, X: Sequence[int]) -> bool:
@@ -120,23 +127,48 @@ def is_cut(A: SquareMatrix, X: Sequence[int]) -> bool:
     return _rank_one_factors(E, Xs, Xc) is not None and _rank_one_factors(E, Xc, Xs) is not None
 
 
+def _grown_pivots(blocks, pivots, rows, cols) -> Optional[List[Optional[Tuple[int, int]]]]:
+    """The pivots of both cross blocks once F[rows, cols], one new row or
+    column, joins each; None when a block reaches rank 2.  A block with no
+    pivot is zero so far and takes its first nonzero new entry, if any."""
+    grown = []
+    for F, pivot in zip(blocks, pivots):
+        if pivot is None:
+            pivot = next(((i, j) for i in rows for j in cols if F[i][j]), None)
+        elif not _through_pivot(F, pivot, rows, cols):
+            return None
+        grown.append(pivot)
+    return grown
+
+
 def find_cuts(A: SquareMatrix) -> List[CutCertificate]:
     """All cuts of A, each partition reported once by the side containing
-    index 0 (the lexicographically smaller representative), sorted."""
+    index 0 (the lexicographically smaller representative), sorted.
+
+    A depth-first search puts each index 1..n-1 into X or its complement,
+    each step adding one row or column to both cross blocks, A[X, X^c] and
+    A[X^c, X] (read as rows X of A^T).  A branch is pruned as soon as a new
+    entry gives a nonzero 2x2 minor through its block's pivot.  A generic
+    full-support matrix takes O(n^2) tests; the search is exponential only
+    where many splits of some 0..k keep both blocks at rank at most one, as
+    when A has many cuts, and then costs O(n) per node.
+    """
     n = A.n
     check_size("find_cuts", n)
-    E = A.entries
+    blocks = (A.entries, A.transpose().entries)
     cuts: List[CutCertificate] = []
-    for mask in range(1, 1 << n, 2):  # representatives contain index 0
-        size = mask.bit_count()
-        if not 2 <= size <= n - 2:
-            continue
-        X = tuple(k for k in range(n) if mask >> k & 1)
-        Xc = tuple(k for k in range(n) if not mask >> k & 1)
-        upper = _rank_one_factors(E, X, Xc)
-        lower = None if upper is None else _rank_one_factors(E, Xc, X)
-        if lower is not None:
-            cuts.append(CutCertificate(X, 1 if upper[0] else 0, 1 if lower[0] else 0))
+
+    def search(k: int, X: Tuple[int, ...], out: Tuple[int, ...], pivots) -> None:
+        if k == n:
+            cuts.append(CutCertificate(X, *(int(p is not None) for p in pivots)))
+            return
+        if len(X) < n - 2 and (grown := _grown_pivots(blocks, pivots, (k,), out)):
+            search(k + 1, X + (k,), out, grown)
+        if len(out) < n - 2 and (grown := _grown_pivots(blocks, pivots, X, (k,))):
+            search(k + 1, X, out + (k,), grown)
+
+    if n >= 4:
+        search(1, (0,), (), (None, None))
     cuts.sort(key=lambda c: c.X)
     return cuts
 

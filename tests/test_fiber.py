@@ -40,7 +40,7 @@ from pmfiber.scalars import gaussian
 from pmfiber.structure import FrobeniusForm, is_irreducible
 
 import oracles
-from conftest import LATER_CUT_ROWS
+from conftest import LATER_CUT_ROWS, cut_rows
 
 
 # -- cut detection ------------------------------------------------------------------
@@ -144,6 +144,79 @@ def test_find_cuts_matches_brute_force_ranks(rows):
     assert [(c.X, c.rank_xxc, c.rank_xcx) for c in find_cuts(A)] == expected
     for X, r1, r2 in candidates:
         assert is_cut(A, X) == (r1 <= 1 and r2 <= 1)
+
+
+def _fill_outer(rows, P, Q, u, v):
+    for a, i in enumerate(P):
+        for b, j in enumerate(Q):
+            rows[i][j] = u[a] * v[b]
+
+
+@st.composite
+def many_cut_candidates(draw):
+    """Unfiltered n = 1..9 matrices over Z, Q or Q(i) from families with many
+    cuts, or whose cross blocks stay zero until late in the search:
+    - nested: pieces P1, P2, P3 on a path, so X = P1 and X = P1 + P2 are
+      both cuts whenever the sizes allow;
+    - D + u v^T: every X is a cut;
+    - sparse 0/+-1 entries times one unit of the field."""
+    n = draw(st.integers(1, 9))
+    entry = draw(st.sampled_from([SMALL_INT, FRACTION, GAUSSIAN]))
+    family = draw(st.sampled_from(["nested", "diagonal-plus-rank-one", "sparse"]))
+    if family == "sparse":
+        unit = draw(st.sampled_from([1, Fraction(1, 2), gaussian(0, 1)]))
+        return [[draw(st.sampled_from([0, 0, 0, 1, -1])) * unit for _ in range(n)] for _ in range(n)]
+    if family == "diagonal-plus-rank-one":
+        d, u, v = ([draw(entry) for _ in range(n)] for _ in range(3))
+        return [[(d[i] if i == j else 0) + u[i] * v[j] for j in range(n)] for i in range(n)]
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    perm = draw(st.permutations(range(n)))
+    a, b = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    P1, P2, P3 = perm[:a], perm[a:b], perm[b:]
+    # A[P, Q] = p q^T, A[Q, R] = r s^T and A[P, R] = t p s^T keep both
+    # A[P, Q + R] and A[P + Q, R] of rank at most one, on each side of the path.
+    for P, Q, R in ((P1, P2, P3), (P3, P2, P1)):
+        p, s = [draw(entry) for _ in P], [draw(entry) for _ in R]
+        q, r = [draw(entry) for _ in Q], [draw(entry) for _ in Q]
+        t = draw(entry)
+        _fill_outer(rows, P, Q, p, q)
+        _fill_outer(rows, Q, R, r, s)
+        _fill_outer(rows, P, R, p, [t * x for x in s])
+    return rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(many_cut_candidates())
+def test_find_cuts_matches_brute_force_on_many_cut_families(rows):
+    expected = [c for c in _brute_force_cuts(rows) if c[1] <= 1 and c[2] <= 1]
+    assert [(c.X, c.rank_xxc, c.rank_xcx) for c in find_cuts(matrix(rows))] == expected
+
+
+def _full_support_rows(n):
+    rng = random.Random(53)
+    return [[rng.randint(1, 9) * (-1) ** rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "rows, cut_count",
+    [(_full_support_rows(16), 0), (cut_rows(16, 2), 3)],
+    ids=["full-support", "cut_rows"],
+)
+def test_find_cuts_prunes_to_polynomially_many_block_tests(monkeypatch, rows, cut_count):
+    # Enumeration would test all 2^15 subsets; the search tests only the new
+    # entries of splits whose cross blocks still have rank at most one.
+    tests = []
+    through_pivot = fiber._through_pivot
+
+    def counted(*args):
+        tests.append(args)
+        return through_pivot(*args)
+
+    monkeypatch.setattr(fiber, "_through_pivot", counted)
+    cuts = find_cuts(matrix(rows))
+    assert 0 < len(tests) <= 4 * 16**2
+    assert len(cuts) == cut_count
+    assert all(is_cut(matrix(rows), c.X) for c in cuts)
 
 
 def test_cut_reading_runs_no_elimination(monkeypatch, golden_a4, golden_b4):
