@@ -44,9 +44,9 @@ from .symdet import (
     IDENTITIES,
     SquareMatrix,
     adjugate_table,
+    check_size,
     det_poly,
     matrix,
-    principal_minors,
     verify_identities,
 )
 
@@ -130,9 +130,9 @@ def _parse_cut(text: str, n: int) -> Tuple[int, ...]:
 
 
 def _cmd_minors(A: SquareMatrix, args) -> Tuple[Dict, int]:
-    pm = principal_minors(A)
+    check_size("principal_minors", A.n)
     table = {",".join(str(i + 1) for i in subset): scalar_format(value)
-             for subset, value in pm.items_canonical()}
+             for subset, value in det_poly(A).minors().items_canonical()}
     return {
         "result": {"n": A.n, "field": A.field, "minors": table},
     }, 0

@@ -11,18 +11,19 @@ The central objects: for an n x n matrix A over Q or Q(i),
   polynomial whose coefficients are signed almost-principal minors
   det(A[T+i, T+j]).
 
-The pencil and the adjugate table come from one minor engine: a
+The pencil, the principal minors read off its coefficients (what ``pmfiber
+minors`` prints) and the adjugate table come from one minor engine: a
 depth-first walk over subsets that carries the bordered minors
 det(A[T+i, T+j]) and updates them by Sylvester's identity with exact
 (Bareiss) division, the exact form of the Schur-complement recursion of
-Griffin and Tsatsomeros.  Single determinants, the principal minor vector
-(one per subset) and exact ranks read one fraction-free (Bareiss) row
-echelon kernel: ``det_fraction_free`` stops at the first column without a
-pivot, ``rank_exact`` counts the pivots.  The kernel and the walk both
-clear each row's denominators first and then run in Z on rational input
-and in Z[i], on pairs of int parts with the conjugate-and-norm quotient,
-on Q(i) input; the walk divides each minor it yields by the scales of its
-rows.  Both are exact over every supported field.
+Griffin and Tsatsomeros.  Single determinants, exact ranks and the
+per-subset reference ``principal_minors`` read one fraction-free (Bareiss)
+row echelon kernel: ``det_fraction_free`` stops at the first column
+without a pivot, ``rank_exact`` counts the pivots.  The kernel and the walk
+both clear each row's denominators first and then run in Z on rational
+input and in Z[i], on pairs of int parts with the conjugate-and-norm
+quotient, on Q(i) input; the walk divides each minor it yields by the
+scales of its rows.  Both are exact over every supported field.
 
 The generalized Laplace expansion (``laplace_expand`` and the Laplace
 check of ``verify_identities``) reads its non-principal block minors
@@ -354,6 +355,14 @@ class DeterminantalPencil:
     base: SquareMatrix
     fpoly: MPoly
 
+    def minors(self) -> PMVector:
+        """The principal minors read off f: det A[S] is the coefficient on
+        prod_{k not in S} x_k, 0 where f has no such term."""
+        n, terms, pairs = self.base.n, self.fpoly.terms, [(frozenset(), ())]
+        for k in range(n):  # each S within 0..k, with the exponent of prod_{j not in S} x_j
+            pairs = [(S, e + (1,)) for S, e in pairs] + [(S | {k}, e + (0,)) for S, e in pairs]
+        return PMVector(n, {S: terms.get(e, 0) for S, e in pairs})
+
 
 @dataclass(frozen=True)
 class AdjugateTable:
@@ -522,10 +531,9 @@ def _exponents(n: int) -> List[Tuple[int, ...]]:
 
 
 def principal_minors(A: SquareMatrix) -> PMVector:
-    """Every principal minor, one fraction-free elimination per subset.
-
-    ``det_poly`` reads the same minors off one walk of the minor engine.
-    """
+    """Every principal minor, one fraction-free elimination per subset: the
+    reference for ``det_poly(A).minors()``, which reads them off one walk of
+    the minor engine and is what ``pmfiber minors`` prints."""
     n = A.n
     check_size("principal_minors", n)
     values: Dict[FrozenSet[int], Scalar] = {}

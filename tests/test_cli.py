@@ -472,6 +472,14 @@ def test_classify_on_a_reducible_matrix_above_sixteen(capsys, tmp_path):
     assert code == 0 and doc["result"]["reason"] == "Reducible"
 
 
+def test_minors_refusal_names_principal_minors(capsys, tmp_path):
+    # the table is read off the pencil, but the refusal is the minor vector's
+    f = write_matrix(tmp_path / "id17.json", [[int(i == j) for j in range(17)] for i in range(17)])
+    code, doc, _ = run_cli(capsys, "minors", f)
+    assert code == 3
+    assert doc["error"] == "principal_minors limited to n <= 16, got n = 17"
+
+
 def test_classify_on_an_irreducible_matrix_is_capped_by_find_cuts(capsys, tmp_path):
     f = write_matrix(tmp_path / "cut17.json", cut_rows(17, 2))
     code, doc, _ = run_cli(capsys, "classify", f)

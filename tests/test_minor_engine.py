@@ -2,13 +2,16 @@
 
 ``det_poly`` and ``adjugate_table`` read from one Sylvester walk over
 subsets; ``principal_minors`` and ``block_det_poly`` (one Bareiss
-elimination per subset) face the same oracles on the same draws.  Draws are
-unfiltered: small integer entries make many principal minors vanish, which
-sends the walk down its zero-pivot path, and Fraction and Q(i) entries leave
-the integer fast path.  A matrix draws its entries from one of int,
-Fraction, Gaussian integers, Q(i) with Fraction parts, or a mix of all four
-within each row.  Fixed cases pin down the degenerate patterns, each also
-over Q(i) with Fraction parts, where the walk runs in Z[i].
+elimination per subset) face the same oracles on the same draws, and the
+minor vector read off the pencil (``DeterminantalPencil.minors``, what the
+``minors`` command prints) must equal ``principal_minors`` value for value,
+each in canonical form.  Draws are unfiltered: small integer entries make
+many principal minors vanish, which sends the walk down its zero-pivot
+path, and Fraction and Q(i) entries leave the integer fast path.  A matrix
+draws its entries from one of int, Fraction, Gaussian integers, Q(i) with
+Fraction parts, or a mix of all four within each row.  Fixed cases pin
+down the degenerate patterns, each also over Q(i) with Fraction parts,
+where the walk runs in Z[i].
 ``rank_exact`` and ``det_fraction_free``, two readers of one fraction-free
 row echelon kernel, face ``oracles.rank_gauss`` and ``oracles.det_perm`` on
 rectangular blocks and their leading square blocks: dense, rank-one and with
@@ -62,8 +65,13 @@ def _check_minors_and_pencil(rows, point):
     A = matrix(rows)
     n = A.n
     expected = oracles.all_principal_minors(rows)
-    assert _pairs(principal_minors(A).values) == expected
-    f = det_poly(A).fpoly
+    pm = principal_minors(A)
+    assert _pairs(pm.values) == expected
+    pencil = det_poly(A)
+    walked = pencil.minors()
+    assert walked == pm
+    assert all(_is_canonical(v) for v in walked.values.values())
+    f = pencil.fpoly
     for subset, minor in expected.items():
         exp = tuple(0 if k in subset else 1 for k in range(n))
         assert oracles.to_pair(f.coefficient(exp)) == minor
