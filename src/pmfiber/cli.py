@@ -131,7 +131,8 @@ def _parse_cut(text: str, n: int) -> Tuple[int, ...]:
 
 def _cmd_minors(A: SquareMatrix, args) -> Tuple[Dict, int]:
     check_size("principal_minors", A.n)
-    table = {",".join(str(i + 1) for i in subset): scalar_format(value)
+    labels = [str(i + 1) for i in range(A.n)]
+    table = {",".join(map(labels.__getitem__, subset)): scalar_format(value)
              for subset, value in det_poly(A).minors().items_canonical()}
     return {
         "result": {"n": A.n, "field": A.field, "minors": table},
@@ -150,7 +151,7 @@ def _cmd_adjugate(A: SquareMatrix, args) -> Tuple[Dict, int]:
     G = adjugate_table(A)
     if getattr(args, "json_poly", False):
         grid = [[poly_subset_map(p) for p in row] for row in G.entries]
-    else:  # one poly_texts call, so the grid shares one monomial table
+    else:
         texts = poly_texts([p for row in G.entries for p in row])
         grid = [texts[i * A.n : (i + 1) * A.n] for i in range(A.n)]
     return {

@@ -4,8 +4,9 @@ A polynomial in n variables is a dict mapping dense exponent tuples of
 length n to nonzero scalar coefficients, wrapped in :class:`MPoly`.  All
 coefficients are exact (int / Fraction / GaussianRational); there is no
 floating point.  The canonical text form sorts terms in descending graded
-lexicographic order and writes explicit ``*`` and ``^``; ``poly_texts``
-writes a list of polynomials from one monomial table per call.
+lexicographic order and writes explicit ``*`` and ``^``; a squarefree
+polynomial is ordered and written from ``subset_table``, one table of the
+subsets of 0..n-1 per n, built on first use.
 
 Variables are indexed 0..n-1 internally and printed 1-based as x1..xn.
 Exponents are non-negative ints; the constructor rejects anything else.
@@ -34,6 +35,8 @@ resultant do.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
@@ -557,14 +560,27 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
 # -- canonical text form -------------------------------------------------------
 
 
-def _monomial_text(exp: Exponent, names: Sequence[str]) -> str:
-    parts = []
-    for k, e in enumerate(exp):
-        if e == 1:
-            parts.append(names[k])
-        elif e > 1:
-            parts.append(f"{names[k]}^{e}")
-    return "*".join(parts)
+SubsetTable = namedtuple("SubsetTable", "exps canon grlex rank texts")
+
+
+@lru_cache(maxsize=None)
+def subset_table(n: int) -> SubsetTable:
+    """The subsets of 0..n-1 by mask (bit k set for k in the subset), built
+    once per n (every caller keeps n <= 16) and shared, so read only:
+    ``exps[mask]`` is the exponent tuple; ``canon`` lists the masks by
+    size, each in ``combinations`` order, which is descending lex order on
+    the exponents; ``grlex`` lists the exponents in descending grlex order,
+    ``rank`` gives each one's place there and ``texts`` its monomial."""
+    exps: List[Exponent] = [()]
+    monos, lex = [""], [0]  # lex: the masks, their exponents in descending lex order
+    for k in range(n):
+        exps = [e + (0,) for e in exps] + [e + (1,) for e in exps]
+        monos += [f"{t}*x{k + 1}" if t else f"x{k + 1}" for t in monos]
+        lex = [m | 1 << n - 1 - k for m in lex] + lex
+    grlex = sorted(lex, key=int.bit_count, reverse=True)  # stable: lex order within a degree
+    by_rank = [exps[m] for m in grlex]
+    canon = sorted(lex, key=int.bit_count)
+    return SubsetTable(exps, canon, by_rank, dict(zip(by_rank, range(1 << n))), [monos[m] for m in grlex])
 
 
 def poly_text(p: MPoly, names: Optional[Sequence[str]] = None) -> str:
@@ -574,37 +590,48 @@ def poly_text(p: MPoly, names: Optional[Sequence[str]] = None) -> str:
 
 
 def poly_texts(polys: Sequence[MPoly], names: Optional[Sequence[str]] = None) -> List[str]:
-    """The canonical text of each polynomial, as ``poly_text`` gives it.
+    """The canonical text of each polynomial, as ``poly_text`` gives it;
+    ValueError when ``names`` has fewer names than some polynomial has
+    variables.
 
-    Descending grlex is descending lex order, then a stable sort by
-    descending degree, so neither sort needs a per-term key function.  One
-    exponent -> monomial text table, local to the call and filled as
-    exponents are met, serves every polynomial, so a monomial shared by the
-    entries of an adjugate table is joined once; a squarefree one is the
-    names its exponent selects.  A polynomial whose coefficients are all
-    ``int`` is formatted in one comprehension.
+    A squarefree polynomial in at most ``SIZE_LIMITS["det_poly"]``
+    variables is sorted by its exponents' ranks in the ``subset_table`` of
+    its n, which also holds their text in x1..xn.  Any other is sorted by
+    descending lex order, then stably by descending degree, and each
+    monomial is written from its exponent.  A polynomial whose
+    coefficients are all ``int`` is formatted in one comprehension.
     """
-    if names is None:
-        names = [f"x{k + 1}" for k in range(max((p.n for p in polys), default=0))]
-    table: Dict[Exponent, str] = {}
+    from .symdet import SIZE_LIMITS  # symdet builds on this module
+    cap = SIZE_LIMITS["det_poly"]
+    top = max((p.n for p in polys), default=0)
+    default = names is None
+    if default:
+        names = [f"x{k + 1}" for k in range(top)]
+    elif len(names) < top:
+        raise ValueError(f"{len(names)} names for polynomials in {top} variables")
     texts = []
     for p in polys:
         terms = p.terms
         if not terms:
             texts.append("0")
             continue
-        order = sorted(terms, reverse=True)
-        order.sort(key=sum, reverse=True)
-        new = [exp for exp in order if exp not in table] if table else order
-        if new:
-            if not p.n or max(map(max, new)) < 2:
-                made = ["*".join(compress(names, exp)) for exp in new]
+        ranked = None
+        if p.n <= cap:
+            subsets = subset_table(p.n)
+            with suppress(KeyError):  # an exponent above 1 has no rank
+                ranked = sorted(zip(map(subsets.rank.__getitem__, terms), terms.values()))
+        if ranked is not None:
+            coeffs = [c for _, c in ranked]
+            if default:
+                monos = [subsets.texts[r] for r, _ in ranked]
             else:
-                made = [_monomial_text(exp, names) for exp in new]
-            table.update(zip(new, made))
-        monos = made if new is order else [table[exp] for exp in order]
-        coeffs = [terms[exp] for exp in order]
-        if all(type(c) is int for c in coeffs):
+                monos = ["*".join(compress(names, subsets.grlex[r])) for r, _ in ranked]
+        else:
+            order = sorted(terms, reverse=True)
+            order.sort(key=sum, reverse=True)
+            monos = ["*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, exp) if e) for exp in order]
+            coeffs = [terms[exp] for exp in order]
+        if set(map(type, coeffs)) == {int}:
             pieces = [
                 (f"- {m}" if c == -1 else f"- {-c}*{m}") if c < 0 else (f"+ {m}" if c == 1 else f"+ {c}*{m}")
                 for c, m in zip(coeffs, monos)

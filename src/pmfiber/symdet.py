@@ -23,7 +23,9 @@ without a pivot, ``rank_exact`` counts the pivots.  The kernel and the walk
 both clear each row's denominators first and then run in Z on rational
 input and in Z[i], on pairs of int parts with the conjugate-and-norm
 quotient, on Q(i) input; the walk divides each minor it yields by the
-scales of its rows.  Both are exact over every supported field.
+scales of its rows.  Both are exact over every supported field.  The walk,
+a minor vector (``PMVector``) and the pencil's exponents share one index,
+the subset mask, and one ``mpoly.subset_table`` per n.
 
 The generalized Laplace expansion (``laplace_expand`` and the Laplace
 check of ``verify_identities``) reads its non-principal block minors
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, repeat
 from math import lcm, prod
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -52,6 +54,7 @@ from .mpoly import (
     _resultant_pairs,
     pack,
     packed_product_terms,
+    subset_table,
 )
 from .scalars import (
     FIELD_Q,
@@ -326,26 +329,32 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
 # -- principal minors and the determinantal pencil -------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PMVector:
-    """All 2^n principal minors of an n x n matrix, keyed by 0-based subsets."""
+    """All 2^n principal minors of an n x n matrix: ``by_mask[mask]`` is
+    det A[S] for the 0-based subset S of the k with bit k of ``mask`` set."""
 
     n: int
-    values: Mapping[FrozenSet[int], Scalar]
+    by_mask: Tuple[Scalar, ...]
+
+    @property
+    def values(self) -> Mapping[FrozenSet[int], Scalar]:
+        """The minors keyed by subset, read-only."""
+        subsets = (frozenset(compress(range(self.n), e)) for e in subset_table(self.n).exps)
+        return MappingProxyType(dict(zip(subsets, self.by_mask)))
 
     def value(self, subset: Iterable[int]) -> Scalar:
-        return self.values[frozenset(subset)]
+        """det A[S], repeats allowed; KeyError for an index outside 0..n-1."""
+        S = set(subset)
+        if not S.issubset(range(self.n)):
+            raise KeyError(f"subset {sorted(S)} not within 0..{self.n - 1}")
+        return self.by_mask[sum(1 << k for k in S)]
 
     def items_canonical(self) -> List[Tuple[Tuple[int, ...], Scalar]]:
         """(sorted subset, minor) pairs by subset size, then lexicographically:
         the order in which ``combinations`` yields each size."""
-        values, n = self.values, self.n
-        return [(S, values[frozenset(S)]) for k in range(n + 1) for S in combinations(range(n), k)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PMVector):
-            return NotImplemented
-        return self.n == other.n and dict(self.values) == dict(other.values)
+        subsets = chain.from_iterable(combinations(range(self.n), k) for k in range(self.n + 1))
+        return [(S, self.by_mask[m]) for S, m in zip(subsets, subset_table(self.n).canon)]
 
 
 @dataclass(frozen=True)
@@ -357,11 +366,10 @@ class DeterminantalPencil:
 
     def minors(self) -> PMVector:
         """The principal minors read off f: det A[S] is the coefficient on
-        prod_{k not in S} x_k, 0 where f has no such term."""
-        n, terms, pairs = self.base.n, self.fpoly.terms, [(frozenset(), ())]
-        for k in range(n):  # each S within 0..k, with the exponent of prod_{j not in S} x_j
-            pairs = [(S, e + (1,)) for S, e in pairs] + [(S | {k}, e + (0,)) for S, e in pairs]
-        return PMVector(n, {S: terms.get(e, 0) for S, e in pairs})
+        prod_{k not in S} x_k (0 where f has none), whose exponent is that of
+        the complement mask: the ``subset_table`` exponents in reverse."""
+        n, get = self.base.n, self.fpoly.terms.get
+        return PMVector(n, tuple(map(get, reversed(subset_table(n).exps), repeat(0))))
 
 
 @dataclass(frozen=True)
@@ -386,7 +394,8 @@ def _minor_walk(
     increasing order, row R[a] and column R[b] last; the sign is the
     adjugate's, see ``adjugate_table``); otherwise R holds the
     indices above max(T), all that T's descendants need, and M is None.
-    The caller must not modify ``M``.
+    The caller must not modify ``M``.  The partial walk yields a leaf (half
+    of all subsets) from its parent, with no Sylvester step or stack entry.
 
     Each node carries a Bareiss elimination of A on T and R: pivot rows I
     and columns J from T, rows U = T - I and columns V = T - J without a
@@ -416,16 +425,8 @@ def _minor_walk(
     while stack:
         mask, last, R, W, m, p, s, scale = stack.pop()
         Wr, Wi = W
-        if m:
-            d = 0
-        elif Wi is None:
-            d = s * p if scale == 1 else _scaled(s * p, 0, scale)
-        else:
-            d = _scaled(s * p[0], s * p[1], scale)
-        if full:
-            yield mask, d, R, _bordered(W, m, p, s, scales and [scale * scales[r] for r in R])
-        else:
-            yield mask, d, R, None
+        M = _bordered(W, m, p, s, scales and [scale * scales[r] for r in R]) if full else None
+        yield mask, _node_minor(m, p, s, scale), R, M
         for a, k in enumerate(R):
             if k <= last:
                 continue
@@ -433,17 +434,30 @@ def _minor_walk(
             keep = [b for b in range(len(R)) if b != a] if full else range(a + 1, len(R))
             child_scale = scale * scales[k] if scales else 1
             pivot = Wr[a][a] if Wi is None else (Wr[a][a], Wi[a][a])
+            leaf = not (full or child_R)
             if m == 0 and pivot not in _ZEROS:
-                child_W = _pivot(W, a, a, keep, keep, p)
-                stack.append((mask | 1 << k, k, child_R, child_W, 0, pivot, s, child_scale))
+                child = None if leaf else _pivot(W, a, a, keep, keep, p), 0, pivot, s
             else:
                 at = list(range(m)) + [m + a] + [m + b for b in keep]
                 W_at = tuple(None if P is None else [[P[x][y] for y in at] for x in at] for P in W)
-                stack.append((mask | 1 << k, k, child_R, *_eliminate(W_at, m + 1, p, s), child_scale))
+                child = _eliminate(W_at, m + 1, p, s)
+            if leaf:
+                yield mask | 1 << k, _node_minor(*child[1:], child_scale), child_R, None
+            else:
+                stack.append((mask | 1 << k, k, child_R, *child, child_scale))
 
 
 # The zero pivot: an int in Z, a pair of ints in Z[i].
 _ZEROS = (0, (0, 0))
+
+
+def _node_minor(m: int, p, s: int, scale: int) -> Scalar:
+    """det A[T] at a walk node: 0 with a rank deficiency m, else s p over T's row scale."""
+    if m:
+        return 0
+    if type(p) is int:
+        return s * p if scale == 1 else _scaled(s * p, 0, scale)
+    return _scaled(s * p[0], s * p[1], scale)
 
 
 def _pivot(W, u: int, v: int, rows: Sequence[int], cols: Sequence[int], p):
@@ -522,25 +536,14 @@ def _scaled(re: int, im: int, scale: int) -> Scalar:
     return GaussianRational._make(re, im)
 
 
-def _exponents(n: int) -> List[Tuple[int, ...]]:
-    """The squarefree exponent tuple of every subset mask of 0..n-1, by mask."""
-    exps: List[Tuple[int, ...]] = [()]
-    for _ in range(n):
-        exps = [e + (0,) for e in exps] + [e + (1,) for e in exps]
-    return exps
-
-
 def principal_minors(A: SquareMatrix) -> PMVector:
     """Every principal minor, one fraction-free elimination per subset: the
     reference for ``det_poly(A).minors()``, which reads them off one walk of
     the minor engine and is what ``pmfiber minors`` prints."""
     n = A.n
     check_size("principal_minors", n)
-    values: Dict[FrozenSet[int], Scalar] = {}
-    for mask in range(1 << n):
-        idx = [k for k in range(n) if mask >> k & 1]
-        values[frozenset(idx)] = det_fraction_free(A.submatrix(idx, idx))
-    return PMVector(n, values)
+    subsets = [list(compress(range(n), e)) for e in subset_table(n).exps]
+    return PMVector(n, tuple(det_fraction_free(A.submatrix(S, S)) for S in subsets))
 
 
 def det_poly(A: SquareMatrix) -> DeterminantalPencil:
@@ -548,9 +551,8 @@ def det_poly(A: SquareMatrix) -> DeterminantalPencil:
     of the complement of S."""
     n = A.n
     check_size("det_poly", n)
-    exps = _exponents(n)
-    full = (1 << n) - 1
-    terms = {exps[full ^ mask]: d for mask, d, _, _ in _minor_walk(A, full=False) if d}
+    exps = subset_table(n).exps[::-1]  # by the complement mask
+    terms = {exps[mask]: d for mask, d, _, _ in _minor_walk(A, full=False) if d}
     return DeterminantalPencil(A, MPoly._raw(n, terms))
 
 
@@ -566,7 +568,7 @@ def adjugate_table(A: SquareMatrix) -> AdjugateTable:
     """
     n = A.n
     check_size("adjugate_table", n)
-    exps = _exponents(n)
+    exps = subset_table(n).exps
     full = (1 << n) - 1
     terms: List[List[Dict[Tuple[int, ...], Scalar]]] = [[{} for _ in range(n)] for _ in range(n)]
     for mask, d, R, M in _minor_walk(A, full=True):

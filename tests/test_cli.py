@@ -598,7 +598,9 @@ def test_witness_without_cut_takes_the_first_cut_that_leaves_the_class(capsys, t
 
 def _golden_inputs():
     """(field, rows) by name: dense int, Fraction, Q(i) with Fraction parts,
-    Q(i) with a zero diagonal (the walk's deficiency path) and n = 1."""
+    Q(i) with a zero diagonal (the walk's deficiency path), n = 1, and at
+    n = 10 and 9 a dense int and a Q(i) input, whose names and keys reach
+    two digits (``x10``, ``10``)."""
     q = Fraction
     return {
         "int-6": ("Q", [[(-1) ** (i + j) * ((i * 5 + j * 3 + i * j) % 6 + 1) for j in range(6)] for i in range(6)]),
@@ -612,6 +614,8 @@ def _golden_inputs():
             for i in range(4)
         ]),
         "n-1": ("Q(i)", [[gaussian(q(-3, 2), q(1, 3))]]),
+        "int-10": ("Q", [[(-1) ** (i * j) * ((i * 7 + j * 3 + i * j) % 9 + 1) for j in range(10)] for i in range(10)]),
+        "gaussian-9": ("Q(i)", [[gaussian((i + 2 * j) % 11 - 5, (3 * i + j * j) % 11 - 5) for j in range(9)] for i in range(9)]),
     }
 
 
@@ -642,6 +646,11 @@ GOLDEN_DIGESTS = {
     ('n-1', 'adjugate'): "cbf5bfd20df4d9a39a745fd502e7a95d40c561bf68a93aef0970fa43f1801537",
     ('n-1', 'detpoly --json-poly'): "29b62ac37cfe9eddc4994c6ae67666adeb08ce983513cc679a2c3114ba3246d0",
     ('n-1', 'adjugate --json-poly'): "d96631ed80c9a3d4e82c481263606916cbe49cc0849a947e7c6b8adc8bb9b021",
+    ('int-10', 'minors'): "24b3924c40677668697ec19e307297ac4d79e96605225a3fa60f46293ffc0f4d",
+    ('int-10', 'detpoly'): "78d62ef4c2bd8c99b5d61fa9e91235b2ac6f0be4c628aaf29345edc2daed339b",
+    ('gaussian-9', 'minors'): "6a1d09ddefae2441657d798ea121948e7ca620f84dfd9123291514088a274e92",
+    ('gaussian-9', 'detpoly'): "36205038c0988bbcd7184601fbe1210ddfef8eb0f42c792cd1acd005f29c16a5",
+    ('gaussian-9', 'adjugate'): "cab10ac5f30402989f2104e0960301723de0764ceeeee6cb65b4d04153804aa4",
 }
 
 GOLDEN_CALLS = [["minors"], ["detpoly"], ["adjugate"], ["detpoly", "--json-poly"], ["adjugate", "--json-poly"]]
@@ -652,7 +661,9 @@ def test_polynomial_commands_keep_their_bytes(capsys, tmp_path, name):
     field, rows = _golden_inputs()[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({"n": len(rows), "field": field, "entries": [[scalar_format(x) for x in r] for r in rows]}))
-    for argv in GOLDEN_CALLS:
+    calls = [argv for argv in GOLDEN_CALLS if (name, " ".join(argv)) in GOLDEN_DIGESTS]
+    assert calls
+    for argv in calls:
         code, _, out = run_cli(capsys, *argv, str(path))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name, " ".join(argv)], argv

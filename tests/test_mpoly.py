@@ -189,6 +189,79 @@ def test_poly_text_matches_reference(drawn):
     assert [poly_text(p, names) for p in polys] == expected
 
 
+def test_poly_text_rejects_too_few_names():
+    # Fewer names than variables used to drop the unnamed factors silently:
+    # x1 + x3 came out as "s + 1" and x3 + 1 as " + 1".
+    x1, x3 = MPoly.var(3, 0), MPoly.var(3, 2)
+    for p in (x1 + x3, x3 + 1):
+        with pytest.raises(ValueError):
+            poly_text(p, ["s", "t"])
+        with pytest.raises(ValueError):
+            poly_texts([MPoly.var(1, 0), p], ["s", "t"])
+
+
+def _text_by_degree_then_exponent(terms, names):
+    """Canonical text written independently of ``poly_texts``: terms sorted
+    by the key (degree, exponent), descending; each term's sign, its
+    coefficient (a non-real one in parentheses after a plus) and its
+    factors written out in full."""
+    if not terms:
+        return "0"
+    pieces = []
+    for exp in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        c = terms[exp]
+        re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+        if im:
+            imag = ("-" if im < 0 else "") + ("" if abs(im) == 1 else str(abs(im))) + "i"
+            negative, body = False, "(" + (f"{re}{'' if im < 0 else '+'}{imag}" if re else imag) + ")"
+        else:
+            negative, body = re < 0, str(abs(re))
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e]
+        if factors:
+            body = "*".join(factors if body == "1" else [body] + factors)
+        if not pieces:
+            pieces.append("-" + body if negative else body)
+        else:
+            pieces.append(("- " if negative else "+ ") + body)
+    return " ".join(pieces)
+
+
+@st.composite
+def wide_poly_lists(draw):
+    """Lists of 1..4 polynomials in one n = 0..20 variables: squarefree or
+    with exponents up to 3, int, Fraction or Q(i) coefficients, default or
+    custom names (at least n).  Above n = 8 each holds at most 6 terms, so
+    the polynomials above the ``det_poly`` cap are sparse."""
+    n = draw(st.integers(0, 20))
+    top = draw(st.sampled_from([1, 3]))
+    exps = st.tuples(*[st.integers(0, top)] * n)
+    coeff = draw(st.sampled_from([st.integers(-4, 4), st.sampled_from([1, -1]), COEFFS]))
+    size = 30 if n <= 8 else 6
+    polys = [MPoly(n, draw(st.dictionaries(exps, coeff, max_size=size))) for _ in range(draw(st.integers(1, 4)))]
+    names = draw(st.none() | st.lists(st.sampled_from(["a", "b", "zz", "y10"]), min_size=n, max_size=n + 2))
+    return polys, names
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_poly_lists())
+def test_poly_texts_match_an_independent_formatter(drawn):
+    polys, names = drawn
+    top = max(p.n for p in polys)
+    written = names if names is not None else [f"x{k + 1}" for k in range(top)]
+    expected = [_text_by_degree_then_exponent(p.terms, written) for p in polys]
+    assert poly_texts(polys, names) == expected
+    assert [poly_text(p, names) for p in polys] == expected
+
+
+def test_poly_text_above_the_det_poly_cap_builds_no_subset_table():
+    n = 40
+    p = MPoly.var(n, 0) * MPoly.var(n, 39) - 2 * MPoly.var(n, 17)
+    before = mpoly.subset_table.cache_info()
+    assert poly_text(p) == "x1*x40 - 2*x18"
+    assert poly_texts([p, p], [f"v{k}" for k in range(n)]) == ["v0*v39 - 2*v17"] * 2
+    assert mpoly.subset_table.cache_info() == before
+
+
 def test_poly_subset_map_golden():
     p = poly_of(3, {(): 4, (0,): -1, (0, 2): Fraction(1, 2)})
     assert poly_subset_map(p) == {"": "4", "1": "-1", "1,3": "1/2"}

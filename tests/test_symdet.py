@@ -134,6 +134,22 @@ def test_golden_a4_diagonal_minors(golden_a4):
     assert [pm.value([k]) for k in range(4)] == [2, 1, 1, -1]
 
 
+@pytest.mark.parametrize("reader", [principal_minors, lambda A: det_poly(A).minors()])
+def test_minor_vector_index_edges(golden_a4, reader):
+    # The minors are kept by subset mask: a repeated index sets one bit, and
+    # an index outside 0..n-1 must raise, never land on another subset.
+    pm = reader(golden_a4)
+    assert pm.value([0, 0]) == pm.value([0]) == 2
+    assert pm.value([3, 1, 3]) == pm.value([1, 3])
+    for bad in ([4], [0, 4], [-1], [2, -3], [1 << 70]):
+        with pytest.raises(KeyError):
+            pm.value(bad)
+    assert dict(pm.values) == {frozenset(S): pm.value(S) for k in range(5) for S in combinations(range(4), k)}
+    with pytest.raises(TypeError):
+        pm.values[frozenset()] = 0
+    assert [S for S, _ in pm.items_canonical()] == [S for k in range(5) for S in combinations(range(4), k)]
+
+
 # -- determinantal pencil -----------------------------------------------------------
 
 
