@@ -18,23 +18,22 @@ det(A[T+i, T+j]) and updates them by Sylvester's identity with exact
 (Bareiss) division, the exact form of the Schur-complement recursion of
 Griffin and Tsatsomeros.  Single determinants, exact ranks and the
 per-subset reference ``principal_minors`` read one fraction-free (Bareiss)
-row echelon kernel: ``det_fraction_free`` stops at the first column
-without a pivot, ``rank_exact`` counts the pivots.  The kernel and the walk
-both clear each row's denominators first and then run in Z on rational
-input and in Z[i], on pairs of int parts with the conjugate-and-norm
-quotient, on Q(i) input; the walk divides each minor it yields by the
-scales of its rows.  Both are exact over every supported field.  The walk,
-a minor vector (``PMVector``) and the pencil's exponents share one index,
-the subset mask, and one ``mpoly.subset_table`` per n.
+row echelon kernel, in place and once per call: ``det_fraction_free``
+stops at the first column without a pivot, ``rank_exact`` counts the
+pivots.  The walk, a minor vector (``PMVector``) and the pencil's exponents
+share one index, the subset mask, and one ``mpoly.subset_table`` per n.
 
 The generalized Laplace expansion (``laplace_expand`` and the Laplace
 check of ``verify_identities``) reads its non-principal block minors
 det A[R, C], which the walk does not carry, from a cofactor table local to
 the call: built by row count, each minor expanded along the first row of R
-from the layer below, keyed by row mask and then column mask.  Like the
-echelon kernel it clears each row's denominators first and runs in Z, or
-in Z[i] on pairs of int parts, dividing by the product of the row scales
-once per expansion.
+from the layer below, keyed by row mask and then column mask.
+
+The kernel, the walk and the expansion all read the rows ``_int_parts``
+clears (each row times the lcm of its denominators, as ``int`` lists) and
+run in Z, or in Z[i] on pairs of int parts with the conjugate-and-norm
+quotient on Q(i) input; ``_scaled`` divides each value they return by its
+rows' scales, so all are exact over every supported field.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from .scalars import (
     GaussianRational,
     Scalar,
     conj,
-    gaussian,
     is_rational,
     normalize_scalar,
     scalar_format,
@@ -186,133 +184,103 @@ def _echelon(rows: Sequence[Sequence[Scalar]]) -> Iterator[Scalar]:
     skipped; otherwise the first row with one is swapped up to pivot, and
     the column yields a nonzero value.  After a pivot on the column list C,
     each remaining entry is a minor on the pivot rows and columns C plus its
-    own row and column, so the division by the previous pivot (the minor on
-    C alone) is exact.  The input is only read up to the first pivot; there
-    its entry types are scanned, once, and it is copied, each row multiplied
-    by the lcm of its denominators, so the elimination runs in Z with floor
-    division on rational input and, through ``_gaussian_echelon``, in Z[i]
-    on Q(i) input.  Once every row holds a pivot the elimination stops, and
-    the value yielded then is the determinant of the input's rows on C: the
-    last pivot times the sign of the row swaps, over the product of the row
-    scales.  Each reader stops where it needs to.
-    """
-    m = rows
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank, sign, prev, scale = 0, 1, 1, 1
-    for col in range(ncols):
-        r = rank
-        while r < nrows and not m[r][col]:
-            r += 1
-        if r == nrows:
-            yield 0
-            continue
-        if m is rows:  # the first pivot: scan the entry types and copy
-            types = set(map(type, chain.from_iterable(rows)))
-            if GaussianRational in types:
-                yield from _gaussian_echelon(rows, col)
-                return
-            if Fraction in types:
-                lcms = [lcm(*(x.denominator for x in row)) for row in rows]
-                m = [[x.numerator * (c // x.denominator) for x in row] for row, c in zip(rows, lcms)]
-                scale = prod(lcms)
-            else:
-                m = [list(row) for row in rows]
-        if r != rank:
-            m[rank], m[r] = m[r], m[rank]
-            sign = -sign
-        row_k = m[rank]
-        pivot = row_k[col]
-        for r in range(rank + 1, nrows):
-            row_i = m[r]
-            lead = row_i[col]
-            for j in range(col + 1, ncols):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            yield normalize_scalar(sign * pivot if scale == 1 else Fraction(sign * pivot, scale))
-            return
-        yield pivot
-
-
-def _gaussian_echelon(rows: Sequence[Sequence[Scalar]], start: int) -> Iterator[Scalar]:
-    """``_echelon`` on rows with Q(i) entries, from its first pivot column
-    ``start`` on.
-
-    Each row is multiplied by the lcm of the denominators of its entries'
-    real and imaginary parts and kept as two parallel ``int`` lists, real
-    parts R and imaginary parts I, so each Bareiss step runs on pairs of
-    ints.  Its quotient by the previous pivot q is exact in Z[i], so it is
-    the product with conj(q) floor-divided, part by part, by |q|^2, or by q
-    itself when q is real.  A ``GaussianRational`` is built only for the
-    values yielded.
+    own row and column, so the division by the previous pivot q (the minor
+    on C alone) is exact: in place, on the rows ``_int_parts`` clears, by
+    floor division in Z, or in Z[i] by the product with conj(q) floor-divided
+    by |q|^2 (by q when q is real).  Once every row holds a pivot the
+    elimination stops and yields the determinant of the input's rows on C:
+    the last pivot times the sign of the row swaps, over the product of the
+    row scales.  Each reader stops where it needs to.
     """
     R, I, scales = _int_parts(rows)
-    scale = prod(scales)
-    nrows, ncols = len(rows), len(rows[0])
+    nrows = len(R)
+    ncols = len(R[0]) if R else 0
     rank, sign, qr, qi = 0, 1, 1, 0
-    for col in range(start, ncols):
+    for col in range(ncols):
         r = rank
-        while r < nrows and not (R[r][col] or I[r][col]):
+        while r < nrows and not (R[r][col] or I and I[r][col]):
             r += 1
         if r == nrows:
             yield 0
             continue
         if r != rank:
             R[rank], R[r] = R[r], R[rank]
-            I[rank], I[r] = I[r], I[rank]
+            if I:
+                I[rank], I[r] = I[r], I[rank]
             sign = -sign
-        Rk, Ik = R[rank], I[rank]
-        pr, pi = Rk[col], Ik[col]
-        # (x p - l k) / q = (x P - k L) / d with P = p conj(q), L = l conj(q)
-        # and d = |q|^2, or P = p, L = l and d = q when q is real.
-        Pr, Pi, d = (pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi) if qi else (pr, pi, qr)
-        for r in range(rank + 1, nrows):
-            Rr, Ir = R[r], I[r]
-            lr, li = Rr[col], Ir[col]
-            Lr, Li = (lr * qr + li * qi, li * qr - lr * qi) if qi else (lr, li)
-            for j in range(col + 1, ncols):
-                xr = Rr[j]
-                xi = Ir[j]
-                kr = Rk[j]
-                ki = Ik[j]
-                Rr[j] = (xr * Pr - xi * Pi - kr * Lr + ki * Li) // d
-                Ir[j] = (xr * Pi + xi * Pr - kr * Li - ki * Lr) // d
+        Rk = R[rank]
+        pr, pi = Rk[col], I[rank][col] if I else 0
+        if I is None:
+            for r in range(rank + 1, nrows):
+                Rr = R[r]
+                lr = Rr[col]
+                for j in range(col + 1, ncols):
+                    Rr[j] = (Rr[j] * pr - lr * Rk[j]) // qr
+        else:
+            Ik = I[rank]
+            # (x p - l k) / q = (x P - k L) / d with P = p conj(q), L = l conj(q)
+            # and d = |q|^2, or P = p, L = l and d = q when q is real.
+            Pr, Pi, d = (pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi) if qi else (pr, pi, qr)
+            for r in range(rank + 1, nrows):
+                Rr, Ir = R[r], I[r]
+                lr, li = Rr[col], Ir[col]
+                Lr, Li = (lr * qr + li * qi, li * qr - lr * qi) if qi else (lr, li)
+                for j in range(col + 1, ncols):
+                    xr = Rr[j]
+                    xi = Ir[j]
+                    kr = Rk[j]
+                    ki = Ik[j]
+                    Rr[j] = (xr * Pr - xi * Pi - kr * Lr + ki * Li) // d
+                    Ir[j] = (xr * Pi + xi * Pr - kr * Li - ki * Lr) // d
         qr, qi = pr, pi
         rank += 1
         if rank == nrows:
-            if scale != 1:
-                pr, pi = Fraction(pr, scale), Fraction(pi, scale)
-            yield gaussian(sign * pr, sign * pi)
+            yield _scaled(sign * pr, sign * pi, prod(scales))
             return
-        yield gaussian(pr, pi)
+        yield GaussianRational._make(pr, pi) if pi else pr
 
 
-def _int_parts(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], Optional[List[List[int]]], List[int]]:
-    """The real and imaginary parts of ``rows`` as ``int`` lists, each row
-    multiplied by the lcm of the denominators of its parts, and those row
-    scales.  The imaginary parts are None when no entry is a
-    ``GaussianRational``, so the callers run in Z, or else in Z[i] on pairs
-    of ints."""
-    if GaussianRational in set(map(type, chain.from_iterable(rows))):
+# Cleared rows: real parts, imaginary parts or None, and the row scales.
+_IntParts = Tuple[List[List[int]], Optional[List[List[int]]], List[int]]
+
+
+def _int_parts(rows: Sequence[Sequence[Scalar]]) -> _IntParts:
+    """``rows`` with each row times the lcm of the denominators of its
+    entries' parts, as new ``int`` lists of real parts and of imaginary
+    parts (None when no entry is a ``GaussianRational``), and those row
+    scales.  The entry types are scanned once; the split parts are rescanned
+    for Fractions only when some entry is a ``GaussianRational``."""
+    types = set(map(type, chain.from_iterable(rows)))
+    parts = [rows]
+    if GaussianRational in types:
         parts = [
             [[x.re if type(x) is GaussianRational else x for x in row] for row in rows],
             [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows],
         ]
-    else:
-        parts = [[list(row) for row in rows]]
+        types = set(map(type, chain.from_iterable(chain.from_iterable(parts))))
     scales = [1] * len(rows)
-    if Fraction in set(map(type, chain.from_iterable(chain.from_iterable(parts)))):
-        scales = [lcm(*(x.denominator for P in parts for x in P[r])) for r in range(len(rows))]
+    if Fraction in types:
+        scales = [lcm(*[x.denominator for x in chain(*P)]) for P in zip(*parts)]
         parts = [[[x.numerator * (c // x.denominator) for x in row] for row, c in zip(P, scales)] for P in parts]
+    elif parts[0] is rows:
+        parts = [[list(row) for row in rows]]
     return parts[0], parts[1] if len(parts) == 2 else None, scales
+
+
+def _scaled(re: int, im: int, scale: int) -> Scalar:
+    """The scalar (re + im i) / scale."""
+    if scale != 1:
+        re, im = Fraction(re, scale), Fraction(im, scale) if im else 0
+    return GaussianRational._make(re, im)
 
 
 def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     """Determinant of a square matrix from ``_echelon``, the kernel behind
     ``rank_exact`` too: 0 at the first column without a pivot, else the
-    value at the last column."""
+    value at the last column.  ValueError unless the rows are square."""
+    for row in rows:
+        if len(row) != len(rows):
+            raise ValueError("det_fraction_free needs a square matrix")
     d: Scalar = 1
     for d in _echelon(rows):
         if not d:
@@ -322,7 +290,10 @@ def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
 
 def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
     """Rank of a rectangular matrix: the columns with a pivot in ``_echelon``,
-    the kernel behind ``det_fraction_free`` too."""
+    the kernel behind ``det_fraction_free`` too.  ValueError on rows of
+    unequal length."""
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rank_exact needs rows of equal length")
     return sum(1 for d in _echelon(rows) if d)
 
 
@@ -410,12 +381,10 @@ def _minor_walk(
     step is the Schur-complement recursion of Griffin and Tsatsomeros with
     pivot (k, k).
 
-    The walk runs on A with each row's denominators cleared
-    (``_int_parts``), on ``int`` lists: in Z with W = (real parts, None)
-    and p an int, or in Z[i] with W = (real parts, imaginary parts) and p a
-    pair of ints.  A minor of the cleared rows is the minor of A times the
-    scales of its rows, so each yielded minor is divided by them, and a
-    scalar is built only for the values yielded.
+    The walk runs on the rows ``_int_parts`` clears: in Z with W = (real
+    parts, None) and p an int, or in Z[i] with W = (real parts, imaginary
+    parts) and p a pair of ints.  Each yielded minor is divided by the
+    scales of its rows, and a scalar is built only for the values yielded.
     """
     Wr, Wi, scales = _int_parts(A.entries)
     if all(c == 1 for c in scales):
@@ -466,7 +435,7 @@ def _pivot(W, u: int, v: int, rows: Sequence[int], cols: Sequence[int], p):
     ``rows`` and y in ``cols``, which hold neither u nor v.  In Z the quotient is
     floor division; in Z[i] it is the product with conj(p) floor-divided,
     part by part, by |p|^2, or by p itself when p is real, as in
-    ``_gaussian_echelon``."""
+    ``_echelon``."""
     Wr, Wi = W
     if Wi is None:
         Wu, q = Wr[u], Wr[u][v]
@@ -527,13 +496,6 @@ def _bordered(W, m: int, p, s: int, scales: Optional[List[int]]) -> List[List[Sc
     if Wi is None:
         Wi = [[0] * size] * size
     return [[_scaled(t * x, t * y, c) for x, y in zip(Xr, Xi)] for Xr, Xi, c in zip(Wr, Wi, scales)]
-
-
-def _scaled(re: int, im: int, scale: int) -> Scalar:
-    """The scalar (re + im i) / scale."""
-    if scale != 1:
-        re, im = Fraction(re, scale), Fraction(im, scale) if im else 0
-    return GaussianRational._make(re, im)
 
 
 def principal_minors(A: SquareMatrix) -> PMVector:
@@ -662,11 +624,7 @@ def laplace_expand(A: SquareMatrix, S: Iterable[int]) -> Scalar:
     return _laplace_sum(_int_parts(A.entries), tuple(srows), {})
 
 
-def _laplace_sum(
-    rows: Tuple[List[List[int]], Optional[List[List[int]]], int],
-    srows: Tuple[int, ...],
-    minors: Dict[int, dict],
-) -> Scalar:
+def _laplace_sum(rows: _IntParts, srows: Tuple[int, ...], minors: Dict[int, dict]) -> Scalar:
     """``laplace_expand`` on a sorted proper row subset S, from the rows
     ``_int_parts`` clears.  Every det A[R, C] comes from the cofactor
     table ``minors`` (see ``_cofactor_layer``), so expansions sharing it
@@ -691,7 +649,7 @@ def _laplace_sum(
             low = lower.get(full ^ T)
             if low:
                 total += -u * low if (parity + (T & odd).bit_count()) & 1 else u * low
-        return normalize_scalar(Fraction(total, scale))
+        return _scaled(total, 0, scale)
     tr = ti = 0
     for T, (ur, ui) in upper.items():
         low = lower.get(full ^ T)
@@ -700,14 +658,10 @@ def _laplace_sum(
             sign = -1 if (parity + (T & odd).bit_count()) & 1 else 1
             tr += sign * (ur * lr - ui * li)
             ti += sign * (ur * li + ui * lr)
-    return GaussianRational._make(Fraction(tr, scale), Fraction(ti, scale))
+    return _scaled(tr, ti, scale)
 
 
-def _cofactor_layer(
-    rows: Tuple[List[List[int]], Optional[List[List[int]]], int],
-    rowlist: Sequence[int],
-    minors: Dict[int, dict],
-) -> dict:
+def _cofactor_layer(rows: _IntParts, rowlist: Sequence[int], minors: Dict[int, dict]) -> dict:
     """det A'[R, C] for the sorted row list R = ``rowlist`` and every column
     set C of its size, as {column mask: minor}, A' being A with each row's
     denominators cleared (``_int_parts``): an ``int``, or a pair of ints
@@ -857,7 +811,7 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
                     ok = not packed_product_terms(n, pairs)
                     checks.append(IdentityCheck("resultant", (i, j, k), ok))
     if "laplace" in identities and n >= 2:
-        d = det_fraction_free(A.rows_list())
+        d = det_fraction_free(A.entries)
         if n <= 8:
             subsets = [S for k in range(1, n) for S in combinations(range(n), k)]
         else:

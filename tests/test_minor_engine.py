@@ -15,7 +15,9 @@ where the walk runs in Z[i].
 ``rank_exact`` and ``det_fraction_free``, two readers of one fraction-free
 row echelon kernel, face ``oracles.rank_gauss`` and ``oracles.det_perm`` on
 rectangular blocks and their leading square blocks: dense, rank-one and with
-zero rows and columns.
+zero rows and columns; fixed cases add the empty inputs, a zero first
+column, denominators only in imaginary parts, and non-square or ragged
+rows, which both reject.
 """
 
 from fractions import Fraction
@@ -303,3 +305,47 @@ def test_non_real_pivots_match_oracle(name):
     assert rank_exact(rows) == oracles.rank_gauss(rows) == len(rows)
     assert rank_exact(rows[:2] + rows[:1]) == 2
     _check_minors_and_pencil(rows, [gaussian(1, k) for k in range(len(rows))])
+
+
+KERNEL_EDGE_CASES = {
+    "empty": [],
+    "zero-first-column": [[0, 1, 2], [0, 3, 1], [0, 2, 5]],
+    "zero-first-column-wide": [[0, 1, 2, 3], [0, 2, 4, 1]],
+    "zero-first-column-tall": [[0, 1], [0, 2], [0, 3]],
+    # the only denominators sit in imaginary parts: clearing them needs the
+    # split parts rescanned for Fractions
+    "imaginary-denominators": [[1, gaussian(2, Fraction(1, 3))], [gaussian(0, Fraction(1, 2)), 5]],
+}
+KERNEL_EDGE_CASES["zero-first-column-qi"] = _gaussian_rows(KERNEL_EDGE_CASES["zero-first-column"])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_EDGE_CASES))
+def test_kernel_edge_cases_match_oracle(name):
+    rows = KERNEL_EDGE_CASES[name]
+    assert rank_exact(rows) == oracles.rank_gauss(rows)
+    if all(len(row) == len(rows) for row in rows):
+        d = det_fraction_free(rows)
+        assert oracles.to_pair(d) == oracles.det_perm(rows)
+        assert _is_canonical(d), repr(d)
+        assert principal_minors(matrix(rows)).value(range(len(rows))) == d
+        _check_minors_and_pencil(rows, [gaussian(1, k) for k in range(len(rows))])
+
+
+def test_kernel_on_empty_input():
+    assert det_fraction_free([]) == 1
+    assert rank_exact([]) == rank_exact([[]]) == 0
+
+
+@pytest.mark.parametrize(
+    "call, rows",
+    [
+        (det_fraction_free, [[1, 2]]),
+        (det_fraction_free, [[1], [2]]),
+        (det_fraction_free, [[1, 2], [3]]),
+        (rank_exact, [[1, 2], [3]]),
+        (rank_exact, [[1], [2, 3]]),
+    ],
+)
+def test_kernel_rejects_non_square_or_ragged_rows(call, rows):
+    with pytest.raises(ValueError):
+        call(rows)
