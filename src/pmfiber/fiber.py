@@ -361,15 +361,15 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
         raise PreconditionError(NO_WITNESS_SYMMETRIZABLE)
     B = _proved_swap(A, Xs, Xc)
     if B is None:
-        raise _swap_refusal("swap produced a diagonally equivalent matrix")
+        raise _swap_refusal()
     return B
 
 
-def _swap_refusal(failure: str) -> VerificationError:
+def _swap_refusal() -> VerificationError:
     # The transposed swap fails the same way, hence "both orientations".
     return VerificationError(
-        f"factor swap failed on both orientations ({failure}); "
-        "factor swapping across this cut cannot leave the "
+        "factor swap failed on both orientations (swap produced a diagonally "
+        "equivalent matrix); factor swapping across this cut cannot leave the "
         "diagonal-equivalence class of the input"
     )
 
@@ -379,7 +379,9 @@ def _proved_swap(A: SquareMatrix, Xs: Sequence[int], Xc: Sequence[int]) -> Optio
     form, or None when it is diagonally equivalent to A."""
     B = _swap(A, Xs, Xc)
     if not _same_swap_form(A, B, Xs, Xc):
-        raise _swap_refusal("recovered matrix does not reproduce the pencil determinant")
+        raise VerificationError(
+            "factor swap failed its swap-form check: the swap's blocks do not match the input's"
+        )
     return B if diagonal_equivalence(A, B) is None else None
 
 
@@ -489,7 +491,7 @@ def classify_fiber(A: SquareMatrix) -> FiberClassification:
                 MULTI_POINT, REASON_HAS_CUT, cut, witness, sym,
                 "irreducible with a cut and not symmetrizable: " + note,
             )
-    raise _swap_refusal("swap produced a diagonally equivalent matrix")
+    raise _swap_refusal()
 
 
 # -- symmetric and stable special cases ---------------------------------------------

@@ -16,24 +16,25 @@ minors`` prints) and the adjugate table come from one minor engine: a
 depth-first walk over subsets that carries the bordered minors
 det(A[T+i, T+j]) and updates them by Sylvester's identity with exact
 (Bareiss) division, the exact form of the Schur-complement recursion of
-Griffin and Tsatsomeros.  Single determinants, exact ranks and the
-per-subset reference ``principal_minors`` read one fraction-free (Bareiss)
-row echelon kernel, in place and once per call: ``det_fraction_free``
-stops at the first column without a pivot, ``rank_exact`` counts the
-pivots.  The walk, a minor vector (``PMVector``) and the pencil's exponents
-share one index, the subset mask, and one ``mpoly.subset_table`` per n.
+Griffin and Tsatsomeros.  Single determinants, and the per-subset
+reference ``principal_minors``, come from one in-place fraction-free
+(Bareiss) loop over a square matrix, ``det_fraction_free``; exact ranks
+(``rank_exact``) from the walk's own elimination, ``_eliminate``, which
+pivots until no nonzero entry is left.  The walk, a minor vector
+(``PMVector``) and the pencil's exponents share one index, the subset mask,
+and one ``mpoly.subset_table`` per n.
 
-The generalized Laplace expansion (``laplace_expand`` and the Laplace
-check of ``verify_identities``) reads its non-principal block minors
-det A[R, C], which the walk does not carry, from a cofactor table local to
-the call: built by row count, each minor expanded along the first row of R
-from the layer below, keyed by row mask and then column mask.
+The Laplace check of ``verify_identities`` reads its non-principal block
+minors det A[R, C], which the walk does not carry, from a cofactor table
+local to the call: built by row count, each minor expanded along the first
+row of R from the layer below, keyed by row mask and then column mask.
 
-The kernel, the walk and the expansion all read the rows ``_int_parts``
-clears (each row times the lcm of its denominators, as ``int`` lists) and
-run in Z, or in Z[i] on pairs of int parts with the conjugate-and-norm
-quotient on Q(i) input; ``_scaled`` divides each value they return by its
-rows' scales, so all are exact over every supported field.
+``det_fraction_free``, the walk and the expansion all read the rows
+``_int_parts`` clears (each row times the lcm of its denominators, as
+``int`` lists) and run in Z, or in Z[i] on pairs of int parts with the
+conjugate-and-norm quotient on Q(i) input; ``_scaled`` divides each value
+they return by its rows' scales, so all are exact over every supported
+field.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from math import lcm, prod
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import PreconditionError, SizeLimitError, VerificationError
+from .errors import SizeLimitError, VerificationError
 from .mpoly import (
     MPoly,
     Packed,
@@ -177,69 +178,6 @@ def identity_matrix(n: int, field: str = FIELD_Q) -> SquareMatrix:
 # -- exact elimination ----------------------------------------------------------
 
 
-def _echelon(rows: Sequence[Sequence[Scalar]]) -> Iterator[Scalar]:
-    """Fraction-free (Bareiss) row echelon elimination, one value per column.
-
-    A column with no nonzero entry outside the pivot rows yields 0 and is
-    skipped; otherwise the first row with one is swapped up to pivot, and
-    the column yields a nonzero value.  After a pivot on the column list C,
-    each remaining entry is a minor on the pivot rows and columns C plus its
-    own row and column, so the division by the previous pivot q (the minor
-    on C alone) is exact: in place, on the rows ``_int_parts`` clears, by
-    floor division in Z, or in Z[i] by the product with conj(q) floor-divided
-    by |q|^2 (by q when q is real).  Once every row holds a pivot the
-    elimination stops and yields the determinant of the input's rows on C:
-    the last pivot times the sign of the row swaps, over the product of the
-    row scales.  Each reader stops where it needs to.
-    """
-    R, I, scales = _int_parts(rows)
-    nrows = len(R)
-    ncols = len(R[0]) if R else 0
-    rank, sign, qr, qi = 0, 1, 1, 0
-    for col in range(ncols):
-        r = rank
-        while r < nrows and not (R[r][col] or I and I[r][col]):
-            r += 1
-        if r == nrows:
-            yield 0
-            continue
-        if r != rank:
-            R[rank], R[r] = R[r], R[rank]
-            if I:
-                I[rank], I[r] = I[r], I[rank]
-            sign = -sign
-        Rk = R[rank]
-        pr, pi = Rk[col], I[rank][col] if I else 0
-        if I is None:
-            for r in range(rank + 1, nrows):
-                Rr = R[r]
-                lr = Rr[col]
-                for j in range(col + 1, ncols):
-                    Rr[j] = (Rr[j] * pr - lr * Rk[j]) // qr
-        else:
-            Ik = I[rank]
-            # (x p - l k) / q = (x P - k L) / d with P = p conj(q), L = l conj(q)
-            # and d = |q|^2, or P = p, L = l and d = q when q is real.
-            Pr, Pi, d = (pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi) if qi else (pr, pi, qr)
-            for r in range(rank + 1, nrows):
-                Rr, Ir = R[r], I[r]
-                lr, li = Rr[col], Ir[col]
-                Lr, Li = (lr * qr + li * qi, li * qr - lr * qi) if qi else (lr, li)
-                for j in range(col + 1, ncols):
-                    xr = Rr[j]
-                    xi = Ir[j]
-                    kr = Rk[j]
-                    ki = Ik[j]
-                    Rr[j] = (xr * Pr - xi * Pi - kr * Lr + ki * Li) // d
-                    Ir[j] = (xr * Pi + xi * Pr - kr * Li - ki * Lr) // d
-        qr, qi = pr, pi
-        rank += 1
-        if rank == nrows:
-            yield _scaled(sign * pr, sign * pi, prod(scales))
-            return
-        yield GaussianRational._make(pr, pi) if pi else pr
-
-
 # Cleared rows: real parts, imaginary parts or None, and the row scales.
 _IntParts = Tuple[List[List[int]], Optional[List[List[int]]], List[int]]
 
@@ -275,26 +213,78 @@ def _scaled(re: int, im: int, scale: int) -> Scalar:
 
 
 def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant of a square matrix from ``_echelon``, the kernel behind
-    ``rank_exact`` too: 0 at the first column without a pivot, else the
-    value at the last column.  ValueError unless the rows are square."""
+    """Determinant of a square matrix by one in-place fraction-free (Bareiss)
+    loop on the rows ``_int_parts`` clears; ValueError unless they are square.
+
+    Column k pivots on the first row from k down with a nonzero entry,
+    swapped up, or the determinant is 0.  Each entry below and right of the
+    pivots on 0..k is then a minor on their rows and columns plus its own,
+    so dividing it by the previous pivot q is exact: floor division in Z, or
+    in Z[i] the product with conj(q) floor-divided by |q|^2 (by q when q is
+    real).  The determinant is the last pivot times the sign of the row
+    swaps, over the product of the row scales.
+    """
+    n = len(rows)
     for row in rows:
-        if len(row) != len(rows):
+        if len(row) != n:
             raise ValueError("det_fraction_free needs a square matrix")
-    d: Scalar = 1
-    for d in _echelon(rows):
-        if not d:
-            return 0
-    return d
+    R, I, scales = _int_parts(rows)
+    sign, qr, qi = 1, 1, 0
+    for k in range(n):
+        r = k
+        while not (R[r][k] or I and I[r][k]):
+            r += 1
+            if r == n:
+                return 0
+        if r != k:
+            R[k], R[r] = R[r], R[k]
+            if I:
+                I[k], I[r] = I[r], I[k]
+            sign = -sign
+        Rk = R[k]
+        pr = Rk[k]
+        if I is None:
+            for Rr in R[k + 1 :]:
+                lr = Rr[k]
+                for j in range(k + 1, n):
+                    Rr[j] = (Rr[j] * pr - lr * Rk[j]) // qr
+            qr = pr
+            continue
+        Ik = I[k]
+        pi = Ik[k]
+        # (x p - l k) / q = (x P - k L) / d with P = p conj(q), L = l conj(q)
+        # and d = |q|^2, or P = p, L = l and d = q when q is real.
+        Pr, Pi, d = (pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi) if qi else (pr, pi, qr)
+        for r in range(k + 1, n):
+            Rr, Ir = R[r], I[r]
+            lr, li = Rr[k], Ir[k]
+            Lr, Li = (lr * qr + li * qi, li * qr - lr * qi) if qi else (lr, li)
+            for j in range(k + 1, n):
+                xr = Rr[j]
+                xi = Ir[j]
+                kr = Rk[j]
+                ki = Ik[j]
+                Rr[j] = (xr * Pr - xi * Pi - kr * Lr + ki * Li) // d
+                Ir[j] = (xr * Pi + xi * Pr - kr * Li - ki * Lr) // d
+        qr, qi = pr, pi
+    return _scaled(sign * qr, sign * qi, prod(scales))
 
 
 def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of a rectangular matrix: the columns with a pivot in ``_echelon``,
-    the kernel behind ``det_fraction_free`` too.  ValueError on rows of
-    unequal length."""
+    """Rank of a rectangular matrix, by the minor walk's ``_eliminate``: the
+    cleared rows padded with zeros to a k x k square (which keeps the rank)
+    have rank k - m, m the size of the block left when no nonzero entry
+    remains to pivot on.  ValueError on rows of unequal length."""
     if len(set(map(len, rows))) > 1:
         raise ValueError("rank_exact needs rows of equal length")
-    return sum(1 for d in _echelon(rows) if d)
+    R, I, _ = _int_parts(rows)
+    ncols = len(R[0]) if R else 0
+    k = max(len(R), ncols)
+    W = tuple(
+        None if P is None else [row + [0] * (k - ncols) for row in P] + [[0] * k for _ in range(k - len(P))]
+        for P in (R, I)
+    )
+    return k - _eliminate(W, k, 1 if I is None else (1, 0), 1)[1]
 
 
 # -- principal minors and the determinantal pencil -------------------------------
@@ -435,7 +425,7 @@ def _pivot(W, u: int, v: int, rows: Sequence[int], cols: Sequence[int], p):
     ``rows`` and y in ``cols``, which hold neither u nor v.  In Z the quotient is
     floor division; in Z[i] it is the product with conj(p) floor-divided,
     part by part, by |p|^2, or by p itself when p is real, as in
-    ``_echelon``."""
+    ``det_fraction_free``."""
     Wr, Wi = W
     if Wi is None:
         Wu, q = Wr[u], Wr[u][v]
@@ -613,23 +603,13 @@ def matrix_from_adjugate(H: AdjugateTable, f: MPoly, field: Optional[str] = None
 # -- generalized Laplace expansion ---------------------------------------------
 
 
-def laplace_expand(A: SquareMatrix, S: Iterable[int]) -> Scalar:
-    """det(A) as sum over |T| = |S| of sgn(S,T) * A[S,T] * A[S^c,T^c]."""
-    n = A.n
-    srows = sorted(set(S))
-    if not 0 < len(srows) < n:
-        raise PreconditionError("row subset must be proper and nonempty")
-    if srows[0] < 0 or srows[-1] >= n:
-        raise ValueError("row subset outside matrix range")
-    return _laplace_sum(_int_parts(A.entries), tuple(srows), {})
-
-
 def _laplace_sum(rows: _IntParts, srows: Tuple[int, ...], minors: Dict[int, dict]) -> Scalar:
-    """``laplace_expand`` on a sorted proper row subset S, from the rows
-    ``_int_parts`` clears.  Every det A[R, C] comes from the cofactor
-    table ``minors`` (see ``_cofactor_layer``), so expansions sharing it
-    compute each minor once: the upper blocks of S are the lower blocks of
-    its complement.  The sign of the term for the columns T is
+    """det(A) by the generalized Laplace expansion along a sorted proper row
+    subset S: the sum over |T| = |S| of sgn(S, T) det A[S, T] det A[S^c, T^c],
+    on the rows ``_int_parts`` clears.  Every det A[R, C] comes from the
+    cofactor table ``minors`` (see ``_cofactor_layer``), so expansions
+    sharing it compute each minor once: the upper blocks of S are the lower
+    blocks of its complement.  The sign of the term for the columns T is
     (-1)^(sum S + sum T), whose parity is that of the odd indices in S and
     T.  Each term is a product of minors of cleared rows, S's and the rest,
     so the sum is det(A) times the product of all row scales, divided out

@@ -366,6 +366,18 @@ def test_exit_internal_verification_maps_to_4(capsys, a4_file, monkeypatch):
     assert code == 4 and doc["error"] == "synthetic failure"
 
 
+@pytest.mark.parametrize("argv", [("classify",), ("witness", "--cut", "1,2")])
+def test_failed_swap_form_check_is_reported_as_such(capsys, a4_file, monkeypatch, argv):
+    # An internal failure, not the refusal for a cut whose swap stays in
+    # the input's class.
+    import pmfiber.fiber as fiber_mod
+
+    monkeypatch.setattr(fiber_mod, "_same_swap_form", lambda *args: False)
+    code, doc, _ = run_cli(capsys, *argv, a4_file)
+    assert code == 4
+    assert doc["error"] == "factor swap failed its swap-form check: the swap's blocks do not match the input's"
+
+
 def test_selftest_failure_maps_to_4(capsys, monkeypatch):
     import pmfiber.cli as cli_mod
     from pmfiber.selftest import SuiteResult

@@ -18,7 +18,6 @@ from pmfiber import (
     FIELD_Q,
     FIELD_QI,
     MPoly,
-    PreconditionError,
     VerificationError,
     adjugate_table,
     affine_resultant,
@@ -35,7 +34,6 @@ from pmfiber.symdet import (
     DeterminantalPencil,
     adjugate_pencil_product_ok,
     det_fraction_free,
-    laplace_expand,
     rank_exact,
 )
 
@@ -310,26 +308,34 @@ def laplace_inputs(draw):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(laplace_inputs())
 def test_laplace_expansion_equals_det(rows):
-    A = matrix(rows)
-    n = A.n
-    d = det_fraction_free(rows)
-    for k in range(1, n):
-        for S in combinations(range(n), k):
-            assert laplace_expand(A, S) == d, S
+    # At n <= 8 the Laplace check expands along every proper nonempty S.
+    report = verify_identities(matrix(rows), ("laplace",))
+    assert len(report.checks) == 2 ** len(rows) - 2
+    assert report.all_ok, [c.indices for c in report.checks if not c.ok]
 
 
 def test_laplace_expansion_reads_no_determinant(monkeypatch):
     A = matrix(rand_rows(random.Random(20), 6, FIELD_QI), FIELD_QI)
     d = det_fraction_free(A.rows_list())
     monkeypatch.setattr(symdet, "det_fraction_free", None)
-    assert all(laplace_expand(A, S) == d for S in ([0], [1, 4], [0, 2, 5], [1, 2, 3, 4, 5]))
+    rows = symdet._int_parts(A.entries)
+    assert all(symdet._laplace_sum(rows, S, {}) == d for S in ((0,), (1, 4), (0, 2, 5), (1, 2, 3, 4, 5)))
 
 
-def test_laplace_rejects_improper_subset(golden_a4):
-    with pytest.raises(PreconditionError):
-        laplace_expand(golden_a4, [])
-    with pytest.raises(PreconditionError):
-        laplace_expand(golden_a4, [0, 1, 2, 3])
+def _laplace_reference(rows, S):
+    """The generalized Laplace expansion along the rows S, every block minor
+    a permutation sum: sum over |T| = |S| of
+    (-1)^(sum S + sum T) det A[S, T] det A[S^c, T^c]."""
+    n = len(rows)
+    Sc = [r for r in range(n) if r not in S]
+    total = oracles.ZERO
+    for T in combinations(range(n), len(S)):
+        Tc = [c for c in range(n) if c not in T]
+        upper = oracles.det_perm([[rows[i][j] for j in T] for i in S])
+        lower = oracles.det_perm([[rows[i][j] for j in Tc] for i in Sc])
+        term = oracles.cmul(upper, lower)
+        total = oracles.cadd(total, oracles.cneg(term) if (sum(S) + sum(T)) % 2 else term)
+    return total
 
 
 # -- identity verification ----------------------------------------------------------
@@ -351,7 +357,7 @@ def _old_form_checks(A, f, G):
     both sides separately and comparing them."""
     n = A.n
     x = [MPoly.var(n, k) for k in range(n)]
-    d = det_fraction_free(A.rows_list())
+    d = oracles.det_perm(A.entries)
     out = {}
     for i in range(n):
         for j in range(n):
@@ -364,7 +370,7 @@ def _old_form_checks(A, f, G):
                         out["resultant", (i, j, k)] = ok
     for size in range(1, n):
         for S in combinations(range(n), size):
-            out["laplace", S] = laplace_expand(A, S) == d
+            out["laplace", S] = _laplace_reference(A.entries, S) == d
     out["adjugate", ()] = all(
         sum((G[i][k] * A.entries[k][j] for k in range(n)), G[i][j] * x[j])
         == (f if i == j else MPoly.zero(n))
@@ -419,15 +425,14 @@ def test_verify_identities_on_corrupted_tables_match_the_old_form(monkeypatch):
 @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
 def test_verify_and_laplace_leave_nothing_for_the_cyclic_gc(field):
     A = matrix(rand_rows(random.Random(5), 5, field), field)
-    for call in (lambda: verify_identities(A), lambda: laplace_expand(A, [0, 2])):
-        call()
-        gc.collect()
-        gc.disable()
-        try:
-            call()
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    verify_identities(A)
+    gc.collect()
+    gc.disable()
+    try:
+        verify_identities(A)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
