@@ -58,6 +58,7 @@ from .mpoly import (
     poly_subset_map,
     poly_text,
     poly_texts,
+    ranked_texts,
     rayleigh_difference,
 )
 from .scalars import (
@@ -152,6 +153,7 @@ __all__ = [
     "poly_subset_map",
     "poly_text",
     "poly_texts",
+    "ranked_texts",
     "rank_one_split",
     "rayleigh_difference",
     "recover_diag_from_fiber",

@@ -7,9 +7,12 @@ analysis (negative verdicts included), 2 for malformed input or violated
 preconditions, 3 for size-limit refusals, and 4 when an internal verification
 check fails or any other exception escapes (a bug; the error names its type).
 
-main loads the command's matrix file, calls its handler with the matrix, and
+main loads the command's matrix files, calls its handler with the matrix, and
 prints {"command": name} followed by the handler's body, or by {"error": ...}
-when either raises; no handler reads the matrix file or writes "command".
+when either raises; no handler reads a matrix file or writes "command".  The
+files are parsed under Python's limit on the digits of an int read from text;
+main lifts it while the handler runs, since an exact result may be longer
+than any entry, and restores it after.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .fiber import (
     stable_certify,
     symmetric_fiber_describe,
 )
-from .mpoly import MPoly, poly_subset_map, poly_text, poly_texts
+from .mpoly import MPoly, poly_subset_map, poly_text, ranked_texts
 from .scalars import FIELDS, scalar_format, scalar_parse
 from .selftest import SUITES, run_selftest
 from .structure import fiber_shape, structure_check
@@ -152,7 +155,7 @@ def _cmd_adjugate(A: SquareMatrix, args) -> Tuple[Dict, int]:
     if getattr(args, "json_poly", False):
         grid = [[poly_subset_map(p) for p in row] for row in G.entries]
     else:
-        texts = poly_texts([p for row in G.entries for p in row])
+        texts = ranked_texts(G.coeffs, A.n)
         grid = [texts[i * A.n : (i + 1) * A.n] for i in range(A.n)]
     return {
         "result": {"n": A.n, "field": A.field},
@@ -216,8 +219,7 @@ def _cmd_witness(A: SquareMatrix, args) -> Tuple[Dict, int]:
 
 
 def _cmd_equiv(A: SquareMatrix, args) -> Tuple[Dict, int]:
-    B = _load_matrix(args.other)
-    cert = diagonal_equivalence(A, B)
+    cert = diagonal_equivalence(A, args.other_matrix)
     return {
         "result": {"equivalent": cert is not None},
         "certificate": _certificate_doc(cert),
@@ -381,8 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         A = _load_matrix(args.matrix) if args.command != "selftest" else None
+        if args.command == "equiv":
+            args.other_matrix = _load_matrix(args.other)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         body, code = args.handler(A, args)
     except SizeLimitError as exc:
         body, code = {"error": str(exc)}, 3
@@ -392,6 +399,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         body, code = {"error": str(exc)}, 4
     except Exception as exc:  # a bug, never reported as bad input
         body, code = {"error": f"{type(exc).__name__}: {exc}"}, 4
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     print(json.dumps({"command": args.command, **body}, indent=2))
     return code
 

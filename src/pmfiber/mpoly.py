@@ -6,7 +6,9 @@ coefficients are exact (int / Fraction / GaussianRational); there is no
 floating point.  The canonical text form sorts terms in descending graded
 lexicographic order and writes explicit ``*`` and ``^``; a squarefree
 polynomial is ordered and written from ``subset_table``, one table of the
-subsets of 0..n-1 per n, built on first use.
+subsets of 0..n-1 per n, built on first use.  Coefficient lists stored by
+that table's grlex ranks (the adjugate table's) are written in order by
+``ranked_texts``, with no sort; one core, ``_terms_text``, formats both.
 
 Variables are indexed 0..n-1 internally and printed 1-based as x1..xn.
 Exponents are non-negative ints; the constructor rejects anything else.
@@ -560,7 +562,7 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
 # -- canonical text form -------------------------------------------------------
 
 
-SubsetTable = namedtuple("SubsetTable", "exps canon grlex rank texts")
+SubsetTable = namedtuple("SubsetTable", "exps canon grlex rank texts mask_rank")
 
 
 @lru_cache(maxsize=None)
@@ -570,7 +572,8 @@ def subset_table(n: int) -> SubsetTable:
     ``exps[mask]`` is the exponent tuple; ``canon`` lists the masks by
     size, each in ``combinations`` order, which is descending lex order on
     the exponents; ``grlex`` lists the exponents in descending grlex order,
-    ``rank`` gives each one's place there and ``texts`` its monomial."""
+    ``rank`` gives each one's place there and ``texts`` its monomial;
+    ``mask_rank[mask]`` is that place by mask."""
     exps: List[Exponent] = [()]
     monos, lex = [""], [0]  # lex: the masks, their exponents in descending lex order
     for k in range(n):
@@ -580,7 +583,11 @@ def subset_table(n: int) -> SubsetTable:
     grlex = sorted(lex, key=int.bit_count, reverse=True)  # stable: lex order within a degree
     by_rank = [exps[m] for m in grlex]
     canon = sorted(lex, key=int.bit_count)
-    return SubsetTable(exps, canon, by_rank, dict(zip(by_rank, range(1 << n))), [monos[m] for m in grlex])
+    mask_rank = [0] * len(grlex)
+    for r, m in enumerate(grlex):
+        mask_rank[m] = r
+    rank = {exps[m]: mask_rank[m] for m in grlex}  # shares mask_rank's int objects
+    return SubsetTable(exps, canon, by_rank, rank, [monos[m] for m in grlex], mask_rank)
 
 
 def poly_text(p: MPoly, names: Optional[Sequence[str]] = None) -> str:
@@ -598,8 +605,8 @@ def poly_texts(polys: Sequence[MPoly], names: Optional[Sequence[str]] = None) ->
     variables is sorted by its exponents' ranks in the ``subset_table`` of
     its n, which also holds their text in x1..xn.  Any other is sorted by
     descending lex order, then stably by descending degree, and each
-    monomial is written from its exponent.  A polynomial whose
-    coefficients are all ``int`` is formatted in one comprehension.
+    monomial is written from its exponent.  The terms are then written by
+    ``_terms_text``.
     """
     from .symdet import SIZE_LIMITS  # symdet builds on this module
     cap = SIZE_LIMITS["det_poly"]
@@ -612,11 +619,8 @@ def poly_texts(polys: Sequence[MPoly], names: Optional[Sequence[str]] = None) ->
     texts = []
     for p in polys:
         terms = p.terms
-        if not terms:
-            texts.append("0")
-            continue
         ranked = None
-        if p.n <= cap:
+        if terms and p.n <= cap:
             subsets = subset_table(p.n)
             with suppress(KeyError):  # an exponent above 1 has no rank
                 ranked = sorted(zip(map(subsets.rank.__getitem__, terms), terms.values()))
@@ -631,28 +635,48 @@ def poly_texts(polys: Sequence[MPoly], names: Optional[Sequence[str]] = None) ->
             order.sort(key=sum, reverse=True)
             monos = ["*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, exp) if e) for exp in order]
             coeffs = [terms[exp] for exp in order]
-        if set(map(type, coeffs)) == {int}:
-            pieces = [
-                (f"- {m}" if c == -1 else f"- {-c}*{m}") if c < 0 else (f"+ {m}" if c == 1 else f"+ {c}*{m}")
-                for c, m in zip(coeffs, monos)
-            ]
-            if not monos[-1]:  # the constant term, which sorts last
-                c = coeffs[-1]
-                pieces[-1] = f"- {-c}" if c < 0 else f"+ {c}"
-        else:
-            pieces = []
-            for coeff, mono in zip(coeffs, monos):
-                if is_rational(coeff):
-                    sign, body = ("-", scalar_format(-coeff)) if coeff < 0 else ("+", scalar_format(coeff))
-                else:
-                    sign, body = "+", f"({scalar_format(coeff)})"
-                if mono:
-                    body = mono if body == "1" else f"{body}*{mono}"
-                pieces.append(f"{sign} {body}")
-        first = pieces[0]
-        pieces[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
-        texts.append(" ".join(pieces))
+        texts.append(_terms_text(coeffs, monos))
     return texts
+
+
+def ranked_texts(columns: Iterable[Sequence[Scalar]], n: int) -> List[str]:
+    """The canonical text, as ``poly_text`` gives it, of each squarefree
+    polynomial in n variables given as its coefficients by rank: entry r
+    the coefficient on the monomial of descending-grlex rank r in
+    ``subset_table(n)``, 0 where there is no term.  Each is read in order,
+    with no sort or rank lookup, and written by ``_terms_text``."""
+    texts = subset_table(n).texts
+    return [_terms_text(list(compress(col, col)), list(compress(texts, col))) for col in columns]
+
+
+def _terms_text(coeffs: Sequence[Scalar], monos: Sequence[str]) -> str:
+    """The nonzero coefficients ``coeffs`` on the monomial texts ``monos``
+    (the constant's is empty, and only last), already in canonical order,
+    written as one signed sum: "0" for none.  When every coefficient is an
+    ``int`` they are formatted in one comprehension."""
+    if not coeffs:
+        return "0"
+    if set(map(type, coeffs)) == {int}:
+        pieces = [
+            (f"- {m}" if c == -1 else f"- {-c}*{m}") if c < 0 else (f"+ {m}" if c == 1 else f"+ {c}*{m}")
+            for c, m in zip(coeffs, monos)
+        ]
+        if not monos[-1]:  # the constant term, which sorts last
+            c = coeffs[-1]
+            pieces[-1] = f"- {-c}" if c < 0 else f"+ {c}"
+    else:
+        pieces = []
+        for coeff, mono in zip(coeffs, monos):
+            if is_rational(coeff):
+                sign, body = ("-", scalar_format(-coeff)) if coeff < 0 else ("+", scalar_format(coeff))
+            else:
+                sign, body = "+", f"({scalar_format(coeff)})"
+            if mono:
+                body = mono if body == "1" else f"{body}*{mono}"
+            pieces.append(f"{sign} {body}")
+    first = pieces[0]
+    pieces[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
+    return " ".join(pieces)
 
 
 def poly_subset_map(p: MPoly) -> Dict[str, str]:

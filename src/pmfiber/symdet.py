@@ -22,7 +22,11 @@ reference ``principal_minors``, come from one in-place fraction-free
 (``rank_exact``) from the walk's own elimination, ``_eliminate``, which
 pivots until no nonzero entry is left.  The walk, a minor vector
 (``PMVector``) and the pencil's exponents share one index, the subset mask,
-and one ``mpoly.subset_table`` per n.
+and one ``mpoly.subset_table`` per n.  The adjugate table
+(``AdjugateTable``) keeps each entry as one tuple of coefficients indexed
+by the monomials' descending-grlex ranks in that table, the order in which
+``mpoly.ranked_texts`` writes them, so ``pmfiber adjugate`` prints it with
+no polynomial built; the entries as polynomials are built on first access.
 
 The Laplace check of ``verify_identities`` reads its non-principal block
 minors det A[R, C], which the walk does not carry, from a cofactor table
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, repeat
 from math import lcm, prod
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -335,10 +340,45 @@ class DeterminantalPencil:
 
 @dataclass(frozen=True)
 class AdjugateTable:
-    """Adjugate of diag(x) + A: polynomial entries with G*(diag(x)+A) = f*I."""
+    """Adjugate G of diag(x) + A, with G*(diag(x)+A) = f*I, stored by rank:
+    ``coeffs[i * n + j][r]`` is entry (i, j)'s coefficient on prod_{k in S}
+    x_k for the subset S of descending-grlex rank r in ``subset_table(n)``
+    (``mask_rank``), 0 where the entry has no such term.  Equality and
+    hashing read ``n`` and ``coeffs``; the entries as polynomials are built
+    only when ``entries`` is first read."""
 
     n: int
-    entries: Tuple[Tuple[MPoly, ...], ...]
+    coeffs: Tuple[Tuple[Scalar, ...], ...]
+
+    @classmethod
+    def of_entries(cls, n: int, grid: Sequence[Sequence[MPoly]]) -> "AdjugateTable":
+        """The table whose entries are the n x n grid of polynomials in n
+        variables ``grid``; ValueError on any other shape or variable count,
+        or on an entry with an exponent above 1."""
+        polys = list(chain.from_iterable(grid))
+        if len(grid) != n or len(polys) != n * n or any(p.n != n for p in polys):
+            raise ValueError(f"an adjugate table needs an {n} x {n} grid of polynomials in {n} variables")
+        rank = subset_table(n).rank
+        coeffs = []
+        for p in polys:
+            col = [0] * (1 << n)
+            for exp, c in p.terms.items():
+                if exp not in rank:
+                    raise ValueError(f"adjugate entry {p} is not squarefree")
+                col[rank[exp]] = c
+            coeffs.append(tuple(col))
+        return cls(n, tuple(coeffs))
+
+    @property
+    def entries(self) -> Tuple[Tuple[MPoly, ...], ...]:
+        """The entries as polynomials, row by row, built on first access."""
+        grid = self.__dict__.get("_entries")
+        if grid is None:
+            n, grlex = self.n, subset_table(self.n).grlex
+            polys = [MPoly._raw(n, dict(filter(itemgetter(1), zip(grlex, c)))) for c in self.coeffs]
+            grid = tuple(tuple(polys[i * n : i * n + n]) for i in range(n))
+            object.__setattr__(self, "_entries", grid)
+        return grid
 
     def entry(self, i: int, j: int) -> MPoly:
         return self.entries[i][j]
@@ -516,24 +556,25 @@ def adjugate_table(A: SquareMatrix) -> AdjugateTable:
     det A[T] when i == j, and -det A[T+i, T+j] when i != j, for the bordered
     minor with T's rows and columns first: the cofactor sign of (i,j) in U
     and the signs of moving row i and column j from last place to their
-    places in U multiply to -1.  The walk yields these coefficients as M.
+    places in U multiply to -1.  The walk yields these coefficients as M,
+    and each is one list store at the rank of S in entry (i, j)'s
+    coefficient list, which starts as zeros: the walk reaches each T once.
     """
     n = A.n
     check_size("adjugate_table", n)
-    exps = subset_table(n).exps
+    rank = subset_table(n).mask_rank
     full = (1 << n) - 1
-    terms: List[List[Dict[Tuple[int, ...], Scalar]]] = [[{} for _ in range(n)] for _ in range(n)]
+    grid = [[[0] * (1 << n) for _ in range(n)] for _ in range(n)]
     for mask, d, R, M in _minor_walk(A, full=True):
         rest = full ^ mask
-        for a, i in enumerate(R):
-            row, Ma, without_i = terms[i], M[a], rest ^ 1 << i
-            for b, j in enumerate(R):
-                if b == a:
-                    if d:
-                        row[i][exps[without_i]] = d
-                elif Ma[b]:
-                    row[j][exps[without_i ^ 1 << j]] = Ma[b]
-    return AdjugateTable(n, tuple(tuple(MPoly._raw(n, t) for t in row) for row in terms))
+        for i, Mi in zip(R, M):
+            row, without_i = grid[i], rest ^ 1 << i
+            for j, c in zip(R, Mi):
+                row[j][rank[without_i ^ 1 << j]] = c
+            # j = i stored -det A[T+i] at S = rest, which holds i: no term of G_ii
+            row[i][rank[rest]] = 0
+            row[i][rank[without_i]] = d
+    return AdjugateTable(n, tuple(map(tuple, chain.from_iterable(grid))))
 
 
 def adjugate_pencil_product_ok(G: AdjugateTable, pencil: DeterminantalPencil) -> bool:
@@ -593,7 +634,7 @@ def matrix_from_adjugate(H: AdjugateTable, f: MPoly, field: Optional[str] = None
             row.append(f.coefficient(exp) if i == j else -H.entries[i][j].coefficient(exp))
         rows.append(row)
     B = matrix(rows, field)
-    if adjugate_table(B).entries != H.entries:
+    if adjugate_table(B) != H:
         raise VerificationError("recovered matrix does not reproduce the adjugate table")
     if det_poly(B).fpoly != f:
         raise VerificationError("recovered matrix does not reproduce the pencil determinant")

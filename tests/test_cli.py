@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmfiber import (
+    MPoly,
     VerificationError,
     det_poly,
     find_cuts,
@@ -610,9 +611,10 @@ def test_witness_without_cut_takes_the_first_cut_that_leaves_the_class(capsys, t
 
 def _golden_inputs():
     """(field, rows) by name: dense int, Fraction, Q(i) with Fraction parts,
-    Q(i) with a zero diagonal (the walk's deficiency path), n = 1, and at
-    n = 10 and 9 a dense int and a Q(i) input, whose names and keys reach
-    two digits (``x10``, ``10``)."""
+    Q(i) with a zero diagonal (the walk's deficiency path), n = 1, at n = 10
+    and 9 a dense int and a Q(i) input, whose names and keys reach two digits
+    (``x10``, ``10``), and at n = 8 Fraction rows and a zero on the diagonal,
+    which send the full walk down its row-scale and deficiency paths."""
     q = Fraction
     return {
         "int-6": ("Q", [[(-1) ** (i + j) * ((i * 5 + j * 3 + i * j) % 6 + 1) for j in range(6)] for i in range(6)]),
@@ -628,6 +630,12 @@ def _golden_inputs():
         "n-1": ("Q(i)", [[gaussian(q(-3, 2), q(1, 3))]]),
         "int-10": ("Q", [[(-1) ** (i * j) * ((i * 7 + j * 3 + i * j) % 9 + 1) for j in range(10)] for i in range(10)]),
         "gaussian-9": ("Q(i)", [[gaussian((i + 2 * j) % 11 - 5, (3 * i + j * j) % 11 - 5) for j in range(9)] for i in range(9)]),
+        "fraction-zero-diagonal-8": ("Q", [
+            [0 if i == j == 3 else (
+                q((i * 5 + j * 3) % 7 - 3, i % 3 + 2) if i % 3 == 1 else (-1) ** (i + j) * ((i * 3 + j * 5 + i * j) % 7 + 1)
+            ) for j in range(8)]
+            for i in range(8)
+        ]),
     }
 
 
@@ -663,6 +671,12 @@ GOLDEN_DIGESTS = {
     ('gaussian-9', 'minors'): "6a1d09ddefae2441657d798ea121948e7ca620f84dfd9123291514088a274e92",
     ('gaussian-9', 'detpoly'): "36205038c0988bbcd7184601fbe1210ddfef8eb0f42c792cd1acd005f29c16a5",
     ('gaussian-9', 'adjugate'): "cab10ac5f30402989f2104e0960301723de0764ceeeee6cb65b4d04153804aa4",
+    ('int-10', 'adjugate'): "9ed11e09f78ee666aaffed797b3222bee603032d0cc2aaeec0af26597df2b541",
+    ('fraction-zero-diagonal-8', 'minors'): "e65356bbccccd0be45b293281759b970474b8a5eea3d57c327f056b7b0687db0",
+    ('fraction-zero-diagonal-8', 'detpoly'): "c2c031dd23027e25b58dc887a9c12f11b301297ea83d2b2fcbaea8123124eaae",
+    ('fraction-zero-diagonal-8', 'adjugate'): "a8fea26514861d32a8d82fe7c590c69f087476f1caeb4dc03692237d15f09e21",
+    ('fraction-zero-diagonal-8', 'detpoly --json-poly'): "4b6d0e73b4df77b3e17affa1550af85918e85e2efc5a7730dab419e0ed707730",
+    ('fraction-zero-diagonal-8', 'adjugate --json-poly'): "e707f5a99fe45fd20c28c8181be0ddc86c77dc43085a510272ad1990e90f9dd8",
 }
 
 GOLDEN_CALLS = [["minors"], ["detpoly"], ["adjugate"], ["detpoly", "--json-poly"], ["adjugate", "--json-poly"]]
@@ -679,3 +693,45 @@ def test_polynomial_commands_keep_their_bytes(capsys, tmp_path, name):
         code, _, out = run_cli(capsys, *argv, str(path))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name, " ".join(argv)], argv
+
+
+def test_adjugate_text_builds_no_polynomial(capsys, tmp_path, monkeypatch):
+    """The text grid is read off the rank-ordered coefficient lists; only
+    ``--json-poly`` builds the entries as polynomials."""
+    calls = []
+    raw = MPoly._raw.__func__
+    monkeypatch.setattr(MPoly, "_raw", classmethod(lambda cls, n, terms: calls.append(n) or raw(cls, n, terms)))
+    path = write_matrix(tmp_path / "a6.json", A6_ROWS)
+    for argv, built in ((["adjugate"], False), (["adjugate", "--json-poly"], True)):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv, path)
+        assert code == 0 and bool(calls) == built, argv
+
+
+def _lifted_int_text(fn):
+    """fn() with Python's limit on int <-> decimal text lifted, where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_results_longer_than_the_int_text_limit_print_exactly(capsys, tmp_path):
+    """Entries under the digit limit parse; minors, pencils and factors of
+    twice their length print in full, and the limit is back afterwards."""
+    a, b, c = "7" * 2500, "3" * 2500, "5" * 2500
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    two = write_matrix(tmp_path / "two.json", [[a, b], [b, a]])
+    code, doc, _ = run_cli(capsys, "minors", two)
+    assert code == 0
+    assert doc["result"]["minors"]["1,2"] == _lifted_int_text(lambda: str(int(a) ** 2 - int(b) ** 2))
+    three = write_matrix(tmp_path / "three.json", [[a, b, c], [b, c, a], [c, a, b]])
+    for command in ("minors", "detpoly", "adjugate", "structure", "fibershape", "stablecert"):
+        code, doc, _ = run_cli(capsys, command, three)
+        assert code == 0, (command, doc.get("error"))
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit

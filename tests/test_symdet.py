@@ -29,6 +29,7 @@ from pmfiber import (
     rayleigh_difference,
     verify_identities,
 )
+from pmfiber.mpoly import ranked_texts
 from pmfiber.symdet import (
     AdjugateTable,
     DeterminantalPencil,
@@ -205,6 +206,54 @@ def test_adjugate_matches_oracle_at_points():
                     )
 
 
+@st.composite
+def ranked_table_inputs(draw):
+    """Unfiltered n x n rows at n = 1..7 and a point: over Q with ints,
+    Fractions and many zeros, or over Q(i)."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), SMALL, st.builds(Fraction, SMALL, st.integers(1, 4)))
+    else:
+        entry = QI_ENTRIES
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    point = [draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))) for _ in range(n)]
+    return rows, point
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ranked_table_inputs())
+def test_ranked_adjugate_table_matches_the_oracles(drawn):
+    rows, point = drawn
+    n = len(rows)
+    G = adjugate_table(matrix(rows))
+    texts = ranked_texts(G.coeffs, n)
+    for i in range(n):
+        for j in range(n):
+            entry = G.entries[i][j]
+            assert texts[i * n + j] == oracles.poly_text_reference(entry.terms, n), (i, j)
+            assert oracles.to_pair(entry.evaluate(point)) == oracles.adjugate_entry_at_point(rows, point, i, j)
+    rebuilt = AdjugateTable.of_entries(n, G.entries)
+    assert rebuilt == G and hash(rebuilt) == hash(G)
+
+
+def test_adjugate_table_builds_its_polynomials_on_first_access(golden_a4, monkeypatch):
+    built = []
+    raw = MPoly._raw.__func__
+    monkeypatch.setattr(MPoly, "_raw", classmethod(lambda cls, n, terms: built.append(n) or raw(cls, n, terms)))
+    G = adjugate_table(golden_a4)
+    assert built == []
+    assert G.entries is G.entries and built == [4] * 16
+    monkeypatch.undo()
+    x = [MPoly.var(4, k) for k in range(4)]
+    grid = [list(row) for row in G.entries]
+    for bad in ((4, grid[:3]), (3, grid), (4, [row[:3] for row in grid])):
+        with pytest.raises(ValueError, match="grid"):
+            AdjugateTable.of_entries(*bad)
+    grid[0][1] = x[0] * x[0]
+    with pytest.raises(ValueError, match="not squarefree"):
+        AdjugateTable.of_entries(4, grid)
+
+
 def test_adjugate_product_identity():
     rng = random.Random(18)
     for _ in range(6):
@@ -251,7 +300,7 @@ def golden_h4_table(G: AdjugateTable) -> AdjugateTable:
     H[2][1] = (3 * x[0] + 7) * x[3]
     H[3][0] = (x[1] - 2) * (x[2] + 3)
     H[3][1] = -1 * (3 * x[0] + 7) * (x[2] + 3)
-    return AdjugateTable(n, tuple(tuple(row) for row in H))
+    return AdjugateTable.of_entries(n, H)
 
 
 def test_golden_swapped_table_reconstructs_b4(golden_a4, golden_b4):
@@ -277,7 +326,7 @@ def test_matrix_from_adjugate_rejects_corrupt_table(golden_a4):
     f = det_poly(golden_a4).fpoly
     rows = [[G.entry(i, j) for j in range(4)] for i in range(4)]
     rows[0][1] = rows[0][1] + MPoly.const(4, 1)
-    bad = AdjugateTable(4, tuple(tuple(r) for r in rows))
+    bad = AdjugateTable.of_entries(4, rows)
     with pytest.raises(VerificationError):
         matrix_from_adjugate(bad, f)
 
@@ -411,7 +460,7 @@ def test_verify_identities_on_corrupted_tables_match_the_old_form(monkeypatch):
             rows[i][j] = _one_coefficient_changed(rng, rows[i][j])
         if trial >= 16:
             f = _one_coefficient_changed(rng, f)
-        bad = AdjugateTable(n, tuple(tuple(r) for r in rows))
+        bad = AdjugateTable.of_entries(n, rows)
         pencil = DeterminantalPencil(A, f)
         monkeypatch.setattr(symdet, "adjugate_table", lambda _A, bad=bad: bad)
         monkeypatch.setattr(symdet, "det_poly", lambda _A, pencil=pencil: pencil)
