@@ -26,10 +26,10 @@ from pmfiber import (
     matrix,
     matrix_from_adjugate,
     principal_minors,
+    ranked_texts,
     rayleigh_difference,
     verify_identities,
 )
-from pmfiber.mpoly import ranked_texts
 from pmfiber.symdet import (
     AdjugateTable,
     DeterminantalPencil,
