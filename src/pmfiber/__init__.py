@@ -57,7 +57,6 @@ from .mpoly import (
     affine_resultant,
     poly_subset_map,
     poly_text,
-    poly_texts,
     ranked_texts,
     rayleigh_difference,
 )
@@ -152,7 +151,6 @@ __all__ = [
     "principal_minors",
     "poly_subset_map",
     "poly_text",
-    "poly_texts",
     "ranked_texts",
     "rank_one_split",
     "rayleigh_difference",

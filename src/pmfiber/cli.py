@@ -153,7 +153,7 @@ def _cmd_detpoly(A: SquareMatrix, args) -> Tuple[Dict, int]:
 def _cmd_adjugate(A: SquareMatrix, args) -> Tuple[Dict, int]:
     G = adjugate_table(A)
     if getattr(args, "json_poly", False):
-        grid = [[poly_subset_map(p) for p in row] for row in G.entries]
+        grid = [[poly_subset_map(G.entry(i, j)) for j in range(A.n)] for i in range(A.n)]
     else:
         texts = ranked_texts(G.coeffs, A.n)
         grid = [texts[i * A.n : (i + 1) * A.n] for i in range(A.n)]

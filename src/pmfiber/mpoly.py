@@ -3,12 +3,12 @@
 A polynomial in n variables is a dict mapping dense exponent tuples of
 length n to nonzero scalar coefficients, wrapped in :class:`MPoly`.  All
 coefficients are exact (int / Fraction / GaussianRational); there is no
-floating point.  The canonical text form sorts terms in descending graded
-lexicographic order and writes explicit ``*`` and ``^``; a squarefree
-polynomial is ordered and written from ``subset_table``, one table of the
-subsets of 0..n-1 per n, built on first use.  Coefficient lists stored by
-that table's grlex ranks (the adjugate table's) are written in order by
-``ranked_texts``, with no sort; one core, ``_terms_text``, formats both.
+floating point.  The one text of a polynomial, ``poly_text``, sorts terms
+in descending graded lexicographic order and writes explicit ``*`` and
+``^``; a squarefree polynomial is ordered and written from ``subset_table``,
+one table of the subsets of 0..n-1 per n, built on first use.  Coefficient
+lists stored by its grlex ranks (the adjugate table's) are written in order
+by ``ranked_texts``, with no sort; one core, ``_terms_text``, formats both.
 
 Variables are indexed 0..n-1 internally and printed 1-based as x1..xn.
 Exponents are non-negative ints; the constructor rejects anything else.
@@ -49,6 +49,8 @@ from .errors import ExactDivisionError
 from .scalars import (
     GaussianRational,
     Scalar,
+    _int_parts,
+    _scaled,
     div_exact,
     is_rational,
     scalar_format,
@@ -169,7 +171,10 @@ class MPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        terms, const = self.terms, (0,) * self.n
+        if not terms.keys() - {const}:  # equal to a scalar, so hashed as that scalar
+            return hash(terms.get(const, 0))
+        return hash((self.n, frozenset(terms.items())))
 
     @classmethod
     def _raw(cls, n: int, terms: Dict[Exponent, Scalar]) -> "MPoly":
@@ -339,23 +344,16 @@ def _shifts(width: int, r: int, s: int, b: int) -> Dict[int, int]:
 
 
 def _pack(n: int, terms: Mapping[Exponent, Scalar], width: int, top: int) -> Packed:
-    """The term dict ``terms`` in n variables, packed with field width
-    ``width``; ``top`` bounds its exponents."""
+    """The term dict ``terms`` in n variables packed with field width
+    ``width``, cleared by ``_int_parts`` as one row; ``top`` bounds its exponents."""
     if width == 8:
         keys = [int.from_bytes(bytes(exp), "little") for exp in terms]
     else:
         shifts = range(0, width * n, width)
         keys = [sum(e << s for e, s in zip(exp, shifts)) for exp in terms]
-    parts = list(terms.values())
-    gauss = GaussianRational in set(map(type, parts))
-    if gauss:
-        parts = [x for c in parts for x in ((c.re, c.im) if type(c) is GaussianRational else (c, 0))]
-    scale = 1
-    if not set(map(type, parts)) <= {int}:
-        scale = lcm(*(c.denominator for c in parts))
-        parts = [c.numerator * (scale // c.denominator) for c in parts]
-    items = list(zip(keys, parts[0::2], parts[1::2]) if gauss else zip(keys, parts))
-    return Packed(width, top, gauss, items, scale, max(map(abs, parts), default=0))
+    (re,), im, (scale,) = _int_parts([terms.values()])
+    parts = (re,) if im is None else (re, im[0])
+    return Packed(width, top, im is not None, list(zip(keys, *parts)), scale, max(map(abs, chain(*parts)), default=0))
 
 
 def pack(polys: Sequence[MPoly]) -> List[Packed]:
@@ -450,7 +448,6 @@ def packed_product_terms(
         return {}
     low = width * s
     patterns = _patterns(width, r, s)
-    make = GaussianRational._make
     sums = []
     for k, x in live:
         digits = _balanced_digits(x, b, 3 * slots if gauss else slots)
@@ -458,7 +455,7 @@ def packed_product_terms(
         for m, lo in enumerate(patterns):
             re, im = (digits[m] - digits[m + 2 * slots], digits[m + slots]) if gauss else (digits[m], 0)
             if re or im:
-                sums.append((k + lo, make(Fraction(re, L), Fraction(im, L)) if L != 1 else make(re, im)))
+                sums.append((k + lo, _scaled(re, im, L)))
     if width == 8:
         return {tuple(k.to_bytes(n, "little")): c for k, c in sums}
     shifts = range(0, width * n, width)
@@ -590,16 +587,8 @@ def subset_table(n: int) -> SubsetTable:
     return SubsetTable(exps, canon, by_rank, rank, [monos[m] for m in grlex], mask_rank)
 
 
-def poly_text(p: MPoly, names: Optional[Sequence[str]] = None) -> str:
-    """Canonical form: terms in descending graded-lex order, explicit * and ^
-    (``poly_texts`` on one polynomial)."""
-    return poly_texts([p], names)[0]
-
-
-def poly_texts(polys: Sequence[MPoly], names: Optional[Sequence[str]] = None) -> List[str]:
-    """The canonical text of each polynomial, as ``poly_text`` gives it;
-    ValueError when ``names`` has fewer names than some polynomial has
-    variables.
+def poly_text(p: MPoly) -> str:
+    """Canonical form: terms in descending graded-lex order, explicit * and ^.
 
     A squarefree polynomial in at most ``SIZE_LIMITS["det_poly"]``
     variables is sorted by its exponents' ranks in the ``subset_table`` of
@@ -609,34 +598,17 @@ def poly_texts(polys: Sequence[MPoly], names: Optional[Sequence[str]] = None) ->
     ``_terms_text``.
     """
     from .symdet import SIZE_LIMITS  # symdet builds on this module
-    cap = SIZE_LIMITS["det_poly"]
-    top = max((p.n for p in polys), default=0)
-    default = names is None
-    if default:
-        names = [f"x{k + 1}" for k in range(top)]
-    elif len(names) < top:
-        raise ValueError(f"{len(names)} names for polynomials in {top} variables")
-    texts = []
-    for p in polys:
-        terms = p.terms
-        ranked = None
-        if terms and p.n <= cap:
-            subsets = subset_table(p.n)
-            with suppress(KeyError):  # an exponent above 1 has no rank
-                ranked = sorted(zip(map(subsets.rank.__getitem__, terms), terms.values()))
-        if ranked is not None:
-            coeffs = [c for _, c in ranked]
-            if default:
-                monos = [subsets.texts[r] for r, _ in ranked]
-            else:
-                monos = ["*".join(compress(names, subsets.grlex[r])) for r, _ in ranked]
-        else:
-            order = sorted(terms, reverse=True)
-            order.sort(key=sum, reverse=True)
-            monos = ["*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, exp) if e) for exp in order]
-            coeffs = [terms[exp] for exp in order]
-        texts.append(_terms_text(coeffs, monos))
-    return texts
+    terms, ranked = p.terms, None
+    if terms and p.n <= SIZE_LIMITS["det_poly"]:
+        subsets = subset_table(p.n)
+        with suppress(KeyError):  # an exponent above 1 has no rank
+            ranked = sorted(zip(map(subsets.rank.__getitem__, terms), terms.values()))
+    if ranked is not None:
+        return _terms_text([c for _, c in ranked], [subsets.texts[r] for r, _ in ranked])
+    order = sorted(terms, reverse=True)
+    order.sort(key=sum, reverse=True)
+    monos = ["*".join(f"x{k + 1}" if e == 1 else f"x{k + 1}^{e}" for k, e in enumerate(exp) if e) for exp in order]
+    return _terms_text([terms[exp] for exp in order], monos)
 
 
 def ranked_texts(columns: Iterable[Sequence[Scalar]], n: int) -> List[str]:

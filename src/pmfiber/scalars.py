@@ -10,15 +10,17 @@ equal no matter which code path produced them.  No floating point anywhere.
 constructor normalises both parts; arithmetic results go through the trusted
 internal constructor ``GaussianRational._make``, which applies the same
 demotions once and fills the slots directly.  Instances pickle and copy by
-``__reduce__``.
+``__reduce__``.  ``_int_parts`` and ``_scaled`` are the one int encoding of
+scalars that ``symdet``'s minor engine and ``mpoly``'s product kernel read.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import isqrt
-from typing import Optional, Union
+from itertools import chain
+from math import isqrt, lcm
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import ParseError
 
@@ -183,6 +185,40 @@ _set_re = GaussianRational.re.__set__
 _set_im = GaussianRational.im.__set__
 
 Scalar = Union[int, Fraction, GaussianRational]
+
+
+# Cleared rows: real parts, imaginary parts or None, and the row scales.
+_IntParts = Tuple[List[List[int]], Optional[List[List[int]]], List[int]]
+
+
+def _int_parts(rows: Sequence[Sequence[Scalar]]) -> _IntParts:
+    """``rows`` with each row times the lcm of the denominators of its
+    entries' parts, as new ``int`` lists of real parts and of imaginary
+    parts (None when no entry is a ``GaussianRational``), and those row
+    scales.  The entry types are scanned once; the split parts are rescanned
+    for Fractions only when some entry is a ``GaussianRational``."""
+    types = set(map(type, chain.from_iterable(rows)))
+    parts = [rows]
+    if GaussianRational in types:
+        parts = [
+            [[x.re if type(x) is GaussianRational else x for x in row] for row in rows],
+            [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows],
+        ]
+        types = set(map(type, chain.from_iterable(chain.from_iterable(parts))))
+    scales = [1] * len(rows)
+    if Fraction in types:
+        scales = [lcm(*[x.denominator for x in chain(*P)]) for P in zip(*parts)]
+        parts = [[[x.numerator * (c // x.denominator) for x in row] for row, c in zip(P, scales)] for P in parts]
+    elif parts[0] is rows:
+        parts = [[list(row) for row in rows]]
+    return parts[0], parts[1] if len(parts) == 2 else None, scales
+
+
+def _scaled(re: int, im: int, scale: int) -> Scalar:
+    """The scalar (re + im i) / scale."""
+    if scale != 1:
+        re, im = Fraction(re, scale), Fraction(im, scale) if im else 0
+    return GaussianRational._make(re, im)
 
 
 def _rat_div(a: Rat, b: Rat) -> Rat:

@@ -19,7 +19,7 @@ from .equiv import (
     recover_diag_from_fiber,
     symmetrizability,
 )
-from .errors import VerificationError
+from .errors import PreconditionError, VerificationError
 from .fiber import (
     SINGLE_POINT,
     classify_fiber,
@@ -263,12 +263,7 @@ def _suite_irreducibility(rng: random.Random, n: int, trials: int) -> SuiteResul
         A = rand_matrix(rng, size, FIELD_Q, density=0.55)
         irr = is_irreducible(A)
         G = adjugate_table(A)
-        all_nonzero = all(
-            not G.entries[i][j].is_zero()
-            for i in range(size)
-            for j in range(size)
-            if i != j
-        )
+        all_nonzero = all(any(G.coeffs[i * size + j]) for i in range(size) for j in range(size) if i != j)
         f = det_poly(A).fpoly
         deltas_nonzero = all(
             not rayleigh_difference(f, i, j).is_zero()
@@ -374,7 +369,10 @@ def run_selftest(
     seed: int = 0,
     suites: Optional[Sequence[str]] = None,
 ) -> List[SuiteResult]:
-    """Run the named suites (all by default), each on its own derived seed."""
+    """Run the named suites (all by default), each on its own derived seed;
+    PreconditionError unless ``n`` and ``trials`` are at least 1."""
+    if n < 1 or trials < 1:
+        raise PreconditionError(f"selftest needs n >= 1 and trials >= 1, got n = {n}, trials = {trials}")
     names = list(SUITES) if suites is None else list(suites)
     unknown = [s for s in names if s not in SUITES]
     if unknown:

@@ -23,10 +23,10 @@ reference ``principal_minors``, come from one in-place fraction-free
 pivots until no nonzero entry is left.  The walk, a minor vector
 (``PMVector``) and the pencil's exponents share one index, the subset mask,
 and one ``mpoly.subset_table`` per n.  The adjugate table
-(``AdjugateTable``) keeps each entry as one tuple of coefficients indexed
-by the monomials' descending-grlex ranks in that table, the order in which
-``mpoly.ranked_texts`` writes them, so ``pmfiber adjugate`` prints it with
-no polynomial built; the entries as polynomials are built on first access.
+(``AdjugateTable``) keeps each entry only as one tuple of coefficients
+indexed by the monomials' descending-grlex ranks in that table, the order
+in which ``mpoly.ranked_texts`` writes them, so ``pmfiber adjugate`` prints
+it with no polynomial built; ``AdjugateTable.entry`` builds one entry.
 
 The Laplace check of ``verify_identities`` reads its non-principal block
 minors det A[R, C], which the walk does not carry, from a cofactor table
@@ -34,11 +34,11 @@ local to the call: built by row count, each minor expanded along the first
 row of R from the layer below, keyed by row mask and then column mask.
 
 ``det_fraction_free``, the walk and the expansion all read the rows
-``_int_parts`` clears (each row times the lcm of its denominators, as
-``int`` lists) and run in Z, or in Z[i] on pairs of int parts with the
-conjugate-and-norm quotient on Q(i) input; ``_scaled`` divides each value
-they return by its rows' scales, so all are exact over every supported
-field.
+``scalars._int_parts`` clears (each row times the lcm of its denominators,
+as ``int`` lists) and run in Z, or in Z[i] on pairs of int parts with the
+conjugate-and-norm quotient on Q(i) input; ``scalars._scaled`` divides each
+value they return by its rows' scales, so all are exact over every
+supported field.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, repeat
-from math import lcm, prod
-from operator import itemgetter
+from math import prod
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -67,6 +66,9 @@ from .scalars import (
     FIELDS,
     GaussianRational,
     Scalar,
+    _int_parts,
+    _IntParts,
+    _scaled,
     conj,
     is_rational,
     normalize_scalar,
@@ -181,40 +183,6 @@ def identity_matrix(n: int, field: str = FIELD_Q) -> SquareMatrix:
 
 
 # -- exact elimination ----------------------------------------------------------
-
-
-# Cleared rows: real parts, imaginary parts or None, and the row scales.
-_IntParts = Tuple[List[List[int]], Optional[List[List[int]]], List[int]]
-
-
-def _int_parts(rows: Sequence[Sequence[Scalar]]) -> _IntParts:
-    """``rows`` with each row times the lcm of the denominators of its
-    entries' parts, as new ``int`` lists of real parts and of imaginary
-    parts (None when no entry is a ``GaussianRational``), and those row
-    scales.  The entry types are scanned once; the split parts are rescanned
-    for Fractions only when some entry is a ``GaussianRational``."""
-    types = set(map(type, chain.from_iterable(rows)))
-    parts = [rows]
-    if GaussianRational in types:
-        parts = [
-            [[x.re if type(x) is GaussianRational else x for x in row] for row in rows],
-            [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows],
-        ]
-        types = set(map(type, chain.from_iterable(chain.from_iterable(parts))))
-    scales = [1] * len(rows)
-    if Fraction in types:
-        scales = [lcm(*[x.denominator for x in chain(*P)]) for P in zip(*parts)]
-        parts = [[[x.numerator * (c // x.denominator) for x in row] for row, c in zip(P, scales)] for P in parts]
-    elif parts[0] is rows:
-        parts = [[list(row) for row in rows]]
-    return parts[0], parts[1] if len(parts) == 2 else None, scales
-
-
-def _scaled(re: int, im: int, scale: int) -> Scalar:
-    """The scalar (re + im i) / scale."""
-    if scale != 1:
-        re, im = Fraction(re, scale), Fraction(im, scale) if im else 0
-    return GaussianRational._make(re, im)
 
 
 def det_fraction_free(rows: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -343,9 +311,9 @@ class AdjugateTable:
     """Adjugate G of diag(x) + A, with G*(diag(x)+A) = f*I, stored by rank:
     ``coeffs[i * n + j][r]`` is entry (i, j)'s coefficient on prod_{k in S}
     x_k for the subset S of descending-grlex rank r in ``subset_table(n)``
-    (``mask_rank``), 0 where the entry has no such term.  Equality and
-    hashing read ``n`` and ``coeffs``; the entries as polynomials are built
-    only when ``entries`` is first read."""
+    (``mask_rank``), 0 where the entry has no such term.  That is the
+    table's one form, which equality and hashing read: ``entry`` builds one
+    entry as a polynomial, ``of_entries`` a table from polynomials."""
 
     n: int
     coeffs: Tuple[Tuple[Scalar, ...], ...]
@@ -356,7 +324,7 @@ class AdjugateTable:
         variables ``grid``; ValueError on any other shape or variable count,
         or on an entry with an exponent above 1."""
         polys = list(chain.from_iterable(grid))
-        if len(grid) != n or len(polys) != n * n or any(p.n != n for p in polys):
+        if len(grid) != n or any(len(row) != n for row in grid) or any(p.n != n for p in polys):
             raise ValueError(f"an adjugate table needs an {n} x {n} grid of polynomials in {n} variables")
         rank = subset_table(n).rank
         coeffs = []
@@ -369,19 +337,11 @@ class AdjugateTable:
             coeffs.append(tuple(col))
         return cls(n, tuple(coeffs))
 
-    @property
-    def entries(self) -> Tuple[Tuple[MPoly, ...], ...]:
-        """The entries as polynomials, row by row, built on first access."""
-        grid = self.__dict__.get("_entries")
-        if grid is None:
-            n, grlex = self.n, subset_table(self.n).grlex
-            polys = [MPoly._raw(n, dict(filter(itemgetter(1), zip(grlex, c)))) for c in self.coeffs]
-            grid = tuple(tuple(polys[i * n : i * n + n]) for i in range(n))
-            object.__setattr__(self, "_entries", grid)
-        return grid
-
     def entry(self, i: int, j: int) -> MPoly:
-        return self.entries[i][j]
+        """Entry (i, j) as a polynomial, built on each call; i and j index as in a sequence."""
+        rows = range(self.n)  # IndexError on an index outside the table, not another entry
+        terms = zip(subset_table(self.n).grlex, self.coeffs[rows[i] * self.n + rows[j]])
+        return MPoly._raw(self.n, {exp: c for exp, c in terms if c})
 
 
 def _minor_walk(
@@ -594,7 +554,8 @@ def _packed_operands(
     M = [[MPoly.const(n, a) for a in row] for row in A.entries]
     for j in range(n):
         M[j][j] = M[j][j] + MPoly.var(n, j)
-    packed = iter(pack([f, MPoly.const(n, 1)] + list(chain(*G.entries, *M))))
+    entries = [G.entry(i, j) for i in range(n) for j in range(n)]
+    packed = iter(pack([f, MPoly.const(n, 1)] + entries + list(chain(*M))))
     pf, one = next(packed), next(packed)
     pG = [[next(packed) for _ in range(n)] for _ in range(n)]
     pM = [[next(packed) for _ in range(n)] for _ in range(n)]
@@ -626,13 +587,15 @@ def matrix_from_adjugate(H: AdjugateTable, f: MPoly, field: Optional[str] = None
     check_size("matrix_from_adjugate", n)
     if f.n != n:
         raise ValueError("pencil polynomial has wrong variable count")
-    rows: List[List[Scalar]] = []
-    for i in range(n):
-        row: List[Scalar] = []
-        for j in range(n):
-            exp = tuple(0 if k in (i, j) else 1 for k in range(n))
-            row.append(f.coefficient(exp) if i == j else -H.entries[i][j].coefficient(exp))
-        rows.append(row)
+    subsets, full = subset_table(n), (1 << n) - 1
+    rows = [
+        [
+            f.terms.get(subsets.exps[full ^ 1 << i], 0) if i == j
+            else -H.coeffs[i * n + j][subsets.mask_rank[full ^ (1 << i | 1 << j)]]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
     B = matrix(rows, field)
     if adjugate_table(B) != H:
         raise VerificationError("recovered matrix does not reproduce the adjugate table")

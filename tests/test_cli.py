@@ -392,6 +392,16 @@ def test_selftest_failure_maps_to_4(capsys, monkeypatch):
     assert doc["result"]["all_ok"] is False
 
 
+@pytest.mark.parametrize("argv", [["--trials", "-3"], ["--trials", "0"], ["--n", "-4"], ["--n", "0"]])
+def test_selftest_rejects_sizes_below_one(capsys, argv):
+    # --trials -3 used to exit 0 with "all_ok": true, and --n -4 echoed -4
+    # while drawing 4 x 4 matrices.
+    code, doc, _ = run_cli(capsys, "selftest", "--suite", "dodgson", *argv)
+    assert code == 2
+    assert list(doc) == ["command", "error"] and doc["command"] == "selftest"
+    assert f"{argv[0][2:]} = {argv[1]}" in doc["error"]
+
+
 def test_witness_on_a_long_cycle_reports_the_cut_cap(capsys, tmp_path):
     # Irreducible, so witness goes on to find_cuts, whose size cap applies;
     # the search for strong components must not hit the recursion limit.
@@ -614,8 +624,19 @@ def _golden_inputs():
     Q(i) with a zero diagonal (the walk's deficiency path), n = 1, at n = 10
     and 9 a dense int and a Q(i) input, whose names and keys reach two digits
     (``x10``, ``10``), and at n = 8 Fraction rows and a zero on the diagonal,
-    which send the full walk down its row-scale and deficiency paths."""
+    which send the full walk down its row-scale and deficiency paths.  Four
+    reducible inputs, two of them symmetric, give ``structure``,
+    ``fibershape``, ``stablecert`` and ``symfiber`` block factors with
+    Fraction and Q(i) coefficients, whose text ``poly_text`` writes."""
     q = Fraction
+
+    def upper(n, first, entry):  # no entry from outside ``first`` into it
+        return [[0 if i not in first and j in first else entry(i, j) for j in range(n)] for i in range(n)]
+
+    def block_diagonal(n, blocks, entry):
+        block = {k: b for b, B in enumerate(blocks) for k in B}
+        return [[entry(min(i, j), max(i, j)) if block[i] == block[j] else 0 for j in range(n)] for i in range(n)]
+
     return {
         "int-6": ("Q", [[(-1) ** (i + j) * ((i * 5 + j * 3 + i * j) % 6 + 1) for j in range(6)] for i in range(6)]),
         "fraction-5": ("Q", [[q((i * 3 + j * 2) % 7 - 3, (i + 2 * j) % 4 + 1) for j in range(5)] for i in range(5)]),
@@ -636,6 +657,18 @@ def _golden_inputs():
             ) for j in range(8)]
             for i in range(8)
         ]),
+        "reducible-fraction-6": ("Q", upper(
+            6, {0, 2, 5}, lambda i, j: q((i * 5 + j * 3 + i * j) % 7 - 3, (i + 2 * j) % 3 + 1)
+        )),
+        "reducible-gaussian-5": ("Q(i)", upper(
+            5, {1, 3}, lambda i, j: gaussian(q((i + 2 * j) % 5 - 2, j % 3 + 1), q((3 * i + j) % 5 - 2, i % 2 + 2))
+        )),
+        "symmetric-fraction-6": ("Q", block_diagonal(
+            6, [(0, 3, 4), (1, 5), (2,)], lambda i, j: q((i * 3 + j * 2) % 7 - 3, (i + j) % 3 + 1)
+        )),
+        "symmetric-gaussian-5": ("Q(i)", block_diagonal(
+            5, [(0, 2, 4), (1, 3)], lambda i, j: gaussian(q((i + j) % 5 - 2, 2), q((2 * i + j) % 3 - 1, j % 2 + 1))
+        )),
     }
 
 
@@ -677,9 +710,41 @@ GOLDEN_DIGESTS = {
     ('fraction-zero-diagonal-8', 'adjugate'): "a8fea26514861d32a8d82fe7c590c69f087476f1caeb4dc03692237d15f09e21",
     ('fraction-zero-diagonal-8', 'detpoly --json-poly'): "4b6d0e73b4df77b3e17affa1550af85918e85e2efc5a7730dab419e0ed707730",
     ('fraction-zero-diagonal-8', 'adjugate --json-poly'): "e707f5a99fe45fd20c28c8181be0ddc86c77dc43085a510272ad1990e90f9dd8",
+    ('reducible-fraction-6', 'structure'): "19a04838018cf9255a59113abfcd33637f1598658a1d37d2d1da75d4c16570f6",
+    ('reducible-fraction-6', 'structure --json-poly'): "0993e822e29c92cdef282f237c291b0972d32cec2e9182082bde69d40b383171",
+    ('reducible-fraction-6', 'fibershape'): "f827cc2cb5aeb63248344af5c50d6404e096af38163962654023022c01b11e91",
+    ('reducible-fraction-6', 'fibershape --json-poly'): "1b83b05c212f340f2e80af11ed9fdd04efbc999f8fa2afdba466bab4c04a0d17",
+    ('reducible-fraction-6', 'stablecert'): "0b9a1620d641a00148223e0e2f16a2076560de967a0561bdeb785ec8dc6ab9ff",
+    ('reducible-fraction-6', 'stablecert --json-poly'): "0fbe89c70c7b14298b228927738719d7537af79f66d3f56daba989c9558f0f2b",
+    ('reducible-gaussian-5', 'structure'): "57a5ebbaf4916fdc4a6d7ed7633fd20c7c7fdeec6884bc4c0963e1a8c3739444",
+    ('reducible-gaussian-5', 'structure --json-poly'): "d68ff3766ec45ad320ec2ccda83bb33bf909e3c231ab62096b09cdabe943c8d2",
+    ('reducible-gaussian-5', 'fibershape'): "7d21cd38a078fe87d555aafeacd3850f48f5ed77870f4b357cbca647d0334f3b",
+    ('reducible-gaussian-5', 'fibershape --json-poly'): "dd4efc5013c12ca863da3c2547be8c1dc34327372b0cb95ac2bc5c51dd5f1870",
+    ('reducible-gaussian-5', 'stablecert'): "b2764b29e6d205e46ceb34f75c9e4054e89b885fd04869de3cbedd9408c252dc",
+    ('reducible-gaussian-5', 'stablecert --json-poly'): "efe2702682d66a43cbcacdb239f79cc79ff8f9cc697278a0ef8b78525ec2f652",
+    ('symmetric-fraction-6', 'structure'): "e2226730ca6629edb2783c3220ba2add66baf264bb52c3316ba490c4f100f83b",
+    ('symmetric-fraction-6', 'structure --json-poly'): "0fdb89381ecde6c5ba0468c0ed861c6626fcf7fc56654dcebc2030f132d8af92",
+    ('symmetric-fraction-6', 'fibershape'): "b810498600d0c85f3ecc8caae2307dd52868747a3ed3f835d5ec93255becbb64",
+    ('symmetric-fraction-6', 'fibershape --json-poly'): "9c961947ea4250ebc5d5829642a36bcae03fe15b64d84b70e0acabc5d66647ab",
+    ('symmetric-fraction-6', 'stablecert'): "bfe5e7ab577eb6ef37f4da8198df0a719e5d7500693e8c2f39a2214afd32e89e",
+    ('symmetric-fraction-6', 'stablecert --json-poly'): "2be62ceadd7c0e6972037e95a6c448e0ef17f145c6ab8b648a1e4258f424b112",
+    ('symmetric-fraction-6', 'symfiber'): "7acf3118836af98f6646816a775cdd3eedd16f7ee355547695760efa0c59af73",
+    ('symmetric-fraction-6', 'symfiber --json-poly'): "960a10279d6277347f3221203a8e97350e3f47cc7c1f13b60c212072f34a755d",
+    ('symmetric-gaussian-5', 'structure'): "eb1a30a0a5d5baf5e07e56821855fe4d9670cee51d00b128c26a54ce4b86446d",
+    ('symmetric-gaussian-5', 'structure --json-poly'): "f85fe59484e80f120bf89b4a44242e5126dbac31424a8aafa7fb7aac67974e94",
+    ('symmetric-gaussian-5', 'fibershape'): "0f17622d40358479d62ff9621a89df0cb78e8802c0e18bb265a8fa2fb9c9d748",
+    ('symmetric-gaussian-5', 'fibershape --json-poly'): "51524d7fc499919b9e4b887097e1fc7474ef7ba4e85541f0bbb8fb682c8d944e",
+    ('symmetric-gaussian-5', 'stablecert'): "29599d81adee05d8f99832314487627b634a643c5c275f6649da20d105794da8",
+    ('symmetric-gaussian-5', 'stablecert --json-poly'): "ba33544451426f9a61f4a1934d3e65e5ea9ee536b88501350362b59b7d5f3bca",
+    ('symmetric-gaussian-5', 'symfiber'): "c0b8d3a40853cab83f3c9e10df36e4bc8b299b59f5c7a13111fa90e610048401",
+    ('symmetric-gaussian-5', 'symfiber --json-poly'): "20c40b7075a9d1bd69dc87188fae5216cf9e36a05ef7f3232f18711e4410f28f",
 }
 
-GOLDEN_CALLS = [["minors"], ["detpoly"], ["adjugate"], ["detpoly", "--json-poly"], ["adjugate", "--json-poly"]]
+GOLDEN_CALLS = [
+    [command, *extra]
+    for command in ("minors", "detpoly", "adjugate", "structure", "fibershape", "stablecert", "symfiber")
+    for extra in ([], ["--json-poly"])
+]
 
 
 @pytest.mark.parametrize("name", sorted(_golden_inputs()))

@@ -16,7 +16,6 @@ from pmfiber import (
     gaussian,
     poly_subset_map,
     poly_text,
-    poly_texts,
     rayleigh_difference,
 )
 import pmfiber.mpoly as mpoly
@@ -122,6 +121,18 @@ def test_rayleigh_difference_known_value():
     assert rayleigh_difference(f, 0, 1) == MPoly.const(2, 10)
 
 
+def test_a_polynomial_equal_to_a_scalar_hashes_as_that_scalar():
+    # MPoly.const(2, 5) == 5 held while the two hashed apart: a set kept both,
+    # and a dict keyed by 0 missed the zero polynomial.
+    for c in (5, 0, Fraction(-1, 2), gaussian(1, 2)):
+        for n in (0, 3):
+            p = MPoly.const(n, c)
+            assert p == c and hash(p) == hash(c) and len({p, c}) == 1
+    assert {0: "a"}.get(MPoly.zero(3)) == "a"
+    x = MPoly.var(2, 0)
+    assert hash(x + 5) == hash(MPoly(2, {(0, 0): 5, (1, 0): 1})) and x + 5 != 5
+
+
 def test_affine_resultant_known_value():
     # res_k(g, h) = g|_{x_k=0} * d_k h - h|_{x_k=0} * d_k g on multiaffine input.
     x, y = MPoly.var(2, 0), MPoly.var(2, 1)
@@ -138,7 +149,7 @@ def test_poly_text_golden():
     assert poly_text(x * y - z + 1) == "x1*x2 - x3 + 1"
     assert poly_text(-2 * x * y * z) == "-2*x1*x2*x3"
     assert poly_text(x * x + x) == "x1^2 + x1"
-    assert poly_text(x + y, ["s", "t", "u"]) == "s + t"
+    assert poly_text(x + y) == "x1 + x2"
 
 
 def test_poly_text_gaussian_coefficients():
@@ -160,12 +171,12 @@ COEFFS = st.one_of(
 
 
 @st.composite
-def poly_lists_and_names(draw):
-    """Lists of 1..6 polynomials in one n = 0..8 variables, default or custom
-    names.  Each polynomial is multiaffine or has exponents up to 3, and its
-    coefficients are drawn from COEFFS, from the ints -4..4 or from +-1; its
-    exponents come from a pool shared by the list, which holds the constant
-    term, or are drawn afresh.  Empty draws give the zero polynomial."""
+def poly_lists(draw):
+    """Lists of 1..6 polynomials in one n = 0..8 variables.  Each polynomial
+    is multiaffine or has exponents up to 3, and its coefficients are drawn
+    from COEFFS, from the ints -4..4 or from +-1; its exponents come from a
+    pool shared by the list, which holds the constant term, or are drawn
+    afresh.  Empty draws give the zero polynomial."""
     n = draw(st.integers(0, 8))
     exponents = {top: st.tuples(*[st.integers(0, top)] * n) for top in (1, 3)}
     pool = draw(st.lists(exponents[3] | exponents[1], max_size=10)) + [(0,) * n]
@@ -175,33 +186,18 @@ def poly_lists_and_names(draw):
         coeff = draw(st.sampled_from([COEFFS, st.integers(-4, 4), st.sampled_from([1, -1])]))
         terms = draw(st.dictionaries(st.sampled_from(pool) | exponents[top], coeff, max_size=12))
         polys.append(MPoly(n, terms))
-    names = draw(st.none() | st.lists(st.sampled_from(["a", "b", "zz"]), min_size=n, max_size=n))
-    return polys, names
+    return polys
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(poly_lists_and_names())
-def test_poly_text_matches_reference(drawn):
-    # One poly_texts call shares its monomial table across the list.
-    polys, names = drawn
-    expected = [oracles.poly_text_reference(p.terms, p.n, names) for p in polys]
-    assert poly_texts(polys, names) == expected
-    assert [poly_text(p, names) for p in polys] == expected
-
-
-def test_poly_text_rejects_too_few_names():
-    # Fewer names than variables used to drop the unnamed factors silently:
-    # x1 + x3 came out as "s + 1" and x3 + 1 as " + 1".
-    x1, x3 = MPoly.var(3, 0), MPoly.var(3, 2)
-    for p in (x1 + x3, x3 + 1):
-        with pytest.raises(ValueError):
-            poly_text(p, ["s", "t"])
-        with pytest.raises(ValueError):
-            poly_texts([MPoly.var(1, 0), p], ["s", "t"])
+@given(poly_lists())
+def test_poly_text_matches_reference(polys):
+    expected = [oracles.poly_text_reference(p.terms, p.n) for p in polys]
+    assert [poly_text(p) for p in polys] == expected
 
 
 def _text_by_degree_then_exponent(terms, names):
-    """Canonical text written independently of ``poly_texts``: terms sorted
+    """Canonical text written independently of ``poly_text``: terms sorted
     by the key (degree, exponent), descending; each term's sign, its
     coefficient (a non-real one in parentheses after a plus) and its
     factors written out in full."""
@@ -229,28 +225,23 @@ def _text_by_degree_then_exponent(terms, names):
 @st.composite
 def wide_poly_lists(draw):
     """Lists of 1..4 polynomials in one n = 0..20 variables: squarefree or
-    with exponents up to 3, int, Fraction or Q(i) coefficients, default or
-    custom names (at least n).  Above n = 8 each holds at most 6 terms, so
-    the polynomials above the ``det_poly`` cap are sparse."""
+    with exponents up to 3, int, Fraction or Q(i) coefficients.  Above n = 8
+    each holds at most 6 terms, so the polynomials above the ``det_poly``
+    cap are sparse."""
     n = draw(st.integers(0, 20))
     top = draw(st.sampled_from([1, 3]))
     exps = st.tuples(*[st.integers(0, top)] * n)
     coeff = draw(st.sampled_from([st.integers(-4, 4), st.sampled_from([1, -1]), COEFFS]))
     size = 30 if n <= 8 else 6
-    polys = [MPoly(n, draw(st.dictionaries(exps, coeff, max_size=size))) for _ in range(draw(st.integers(1, 4)))]
-    names = draw(st.none() | st.lists(st.sampled_from(["a", "b", "zz", "y10"]), min_size=n, max_size=n + 2))
-    return polys, names
+    return [MPoly(n, draw(st.dictionaries(exps, coeff, max_size=size))) for _ in range(draw(st.integers(1, 4)))]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(wide_poly_lists())
-def test_poly_texts_match_an_independent_formatter(drawn):
-    polys, names = drawn
-    top = max(p.n for p in polys)
-    written = names if names is not None else [f"x{k + 1}" for k in range(top)]
-    expected = [_text_by_degree_then_exponent(p.terms, written) for p in polys]
-    assert poly_texts(polys, names) == expected
-    assert [poly_text(p, names) for p in polys] == expected
+def test_poly_text_matches_an_independent_formatter(polys):
+    names = [f"x{k + 1}" for k in range(polys[0].n)]
+    expected = [_text_by_degree_then_exponent(p.terms, names) for p in polys]
+    assert [poly_text(p) for p in polys] == expected
 
 
 def test_poly_text_above_the_det_poly_cap_builds_no_subset_table():
@@ -258,7 +249,7 @@ def test_poly_text_above_the_det_poly_cap_builds_no_subset_table():
     p = MPoly.var(n, 0) * MPoly.var(n, 39) - 2 * MPoly.var(n, 17)
     before = mpoly.subset_table.cache_info()
     assert poly_text(p) == "x1*x40 - 2*x18"
-    assert poly_texts([p, p], [f"v{k}" for k in range(n)]) == ["v0*v39 - 2*v17"] * 2
+    assert poly_text(p * p) == "x1^2*x40^2 - 4*x1*x18*x40 + 4*x18^2"
     assert mpoly.subset_table.cache_info() == before
 
 

@@ -227,26 +227,40 @@ def test_ranked_adjugate_table_matches_the_oracles(drawn):
     n = len(rows)
     G = adjugate_table(matrix(rows))
     texts = ranked_texts(G.coeffs, n)
+    grid = _grid(G)
     for i in range(n):
         for j in range(n):
-            entry = G.entries[i][j]
+            entry = grid[i][j]
             assert texts[i * n + j] == oracles.poly_text_reference(entry.terms, n), (i, j)
             assert oracles.to_pair(entry.evaluate(point)) == oracles.adjugate_entry_at_point(rows, point, i, j)
-    rebuilt = AdjugateTable.of_entries(n, G.entries)
+    rebuilt = AdjugateTable.of_entries(n, grid)
     assert rebuilt == G and hash(rebuilt) == hash(G)
 
 
-def test_adjugate_table_builds_its_polynomials_on_first_access(golden_a4, monkeypatch):
+def _grid(G):
+    """The adjugate table's entries as an n x n list of polynomials."""
+    return [[G.entry(i, j) for j in range(G.n)] for i in range(G.n)]
+
+
+def test_adjugate_table_builds_one_polynomial_per_entry_call(golden_a4, monkeypatch):
     built = []
     raw = MPoly._raw.__func__
     monkeypatch.setattr(MPoly, "_raw", classmethod(lambda cls, n, terms: built.append(n) or raw(cls, n, terms)))
     G = adjugate_table(golden_a4)
-    assert built == []
-    assert G.entries is G.entries and built == [4] * 16
+    assert built == [] and not hasattr(G, "entries")
+    G.entry(1, 2)
+    assert built == [4]
+    assert G.entry(1, 2) == G.entry(1, 2) and built == [4] * 3
     monkeypatch.undo()
+    assert G.entry(-1, -1) == G.entry(3, 3)
+    for i, j in ((0, 4), (4, 0), (-5, 0)):
+        with pytest.raises(IndexError):
+            G.entry(i, j)
     x = [MPoly.var(4, k) for k in range(4)]
-    grid = [list(row) for row in G.entries]
-    for bad in ((4, grid[:3]), (3, grid), (4, [row[:3] for row in grid])):
+    grid = _grid(G)
+    y = [MPoly.var(2, k) for k in range(2)]
+    ragged = (2, [[y[0]], [y[1], y[0], y[0] + y[1]]])  # four entries, two rows, neither of length 2
+    for bad in ((4, grid[:3]), (3, grid), (4, [row[:3] for row in grid]), ragged):
         with pytest.raises(ValueError, match="grid"):
             AdjugateTable.of_entries(*bad)
     grid[0][1] = x[0] * x[0]
@@ -453,7 +467,7 @@ def test_verify_identities_on_corrupted_tables_match_the_old_form(monkeypatch):
         n = 4 + trial % 2
         field = FIELD_QI if trial % 4 >= 2 else FIELD_Q
         A = matrix(rand_rows(rng, n, field), field)
-        rows = [list(r) for r in real_table(A).entries]
+        rows = _grid(real_table(A))
         f = real_pencil(A).fpoly
         if trial < 16 or trial >= 24:
             i, j = rng.randrange(n), rng.randrange(n)
@@ -466,7 +480,7 @@ def test_verify_identities_on_corrupted_tables_match_the_old_form(monkeypatch):
         monkeypatch.setattr(symdet, "det_poly", lambda _A, pencil=pencil: pencil)
         report = verify_identities(A)
         got = {(c.identity, c.indices): c.ok for c in report.checks}
-        assert got == _old_form_checks(A, f, bad.entries)
+        assert got == _old_form_checks(A, f, _grid(bad))
         failures[trial >= 16] += report.failed
     assert min(failures) > 0
 
