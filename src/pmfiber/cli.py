@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .equiv import (
@@ -39,7 +40,7 @@ from .fiber import (
     stable_certify,
     symmetric_fiber_describe,
 )
-from .mpoly import MPoly, poly_subset_map, poly_text, ranked_texts
+from .mpoly import MPoly, poly_subset_map, poly_text, ranked_texts, subset_table
 from .scalars import FIELDS, scalar_format, scalar_parse
 from .selftest import SUITES, run_selftest
 from .structure import fiber_shape, structure_check
@@ -132,21 +133,33 @@ def _parse_cut(text: str, n: int) -> Tuple[int, ...]:
 # -- handlers (each returns (body, exit code); main adds the envelope) ------------
 
 
+@functools.cache
+def _subset_keys(n: int) -> List[str]:
+    """The ``minors`` keys ("1,3", "" for the empty set) in ``subset_table(n).canon``
+    order, read off the table's monomial texts ("x1*x3"), which it makes by doubling."""
+    subsets = subset_table(n)
+    return [subsets.texts[subsets.mask_rank[m]][1:].replace("*x", ",") for m in subsets.canon]
+
+
 def _cmd_minors(A: SquareMatrix, args) -> Tuple[Dict, int]:
     check_size("principal_minors", A.n)
-    labels = [str(i + 1) for i in range(A.n)]
-    table = {",".join(map(labels.__getitem__, subset)): scalar_format(value)
-             for subset, value in det_poly(A).minors().items_canonical()}
+    by_mask = det_poly(A).minors().by_mask
+    text = str if set(map(type, by_mask)) == {int} else scalar_format
+    values = map(text, map(by_mask.__getitem__, subset_table(A.n).canon))
     return {
-        "result": {"n": A.n, "field": A.field, "minors": table},
+        "result": {"n": A.n, "field": A.field, "minors": dict(zip(_subset_keys(A.n), values))},
     }, 0
 
 
 def _cmd_detpoly(A: SquareMatrix, args) -> Tuple[Dict, int]:
     f = det_poly(A).fpoly
+    if getattr(args, "json_poly", False):
+        doc = poly_subset_map(f)
+    else:  # f's coefficients by rank, read in order as ``adjugate`` reads G's
+        (doc,) = ranked_texts([list(map(f.terms.get, subset_table(A.n).grlex, repeat(0)))], A.n)
     return {
         "result": {"n": A.n, "field": A.field},
-        "polynomials": {"f": _poly_doc(f, args)},
+        "polynomials": {"f": doc},
     }, 0
 
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ExactDivisionError
 from .scalars import (
@@ -343,15 +343,18 @@ def _shifts(width: int, r: int, s: int, b: int) -> Dict[int, int]:
     return {lo: b * m for m, lo in enumerate(_patterns(width, r, s))}
 
 
-def _pack(n: int, terms: Mapping[Exponent, Scalar], width: int, top: int) -> Packed:
-    """The term dict ``terms`` in n variables packed with field width
-    ``width``, cleared by ``_int_parts`` as one row; ``top`` bounds its exponents."""
+def _keys(n: int, exps: Iterable[Exponent], width: int) -> List[int]:
+    """Each exponent tuple in n variables as a packed key of field width ``width``."""
     if width == 8:
-        keys = [int.from_bytes(bytes(exp), "little") for exp in terms]
-    else:
-        shifts = range(0, width * n, width)
-        keys = [sum(e << s for e, s in zip(exp, shifts)) for exp in terms]
-    (re,), im, (scale,) = _int_parts([terms.values()])
+        return [int.from_bytes(bytes(exp), "little") for exp in exps]
+    shifts = range(0, width * n, width)
+    return [sum(e << s for e, s in zip(exp, shifts)) for exp in exps]
+
+
+def _pack(keys: Sequence[int], values: Collection[Scalar], width: int, top: int) -> Packed:
+    """The coefficients ``values`` on the packed ``keys`` of field width
+    ``width``, cleared by ``_int_parts`` as one row; ``top`` bounds the exponents."""
+    (re,), im, (scale,) = _int_parts([values])
     parts = (re,) if im is None else (re, im[0])
     return Packed(width, top, im is not None, list(zip(keys, *parts)), scale, max(map(abs, chain(*parts)), default=0))
 
@@ -365,7 +368,18 @@ def pack(polys: Sequence[MPoly]) -> List[Packed]:
     tops = [max(chain.from_iterable(p.terms), default=0) for p in polys]
     top = 2 * max(tops, default=0)
     width = 8 if top < 256 else top.bit_length()
-    return [_pack(p.n, p.terms, width, t) for p, t in zip(polys, tops)]
+    return [_pack(_keys(p.n, p.terms, width), p.terms.values(), width, t) for p, t in zip(polys, tops)]
+
+
+def pack_ranked(columns: Iterable[Sequence[Scalar]], n: int, width: int) -> List[Packed]:
+    """Each squarefree polynomial in n variables given as its coefficients
+    by rank, as ``ranked_texts`` reads them, packed as ``pack`` packs it at
+    field width ``width``, with no polynomial built: the keys of the
+    ``subset_table(n)`` monomials are made once for all.  The constant sorts
+    last, so an entry's top is 0 exactly when its first key is."""
+    keys = _keys(n, subset_table(n).grlex, width)
+    present = [(list(compress(keys, col)), list(compress(col, col))) for col in columns]
+    return [_pack(ks, cs, width, 1 if ks and ks[0] else 0) for ks, cs in present]
 
 
 def packed_product_terms(

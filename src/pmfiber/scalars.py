@@ -323,10 +323,11 @@ def sqrt_in_field(x: Scalar, field: str) -> Optional[Scalar]:
 
 # -- text form -----------------------------------------------------------
 
-_RAT_PAT = r"[+-]?\d+(?:/\d+)?"
+_RAT_PAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
 _RE_REAL = _re.compile(rf"^({_RAT_PAT})$")
-_RE_IMAG = _re.compile(r"^([+-]?)(\d+(?:/\d+)?)?i(?:/(\d+))?$")
-_RE_BOTH = _re.compile(rf"^({_RAT_PAT})([+-])(\d+(?:/\d+)?)?i(?:/(\d+))?$")
+_RE_IMAG = _re.compile(r"^([+-]?)([0-9]+(?:/[0-9]+)?)?i(?:/([0-9]+))?$")
+_RE_BOTH = _re.compile(rf"^({_RAT_PAT})([+-])([0-9]+(?:/[0-9]+)?)?i(?:/([0-9]+))?$")
+_RE_SPLIT_DIGITS = _re.compile(r"[0-9]\s+[0-9]")
 
 
 def _parse_rat(text: str) -> Rat:
@@ -343,11 +344,16 @@ def _parse_rat(text: str) -> Rat:
 def scalar_parse(text: str, field: str = FIELD_QI) -> Scalar:
     """Parse ``[-]p[/q]`` or ``a+bi`` / ``a-bi`` (also bare ``bi``, ``i``).
 
+    Digits are ASCII (a regex digit class and ``int`` read other scripts' too).
+    Whitespace may stand around signs, ``/`` and ``i`` but not between two
+    digits, which would join two numbers into one.
     With field="Q" any imaginary part is rejected.
     """
     if not isinstance(text, str):
         raise ParseError(f"scalar must be a string, got {type(text).__name__}")
     s = "".join(text.split())
+    if len(s) != len(text) and _RE_SPLIT_DIGITS.search(text):
+        raise ParseError(f"whitespace between digits in {text!r}")
     if not s:
         raise ParseError("empty scalar")
     m = _RE_REAL.match(s)

@@ -57,6 +57,7 @@ from .mpoly import (
     _rayleigh_pairs,
     _resultant_pairs,
     pack,
+    pack_ranked,
     packed_product_terms,
     subset_table,
 )
@@ -284,12 +285,6 @@ class PMVector:
             raise KeyError(f"subset {sorted(S)} not within 0..{self.n - 1}")
         return self.by_mask[sum(1 << k for k in S)]
 
-    def items_canonical(self) -> List[Tuple[Tuple[int, ...], Scalar]]:
-        """(sorted subset, minor) pairs by subset size, then lexicographically:
-        the order in which ``combinations`` yields each size."""
-        subsets = chain.from_iterable(combinations(range(self.n), k) for k in range(self.n + 1))
-        return [(S, self.by_mask[m]) for S, m in zip(subsets, subset_table(self.n).canon)]
-
 
 @dataclass(frozen=True)
 class DeterminantalPencil:
@@ -355,8 +350,10 @@ def _minor_walk(
     increasing order, row R[a] and column R[b] last; the sign is the
     adjugate's, see ``adjugate_table``); otherwise R holds the
     indices above max(T), all that T's descendants need, and M is None.
-    The caller must not modify ``M``.  The partial walk yields a leaf (half
-    of all subsets) from its parent, with no Sylvester step or stack entry.
+    The caller must not modify ``M``.  Each subset's minor is read at its
+    parent: the partial walk yields every child there and stacks only those
+    with a nonempty R, so a leaf (half of all subsets) costs no Sylvester
+    step or stack entry; the full walk yields a node with its M when popped.
 
     Each node carries a Bareiss elimination of A on T and R: pivot rows I
     and columns J from T, rows U = T - I and columns V = T - J without a
@@ -366,48 +363,58 @@ def _minor_walk(
     child T+k appends k to U and V and pivots on that block while it has a
     nonzero entry: since W vanishes on U x V, at most two exact steps of
     Sylvester's identity W'(x, y) = (W(u, v) W(x, y) - W(x, v) W(u, y)) / p
-    (``_pivot``).  So a node costs O(|R|^2) however many of its ancestors
-    have a zero determinant; while none has, U and V stay empty and the
-    step is the Schur-complement recursion of Griffin and Tsatsomeros with
-    pivot (k, k).
+    (``_pivot``, inline in Z with no deficiency).  So a node costs
+    O(|R|^2) however many of its ancestors have a zero determinant; while
+    none has, U and V stay empty and the step is the Schur-complement
+    recursion of Griffin and Tsatsomeros with pivot (k, k).
 
     The walk runs on the rows ``_int_parts`` clears: in Z with W = (real
     parts, None) and p an int, or in Z[i] with W = (real parts, imaginary
-    parts) and p a pair of ints.  Each yielded minor is divided by the
-    scales of its rows, and a scalar is built only for the values yielded.
+    parts) and p a pair of ints.  Each minor is divided by the scales of
+    its rows, and a scalar is built only for the values yielded.
     """
     Wr, Wi, scales = _int_parts(A.entries)
     if all(c == 1 for c in scales):
         scales = None  # nothing to divide: every node's scale stays 1
-    # (mask, max(T), R, (W real, W imaginary or None), |U|, p, s, scale of T's rows)
-    stack = [(0, -1, list(range(A.n)), (Wr, Wi), 0, 1 if Wi is None else (1, 0), 1, 1)]
+    R = list(range(A.n))
+    # (mask, max(T), R, W real, W imaginary or None, |U|, p, s, scale of T's rows, det A[T])
+    stack = [(0, -1, R, Wr, Wi, 0, 1 if Wi is None else (1, 0), 1, 1, 1)]
+    if not full:
+        yield 0, 1, R, None
     while stack:
-        mask, last, R, W, m, p, s, scale = stack.pop()
-        Wr, Wi = W
-        M = _bordered(W, m, p, s, scales and [scale * scales[r] for r in R]) if full else None
-        yield mask, _node_minor(m, p, s, scale), R, M
+        mask, last, R, Wr, Wi, m, p, s, scale, d = stack.pop()
+        if full:
+            yield mask, d, R, _bordered((Wr, Wi), m, p, s, scales and [scale * scales[r] for r in R])
+        inline = Wi is None and not m
         for a, k in enumerate(R):
             if k <= last:
                 continue
+            child_mask = mask | 1 << k
             child_R = R[:a] + R[a + 1 :] if full else R[a + 1 :]
             keep = [b for b in range(len(R)) if b != a] if full else range(a + 1, len(R))
             child_scale = scale * scales[k] if scales else 1
-            pivot = Wr[a][a] if Wi is None else (Wr[a][a], Wi[a][a])
-            leaf = not (full or child_R)
-            if m == 0 and pivot not in _ZEROS:
-                child = None if leaf else _pivot(W, a, a, keep, keep, p), 0, pivot, s
+            q, push = Wr[a][a], full or child_R
+            if inline and q:  # in Z with no deficiency: ``_pivot`` on (a, a)
+                cd = s * q if child_scale == 1 else _scaled(s * q, 0, child_scale)
+                if push:
+                    Wa, rows = Wr[a], [Wr[x] for x in keep] if full else Wr[a + 1 :]
+                    cW = [[(q * Wx[y] - Wx[a] * Wa[y]) // p for y in keep] for Wx in rows]
+                    stack.append((child_mask, k, child_R, cW, None, 0, q, s, child_scale, cd))
+            elif Wi is not None and not m and (q or Wi[a][a]):
+                q = q, Wi[a][a]
+                cd = _scaled(s * q[0], s * q[1], child_scale)
+                if push:
+                    cW = _pivot((Wr, Wi), a, a, keep, keep, p)
+                    stack.append((child_mask, k, child_R, *cW, 0, q, s, child_scale, cd))
             else:
                 at = list(range(m)) + [m + a] + [m + b for b in keep]
-                W_at = tuple(None if P is None else [[P[x][y] for y in at] for x in at] for P in W)
-                child = _eliminate(W_at, m + 1, p, s)
-            if leaf:
-                yield mask | 1 << k, _node_minor(*child[1:], child_scale), child_R, None
-            else:
-                stack.append((mask | 1 << k, k, child_R, *child, child_scale))
-
-
-# The zero pivot: an int in Z, a pair of ints in Z[i].
-_ZEROS = (0, (0, 0))
+                W_at = tuple(None if P is None else [[P[x][y] for y in at] for x in at] for P in (Wr, Wi))
+                cW, cm, q, cs = _eliminate(W_at, m + 1, p, s)
+                cd = _node_minor(cm, q, cs, child_scale)
+                if push:
+                    stack.append((child_mask, k, child_R, *cW, cm, q, cs, child_scale, cd))
+            if not full:
+                yield child_mask, cd, child_R, None
 
 
 def _node_minor(m: int, p, s: int, scale: int) -> Scalar:
@@ -425,7 +432,8 @@ def _pivot(W, u: int, v: int, rows: Sequence[int], cols: Sequence[int], p):
     ``rows`` and y in ``cols``, which hold neither u nor v.  In Z the quotient is
     floor division; in Z[i] it is the product with conj(p) floor-divided,
     part by part, by |p|^2, or by p itself when p is real, as in
-    ``det_fraction_free``."""
+    ``det_fraction_free``.  ``_minor_walk`` takes the step in Z with u = v
+    and no rank deficiency as an inline copy of the Z comprehension here."""
     Wr, Wi = W
     if Wi is None:
         Wu, q = Wr[u], Wr[u][v]
@@ -548,18 +556,19 @@ def _packed_operands(
     G: AdjugateTable, pencil: DeterminantalPencil
 ) -> Tuple[Packed, List[List[Packed]], List[List[Packed]], Packed]:
     """f, the entries of G, those of diag(x) + A and the constant 1, each
-    packed once, all with one field width."""
+    packed once, all with one field width: G's straight from its
+    coefficients by rank (``pack_ranked``), the width being f's, which
+    bounds the exponent sum of every product of these operands."""
     A, f = pencil.base, pencil.fpoly
     n = A.n
     M = [[MPoly.const(n, a) for a in row] for row in A.entries]
     for j in range(n):
         M[j][j] = M[j][j] + MPoly.var(n, j)
-    entries = [G.entry(i, j) for i in range(n) for j in range(n)]
-    packed = iter(pack([f, MPoly.const(n, 1)] + entries + list(chain(*M))))
+    packed = iter(pack([f, MPoly.const(n, 1)] + list(chain(*M))))
     pf, one = next(packed), next(packed)
-    pG = [[next(packed) for _ in range(n)] for _ in range(n)]
     pM = [[next(packed) for _ in range(n)] for _ in range(n)]
-    return pf, pG, pM, one
+    pG = iter(pack_ranked(G.coeffs, n, pf.width))
+    return pf, [[next(pG) for _ in range(n)] for _ in range(n)], pM, one
 
 
 def _adjugate_sums_vanish(

@@ -6,6 +6,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,19 @@ def test_minors_document(capsys, a4_file):
     assert table[""] == "1"
     assert table["1,2,3,4"] == "87"
     assert table["1"] == "2" and table["4"] == "-1"
+
+
+@pytest.mark.parametrize("n", [1, 4, 11])
+def test_minors_keys_come_by_size_then_lexicographically(capsys, tmp_path, n):
+    """The table lists each size in ``combinations`` order, keys 1-based and
+    comma-joined, whatever the order in which the walk reaches the subsets."""
+    rows = [[(i * 3 + j * 5 + i * j) % 7 - 3 for j in range(n)] for i in range(n)]
+    code, doc, _ = run_cli(capsys, "minors", write_matrix(tmp_path / "m.json", rows))
+    assert code == 0
+    subsets = [S for k in range(n + 1) for S in combinations(range(n), k)]
+    assert list(doc["result"]["minors"]) == [",".join(str(i + 1) for i in S) for S in subsets]
+    pm = det_poly(matrix(rows)).minors()
+    assert list(doc["result"]["minors"].values()) == [scalar_format(pm.value(S)) for S in subsets]
 
 
 def test_detpoly_text_and_json(capsys, a4_file):
@@ -307,6 +321,17 @@ def test_exit_malformed_entry(capsys, tmp_path):
     )
     code, doc, _ = run_cli(capsys, "minors", str(f))
     assert code == 2 and "error" in doc
+
+
+@pytest.mark.parametrize("entry", ["1 2", "1/2 3", "1 2/3", "\u0661", "\u0661+\u0662i"])
+def test_exit_entry_with_split_or_non_ascii_digits(capsys, tmp_path, entry):
+    """A typo that splits a number, or a digit of another script, is
+    malformed input, not some other matrix: exit 2 and one error document."""
+    f = write_matrix(tmp_path / "typo.json", [["1", entry], ["0", "1"]], field="Q(i)")
+    for command in ("minors", "classify"):
+        code, doc, _ = run_cli(capsys, command, f)
+        assert code == 2 and list(doc) == ["command", "error"], doc
+        assert repr(entry) in doc["error"]
 
 
 def test_exit_imaginary_over_q(capsys, tmp_path):
@@ -627,7 +652,11 @@ def _golden_inputs():
     which send the full walk down its row-scale and deficiency paths.  Four
     reducible inputs, two of them symmetric, give ``structure``,
     ``fibershape``, ``stablecert`` and ``symfiber`` block factors with
-    Fraction and Q(i) coefficients, whose text ``poly_text`` writes."""
+    Fraction and Q(i) coefficients, whose text ``poly_text`` writes.  For
+    the partial walk, at n = 12 an int input whose leading 3 x 3 block has
+    rank one and whose diagonal has zeros, so singular subsets (rank
+    deficiencies 1 and 2) appear at every size; at n = 11 one with Fraction
+    rows (row scales above 1) and a Q(i) one with zero entries."""
     q = Fraction
 
     def upper(n, first, entry):  # no entry from outside ``first`` into it
@@ -669,6 +698,20 @@ def _golden_inputs():
         "symmetric-gaussian-5": ("Q(i)", block_diagonal(
             5, [(0, 2, 4), (1, 3)], lambda i, j: gaussian(q((i + j) % 5 - 2, 2), q((2 * i + j) % 3 - 1, j % 2 + 1))
         )),
+        "int-singular-block-12": ("Q", [
+            [(i + 1) * (j + 1) if i < 3 and j < 3 else 0 if i == j and i % 3 == 1 else (
+                (i * 5 + j * 3 + 2 * i * j + i * i) % 7 - 3
+            ) for j in range(12)]
+            for i in range(12)
+        ]),
+        "fraction-rows-11": ("Q", [
+            [q((i * 3 + j * 5 + i * j) % 9 - 4, (i + j) % 4 + 1) if i % 2 else (i * 2 + j * 3) % 7 - 3 for j in range(11)]
+            for i in range(11)
+        ]),
+        "gaussian-zeros-11": ("Q(i)", [
+            [0 if (i * 3 + j) % 4 == 0 else gaussian((i + 3 * j) % 5 - 2, (2 * i + j) % 5 - 2) for j in range(11)]
+            for i in range(11)
+        ]),
     }
 
 
@@ -738,6 +781,15 @@ GOLDEN_DIGESTS = {
     ('symmetric-gaussian-5', 'stablecert --json-poly'): "ba33544451426f9a61f4a1934d3e65e5ea9ee536b88501350362b59b7d5f3bca",
     ('symmetric-gaussian-5', 'symfiber'): "c0b8d3a40853cab83f3c9e10df36e4bc8b299b59f5c7a13111fa90e610048401",
     ('symmetric-gaussian-5', 'symfiber --json-poly'): "20c40b7075a9d1bd69dc87188fae5216cf9e36a05ef7f3232f18711e4410f28f",
+    ('int-singular-block-12', 'minors'): "f926b6ebe8ab48365bf825ea162bd96621762d68018f4790c8194bffa89e1590",
+    ('int-singular-block-12', 'detpoly'): "bb23895cb4c59f93ac1994afd40785cdc2ec89ecdf595c9939ed32344fa17e49",
+    ('int-singular-block-12', 'detpoly --json-poly'): "c2c4fe634c6434b80d393dfa628ed2dd8cca473f852f5bf9a379937148aa998c",
+    ('fraction-rows-11', 'minors'): "876d6a0dfc9c5c46fb381991d1518e6b684acaa56a99225198aa80b49c285bd4",
+    ('fraction-rows-11', 'detpoly'): "ba42760a8ab7ec3a486564c30e407cebff936273f5f2d40a336ce4a900d2c5f7",
+    ('fraction-rows-11', 'detpoly --json-poly'): "487f165a4d0ff137bc01c8bc93eb9414332f7b4be972c8e12a130b9b680b8e52",
+    ('gaussian-zeros-11', 'minors'): "8eac87281f867239c63db44ff7426b67b6f25af63630cb7f6c5edaa3a7912534",
+    ('gaussian-zeros-11', 'detpoly'): "ea7d84237448c565cf4a806d8827b1cfeeeb6dafe0982a5bfcf914026e7b97f4",
+    ('gaussian-zeros-11', 'detpoly --json-poly'): "a32f6929a8c2c8af63ca59d91a5158b2f1e6cc125733265389ce18d73e7458f1",
 }
 
 GOLDEN_CALLS = [

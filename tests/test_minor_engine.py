@@ -11,7 +11,10 @@ path, and Fraction and Q(i) entries leave the integer fast path.  A matrix
 draws its entries from one of int, Fraction, Gaussian integers, Q(i) with
 Fraction parts, or a mix of all four within each row.  Fixed cases pin
 down the degenerate patterns, each also over Q(i) with Fraction parts,
-where the walk runs in Z[i].
+where the walk runs in Z[i].  Seeded draws at n = 8-10 (entries in -2..2,
+Fractions, Q(i)) carry the differential check past the hypothesis sizes,
+with the ``minors`` document checked against the oracle on a sample of
+subsets.
 ``det_fraction_free`` (one in-place Bareiss loop) and ``rank_exact`` (the
 walk's ``_eliminate`` on a zero-padded square) face ``oracles.det_perm``
 and ``oracles.rank_gauss`` on rectangular blocks and their leading square
@@ -20,7 +23,10 @@ empty inputs, a zero first column, denominators only in imaginary parts,
 and non-square or ragged rows, which both reject.
 """
 
+import json
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +42,7 @@ from pmfiber import (
     principal_minors,
 )
 from pmfiber import symdet
+from pmfiber.cli import main
 from pmfiber.scalars import is_rational
 from pmfiber.symdet import det_fraction_free, rank_exact
 from pmfiber.structure import block_det_poly, frobenius_form, structure_check
@@ -105,6 +112,34 @@ def _check_block(rows, point, block):
 @given(matrices())
 def test_minors_and_pencil_match_oracle(drawn):
     _check_minors_and_pencil(*drawn)
+
+
+LARGE_DRAWS = {
+    "int": lambda rng: rng.randint(-2, 2),
+    "fraction": lambda rng: Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+    "gaussian": lambda rng: gaussian(rng.randint(-2, 2), rng.randint(-2, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DRAWS))
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_minors_at_larger_sizes_match_the_references(n, kind, tmp_path, capsys):
+    """Past the hypothesis sizes the walk has deficient nodes at many depths
+    and rows ten pivots deep: its vector equals ``principal_minors`` on every
+    subset, and the ``minors`` document agrees with the permutation-sum
+    oracle on every subset of size at most 4 and on ten of sizes 5 and 6."""
+    rng = random.Random(f"minors-{n}-{kind}")
+    rows = [[LARGE_DRAWS[kind](rng) for _ in range(n)] for _ in range(n)]
+    A = matrix(rows)
+    assert det_poly(A).minors() == principal_minors(A)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"n": n, "field": A.field, "entries": A.to_strings()}))
+    assert main(["minors", str(path)]) == 0
+    table = json.loads(capsys.readouterr().out)["result"]["minors"]
+    subsets = [S for k in range(5) for S in combinations(range(n), k)]
+    subsets += [tuple(sorted(rng.sample(range(n), rng.randint(5, 6)))) for _ in range(10)]
+    for S in subsets:
+        assert table[",".join(str(k + 1) for k in S)] == oracles.scalar_text(oracles.minor_pair(rows, S)), S
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -57,6 +57,28 @@ def test_parse_rejects(bad):
         scalar_parse(bad)
 
 
+@pytest.mark.parametrize(
+    "bad", ["1 2", "1 2/3", "1/2 3", "1\t2", "12 3+i", "2+3 4i", "-i/1 2", "1 /2 2"]
+)
+def test_parse_rejects_whitespace_between_digits(bad):
+    # stripping it first would read "1 2" as 12, "1 2/3" as 4 and "1/2 3" as 1/23
+    with pytest.raises(ParseError, match="whitespace between digits"):
+        scalar_parse(bad)
+
+
+@pytest.mark.parametrize("bad", ["\u0661", "\u0661+\u0662i", "3/\u0664", "\uff15", "\u0967i"])
+def test_parse_reads_ascii_digits_only(bad):
+    with pytest.raises(ParseError):
+        scalar_parse(bad)
+
+
+def test_parse_keeps_whitespace_around_signs_slash_and_i():
+    assert scalar_parse("1 / 2") == Fraction(1, 2)
+    assert scalar_parse(" - 3 / 4 ", FIELD_Q) == Fraction(-3, 4)
+    assert scalar_parse("1 - 2 i / 3") == gaussian(1, Fraction(-2, 3))
+    assert scalar_parse("\t12\n") == 12
+
+
 def test_parse_field_restriction():
     with pytest.raises(ParseError):
         scalar_parse("i", FIELD_Q)

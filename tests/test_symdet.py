@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmfiber.symdet as symdet
+from pmfiber.mpoly import pack, pack_ranked
 from pmfiber import (
     FIELD_Q,
     FIELD_QI,
@@ -146,7 +147,6 @@ def test_minor_vector_index_edges(golden_a4, reader):
     assert dict(pm.values) == {frozenset(S): pm.value(S) for k in range(5) for S in combinations(range(4), k)}
     with pytest.raises(TypeError):
         pm.values[frozenset()] = 0
-    assert [S for S, _ in pm.items_canonical()] == [S for k in range(5) for S in combinations(range(4), k)]
 
 
 # -- determinantal pencil -----------------------------------------------------------
@@ -511,6 +511,33 @@ def test_verify_laplace_alone_builds_no_pencil_or_table(field, monkeypatch):
     assert alone.checks == tuple(c for c in full.checks if c.identity == "laplace")
     assert verify_identities(A, ("dodgson",)).all_ok
     assert sorted(calls) == ["pencil", "table"]
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_verify_packs_the_table_from_its_ranks(field, monkeypatch):
+    """The adjugate table is packed straight from its rank tuples: no entry
+    is built as a polynomial, and each packed entry is the one ``pack``
+    makes of that polynomial, its top 0 exactly when it is constant."""
+    A = matrix(rand_rows(random.Random(11), 5, field), field)
+    constant = matrix([[1, 0, 2], [0, 1, 0], [0, 3, 1]])  # G_01 = A_02 A_21 = 6
+    tables = [adjugate_table(B) for B in (A, constant)]
+    assert tables[1].entry(0, 1) == MPoly.const(3, 6)
+    expected = [
+        pack([det_poly(B).fpoly] + [G.entry(i, j) for i in range(G.n) for j in range(G.n)])[1:]
+        for B, G in zip((A, constant), tables)
+    ]
+    assert {p.top for p in expected[1]} == {0, 1}
+
+    def refuse(self, i, j):
+        raise AssertionError("AdjugateTable.entry was called")
+
+    monkeypatch.setattr(AdjugateTable, "entry", refuse)
+    assert verify_identities(A).all_ok
+    for G, want in zip(tables, expected):
+        got = pack_ranked(G.coeffs, G.n, want[0].width)
+        assert [(p.top, p.gauss, p.items, p.scale, p.bound) for p in got] == [
+            (p.top, p.gauss, p.items, p.scale, p.bound) for p in want
+        ]
 
 
 def test_verify_identities_unknown_name(golden_a4):
