@@ -16,7 +16,10 @@ minors`` prints) and the adjugate table come from one minor engine: a
 depth-first walk over subsets that carries the bordered minors
 det(A[T+i, T+j]) and updates them by Sylvester's identity with exact
 (Bareiss) division, the exact form of the Schur-complement recursion of
-Griffin and Tsatsomeros.  Single determinants, and the per-subset
+Griffin and Tsatsomeros.  Each subset's minor is read at its parent, so
+the partial walk behind the pencil stacks only the subsets with a
+descendant, and the CLI prints the minors and the pencil's text from
+them in canonical order with no sort.  Single determinants, and the per-subset
 reference ``principal_minors``, come from one in-place fraction-free
 (Bareiss) loop over a square matrix, ``det_fraction_free``; exact ranks
 (``rank_exact``) from the walk's own elimination, ``_eliminate``, which
