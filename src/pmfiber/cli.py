@@ -119,10 +119,10 @@ def _symmetrizability_doc(result: SymmetrizabilityResult) -> Dict:
 
 
 def _parse_cut(text: str, n: int) -> Tuple[int, ...]:
-    try:
-        indices = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
+    parts = [part.strip() for part in text.split(",") if part.strip() != ""]
+    if not all(part.isascii() and part.isdigit() for part in parts):  # int() takes "1_0", "+1"
         raise ParseError(f"--cut expects comma-separated integers, got {text!r}")
+    indices = [int(part) for part in parts]
     if any(not 1 <= i <= n for i in indices):
         raise ParseError(f"--cut indices must lie in 1..{n}")
     if len(set(indices)) != len(indices):

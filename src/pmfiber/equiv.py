@@ -5,14 +5,18 @@ for an invertible diagonal D; both relations preserve all principal minors.
 A is diagonally equivalent to a symmetric matrix iff the cycle condition
 e_i * a_ij = e_j * a_ji admits a solution with all e_i nonzero (e plays the
 role of d_i^2); the Hermitian analogue replaces a_ji by its conjugate and
-demands real positive e.  Certificates are always verified entrywise before
-being returned.
+demands real positive e.
+
+Each of these questions is one scaling solve: a search per support component
+sets every d_j from the edge it is reached by, and only
+DiagonalCertificate.verifies, the certificate's own entrywise check, accepts
+the result.  A symmetrizing witness is checked by conjugation as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import PreconditionError, VerificationError
 from .scalars import (
@@ -22,7 +26,6 @@ from .scalars import (
     div_exact,
     is_rational,
     normalize_scalar,
-    scalar_im,
     sqrt_in_field,
 )
 from .structure import is_irreducible
@@ -55,70 +58,51 @@ class DiagonalCertificate:
         return matrix(rows, base.field)
 
     def verifies(self, A: SquareMatrix, B: SquareMatrix) -> bool:
-        if A.n != B.n or len(self.d) != A.n or any(not x for x in self.d):
+        d = self.d
+        if A.n != B.n or len(d) != A.n or not all(d):
             return False
         base = A.transpose() if self.transposed else A
-        n = A.n
         return all(
-            self.d[i] * base.entries[i][j] == B.entries[i][j] * self.d[j]
-            for i in range(n)
-            for j in range(n)
+            di * x == y * dj
+            for di, row_a, row_b in zip(d, base.entries, B.entries)
+            for x, y, dj in zip(row_a, row_b, d)
         )
 
 
-def _propagate(n: int, ratio: Callable[[int, int], Optional[Scalar]]) -> List[Scalar]:
-    """x with x[start] = 1 for the first index of each connected component
-    and x[j] = x[i] * ratio(i, j) along the edges of a search from it;
-    ratio(i, j) is None where i and j are not joined."""
-    x: List[Optional[Scalar]] = [None] * n
-    for start in range(n):
-        if x[start] is not None:
-            continue
-        x[start] = 1
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if j == i or x[j] is not None:
-                    continue
-                r = ratio(i, j)
-                if r is not None:
-                    x[j] = x[i] * r
-                    queue.append(j)
-    return x
-
-
 def _solve_scaling(A: SquareMatrix, B: SquareMatrix) -> Optional[Tuple[Scalar, ...]]:
-    """Find d with B_ij = d_i A_ij / d_j, by ratio propagation per component.
+    """d with B_ij = d_i A_ij / d_j, or None.
 
-    Each component's first index gets d = 1.  With B = tau(A)^T this is the
-    cycle condition e_i a_ij = e_j tau(a_ji) of a symmetrizing scaling.
+    A search from the first index of each support component sets d = 1
+    there and d_j = d_i A_ij / B_ij at each index j it reaches by an edge
+    i -> j (d_i B_ji / A_ji by an edge j -> i); the certificate's own
+    entrywise check then accepts d or refutes every solution.  With
+    B = tau(A)^T this is the cycle condition e_i a_ij = e_j tau(a_ji) of a
+    symmetrizing scaling.
     """
-    n = A.n
-    for i in range(n):
-        for j in range(n):
-            if bool(A.entries[i][j]) != bool(B.entries[i][j]):
+    n, a, b = A.n, A.entries, B.entries
+    for row_a, row_b in zip(a, b):
+        for x, y in zip(row_a, row_b):
+            if (not x) != (not y):
                 return None
-
-    def ratio(i: int, j: int) -> Optional[Scalar]:
-        # d_j = d_i * A_ij / B_ij, or through the edge j -> i
-        if A.entries[i][j]:
-            return div_exact(A.entries[i][j], B.entries[i][j])
-        if A.entries[j][i]:
-            return div_exact(B.entries[j][i], A.entries[j][i])
+    d: List[Optional[Scalar]] = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = 1
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if d[j] is None and (a[i][j] or a[j][i]):
+                    r = div_exact(a[i][j], b[i][j]) if a[i][j] else div_exact(b[j][i], a[j][i])
+                    d[j] = d[i] * r
+                    stack.append(j)
+    if not DiagonalCertificate(tuple(d), transposed=False).verifies(A, B):
         return None
-
-    d = _propagate(n, ratio)
-    for i in range(n):
-        for j in range(n):
-            if d[i] * A.entries[i][j] != B.entries[i][j] * d[j]:
-                return None
     return tuple(normalize_scalar(x) for x in d)
 
 
-def diagonal_equivalence(
-    A: SquareMatrix, B: SquareMatrix
-) -> Optional[DiagonalCertificate]:
+def diagonal_equivalence(A: SquareMatrix, B: SquareMatrix) -> Optional[DiagonalCertificate]:
     """A verified certificate that B = D*A*D^-1 (or D*A^T*D^-1), else None."""
     if A.n != B.n:
         raise PreconditionError("matrices must have equal size")
@@ -148,15 +132,22 @@ class SymmetrizabilityResult:
         return self.verdict != VERDICT_NOT_SYMMETRIZABLE
 
 
-def _witness_from_roots(
-    A: SquareMatrix, roots: Tuple[Scalar, ...], hermitian: bool
-) -> DiagonalCertificate:
-    cert = DiagonalCertificate(roots, transposed=False)
-    conjugated = cert.conjugate(A)
-    ok = conjugated.is_hermitian() if hermitian else conjugated.is_symmetric()
-    if not ok:
+def _scaling_verdict(
+    A: SquareMatrix, e: Optional[Tuple[Scalar, ...]], hermitian: bool
+) -> SymmetrizabilityResult:
+    """NotSymmetrizable without e.  Otherwise OverField when every e_i has a
+    square root in the field (Q for a Hermitian scaling), with the witness
+    D = diag(sqrt(e_i)) checked by conjugation; else OverQuadraticExtension."""
+    if e is None:
+        return SymmetrizabilityResult(VERDICT_NOT_SYMMETRIZABLE, None, None)
+    roots = [sqrt_in_field(x, FIELD_Q if hermitian else A.field) for x in e]
+    if any(r is None for r in roots):
+        return SymmetrizabilityResult(VERDICT_OVER_EXTENSION, e, None)
+    cert = DiagonalCertificate(tuple(roots), transposed=False)
+    image = cert.conjugate(A)
+    if not (image.is_hermitian() if hermitian else image.is_symmetric()):
         raise VerificationError("scaling witness failed to symmetrize")
-    return cert
+    return SymmetrizabilityResult(VERDICT_OVER_FIELD, e, cert)
 
 
 def symmetrizability(A: SquareMatrix) -> SymmetrizabilityResult:
@@ -168,38 +159,23 @@ def symmetrizability(A: SquareMatrix) -> SymmetrizabilityResult:
     (several independent non-squares may in fact need a tower; no radicals
     are constructed either way).
     """
-    e = _solve_scaling(A, A.transpose())
-    if e is None:
-        return SymmetrizabilityResult(VERDICT_NOT_SYMMETRIZABLE, None, None)
-    roots = [sqrt_in_field(x, A.field) for x in e]
-    if all(r is not None for r in roots):
-        cert = _witness_from_roots(A, tuple(roots), hermitian=False)
-        return SymmetrizabilityResult(VERDICT_OVER_FIELD, e, cert)
-    return SymmetrizabilityResult(VERDICT_OVER_EXTENSION, e, None)
+    return _scaling_verdict(A, _solve_scaling(A, A.transpose()), hermitian=False)
 
 
 def hermitian_equivalence(A: SquareMatrix) -> SymmetrizabilityResult:
     """Is A diagonally conjugate to a Hermitian matrix?
 
     Requires a real diagonal and a solution of e_i * a_ij = e_j * conj(a_ji)
-    with every e_i real and positive (e_i = |d_i|^2).  OverField when every
-    e_i is a perfect square in Q, so D = diag(sqrt(e_i)) is rational and
-    D*A*D^-1 is exactly Hermitian.
+    with every e_i real and positive (e_i = |d_i|^2); the scaling's check
+    on the diagonal, a_ii = conj(a_ii), is the first requirement.  OverField
+    when every e_i is a perfect square in Q, so D = diag(sqrt(e_i)) is
+    rational and D*A*D^-1 is exactly Hermitian.
     """
-    if any(scalar_im(A.entries[i][i]) != 0 for i in range(A.n)):
-        return SymmetrizabilityResult(VERDICT_NOT_SYMMETRIZABLE, None, None)
-    n = A.n
-    adjoint = SquareMatrix(
-        tuple(tuple(conj(A.entries[j][i]) for j in range(n)) for i in range(n)), A.field
-    )
+    adjoint = SquareMatrix(tuple(tuple(map(conj, col)) for col in zip(*A.entries)), A.field)
     e = _solve_scaling(A, adjoint)
-    if e is None or not all(is_rational(x) and x > 0 for x in e):
-        return SymmetrizabilityResult(VERDICT_NOT_SYMMETRIZABLE, None, None)
-    roots = [sqrt_in_field(x, FIELD_Q) for x in e]
-    if all(r is not None for r in roots):
-        cert = _witness_from_roots(A, tuple(roots), hermitian=True)
-        return SymmetrizabilityResult(VERDICT_OVER_FIELD, e, cert)
-    return SymmetrizabilityResult(VERDICT_OVER_EXTENSION, e, None)
+    if e is not None and not all(is_rational(x) and x > 0 for x in e):
+        e = None
+    return _scaling_verdict(A, e, hermitian=True)
 
 
 def recover_diag_from_fiber(A: SquareMatrix, B: SquareMatrix) -> DiagonalCertificate:

@@ -101,6 +101,81 @@ def adjugate_entry_at_point(rows, xs, i, j) -> Pair:
     return cneg(value) if (i + j) % 2 else value
 
 
+def adjugate_at_point(rows, xs):
+    """adj(diag(xs) + A) as an n x n grid of pairs, from one permutation sum:
+    adj[i][j] is the cofactor of M[j][i], so it collects, from each
+    permutation p with p(j) = i, sign(p) times the product of M[r][p(r)]
+    over the rows r != j."""
+    n = len(rows)
+    grid = [[to_pair(rows[r][c]) for c in range(n)] for r in range(n)]
+    for r in range(n):
+        grid[r][r] = cadd(grid[r][r], to_pair(xs[r]))
+    adj = [[ZERO] * n for _ in range(n)]
+    for p in permutations(range(n)):
+        factors = [grid[r][p[r]] for r in range(n)]
+        if sum(f == ZERO for f in factors) > 1:
+            continue
+        before = [(Fraction(perm_sign(p)), Fraction(0))]  # sign times the factors above row r
+        for f in factors:
+            before.append(cmul(before[-1], f))
+        after = ONE  # the factors below row r
+        for r in reversed(range(n)):
+            adj[p[r]][r] = cadd(adj[p[r]][r], cmul(before[r], after))
+            after = cmul(after, factors[r])
+    return adj
+
+
+def cinv(a: Pair) -> Pair:
+    norm = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / norm, -a[1] / norm)
+
+
+def scaling_exists(a_rows, b_rows, positive=False) -> bool:
+    """Is there a diagonal d, every d_i nonzero, with b_ij = d_i a_ij / d_j?
+
+    The cycle test, with no search tree: the two supports and diagonals
+    agree, and around every cycle of the undirected support graph the
+    ratios d_i / d_j multiply to 1.  An edge from i to j reads that ratio
+    as b_ij / a_ij, or as a_ji / b_ji through the reverse edge; where both
+    edges exist the two readings (a cycle of length 2) must agree.  With
+    ``positive``, every ratio must also be a positive rational, which is
+    what a solution with every d_i > 0 needs.  Simple cycles are
+    enumerated as vertex sequences, so this is for n <= 5.
+    """
+    n = len(a_rows)
+    a = [[to_pair(x) for x in row] for row in a_rows]
+    b = [[to_pair(x) for x in row] for row in b_rows]
+    if any((a[i][j] == ZERO) != (b[i][j] == ZERO) for i in range(n) for j in range(n)):
+        return False
+    if any(a[i][i] != b[i][i] for i in range(n)):
+        return False
+    ratio = {}
+    for i in range(n):
+        for j in range(n):
+            readings = set()
+            if i != j and a[i][j] != ZERO:
+                readings.add(cmul(b[i][j], cinv(a[i][j])))
+            if i != j and a[j][i] != ZERO:
+                readings.add(cmul(a[j][i], cinv(b[j][i])))
+            if len(readings) > 1:
+                return False
+            if readings:
+                (ratio[i, j],) = readings
+    if positive and any(r[1] != 0 or r[0] <= 0 for r in ratio.values()):
+        return False
+    for k in range(3, n + 1):
+        for cycle in permutations(range(n), k):
+            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+            if cycle[0] != min(cycle) or any(e not in ratio for e in edges):
+                continue
+            product = ONE
+            for e in edges:
+                product = cmul(product, ratio[e])
+            if product != ONE:
+                return False
+    return True
+
+
 def rank_gauss(rows) -> int:
     """Row-reduction rank over exact pair arithmetic."""
     grid = [[to_pair(x) for x in row] for row in rows]
@@ -117,9 +192,7 @@ def rank_gauss(rows) -> int:
             col += 1
             continue
         grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        pr = grid[rank][col]
-        inv_den = pr[0] * pr[0] + pr[1] * pr[1]
-        pr_inv = (pr[0] / inv_den, -pr[1] / inv_den)
+        pr_inv = cinv(grid[rank][col])
         for r in range(rank + 1, len(grid)):
             factor = cmul(grid[r][col], pr_inv)
             if factor == ZERO:

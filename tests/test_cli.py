@@ -22,7 +22,7 @@ from pmfiber import (
     swap_factors_degenerate,
 )
 from pmfiber.cli import main
-from pmfiber.scalars import gaussian, scalar_format
+from pmfiber.scalars import div_exact, gaussian, scalar_format
 
 from conftest import A4_ROWS, A6_ROWS, LATER_CUT_ROWS, cut_rows
 
@@ -379,6 +379,21 @@ def test_exit_bad_cut_argument(capsys, a4_file):
     assert code2 == 2
     code3, _, _ = run_cli(capsys, "witness", "--cut", "1,3", a4_file)
     assert code3 == 2  # {1,3} is not a cut of this matrix
+
+
+@pytest.mark.parametrize("cut", ["1_0,2", "\u0661,2", "+2,10", "2,\uff11\uff10"])
+def test_exit_cut_index_not_in_ascii_digits(capsys, tmp_path, cut):
+    """Each ``--cut`` index is ASCII digits with spaces around; ``int`` alone
+    would read "1_0" and the fullwidth "\uff11\uff10" as 10, "+2" as 2 and the
+    Arabic-Indic "\u0661" as 1.  {2, 10} is a cut of this matrix."""
+    base = cut_rows(10, 2)
+    order = [2, 0, 3, 4, 5, 6, 7, 8, 9, 1]  # positions 2 and 10 take the cut {1, 2}
+    f = write_matrix(tmp_path / "cut-2-10.json", [[base[p][q] for q in order] for p in order])
+    code, doc, _ = run_cli(capsys, "witness", "--cut", cut, f)
+    assert code == 2 and list(doc) == ["command", "error"]
+    assert doc["error"].startswith("--cut expects comma-separated integers")
+    code, doc, _ = run_cli(capsys, "witness", "--cut", " 2 , 10 ,", f)
+    assert code == 0 and doc["result"]["cut"] == [2, 10]
 
 
 def test_exit_internal_verification_maps_to_4(capsys, a4_file, monkeypatch):
@@ -810,6 +825,125 @@ def test_polynomial_commands_keep_their_bytes(capsys, tmp_path, name):
         code, _, out = run_cli(capsys, *argv, str(path))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name, " ".join(argv)], argv
+
+
+# -- golden bytes of the scaling commands ---------------------------------------------
+
+
+def _conjugated_rows(rows, d):
+    """The rows of D * rows * D^-1 for the diagonal d."""
+    return [[d[i] * div_exact(x, d[j]) if x else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _scaling_inputs():
+    """(field, rows) by name for ``symmetrize``, ``hermitize`` and
+    ``classify``, and (field, rows of A, rows of B) for ``equiv``.
+
+    The ``equiv`` pairs are a planted conjugate, a transposed conjugate over
+    Q(i), that planted conjugate with one entry changed, and a support of
+    three components with zeros inside them.  Over Q and over Q(i) the
+    single inputs reach every verdict of both scalings: a conjugated
+    symmetric (or Hermitian) matrix is OverField, a tree whose ratios are
+    2, -1 or 3 needs a root outside the field, and a cycle whose ratios
+    multiply to 2 is NotSymmetrizable.  Three inputs have a cut and are
+    symmetrizable, so ``classify`` prints their certificate: one over Q,
+    one over Q(i), and one only over an extension of Q."""
+    q, g = Fraction, gaussian
+    a5 = [
+        [q(1, 2), 3, 0, -1, 2],
+        [1, 0, q(-2, 3), 0, 4],
+        [0, 5, -2, 1, 0],
+        [q(3, 4), 0, 2, 1, -3],
+        [-1, 2, 0, q(1, 5), 0],
+    ]
+    planted = _conjugated_rows(a5, (1, q(-2, 3), 3, q(1, 2), -4))
+    changed = [row[:] for row in planted]
+    changed[0][1] *= 2
+    g4 = [[g((2 * i + j) % 5 - 2, (i + 3 * j) % 5 - 2) for j in range(4)] for i in range(4)]
+    g4t = [list(col) for col in zip(*g4)]
+    z6 = [
+        [1, 0, 0, 2, 0, 0],
+        [0, 0, 0, 0, q(1, 2), 0],
+        [0, 0, -3, 0, 0, 0],
+        [-1, 0, 0, 0, 0, 0],
+        [0, 3, 0, 0, 0, -2],
+        [0, 1, 0, 0, 0, q(2, 3)],
+    ]
+    s5 = [
+        [2, q(1, 2), 0, -1, 3],
+        [q(1, 2), -1, 2, 0, 0],
+        [0, 2, q(3, 4), 1, 0],
+        [-1, 0, 1, 0, q(-2, 3)],
+        [3, 0, 0, q(-2, 3), 1],
+    ]
+    s4 = [[g((i + j) % 3 - 1, (i * j) % 3 - 1) for j in range(4)] for i in range(4)]
+    h4 = [[g((i + j) % 4 - 1, (j - i) * ((i + j) % 2 + 1)) for j in range(4)] for i in range(4)]
+    cut5 = [[0] * 5 for _ in range(5)]  # symmetric, dense on {1, 3} and {2, 4, 5}, rank one across
+    for i in range(5):
+        for j in range(i, 5):
+            if (i in (0, 2)) == (j in (0, 2)):
+                cut5[i][j] = cut5[j][i] = (i * 3 + j * 5) % 7 - 3 or 1
+            else:
+                x, y = (i, j) if i in (0, 2) else (j, i)
+                cut5[i][j] = cut5[j][i] = (x + 1) * (y % 3 - 2)
+    return {
+        "planted-fraction-5": ("Q", a5, planted),
+        "transposed-gaussian-4": ("Q(i)", g4, _conjugated_rows(g4t, (g(1, 1), 2, g(0, -1), g(q(1, 2), 3)))),
+        "changed-entry-fraction-5": ("Q", a5, changed),
+        "components-with-zeros-6": ("Q(i)", z6, _conjugated_rows(z6, (g(1, 1), -1, g(0, 2), q(1, 3), g(2, -1), g(q(1, 2), 1)))),
+        "symmetric-scaled-fraction-5": ("Q", _conjugated_rows(s5, (1, -2, q(1, 3), 3, q(-3, 2)))),
+        "ratio-two-fraction-4": ("Q", [[1, 2, 0, 0], [1, q(1, 2), 6, 0], [0, 1, 0, -1], [0, 0, q(-1, 3), 2]]),
+        "ratio-minus-one-fraction-3": ("Q", [[0, 1, 0], [-1, 2, 3], [0, q(3, 4), 1]]),
+        "cycle-fraction-4": ("Q", [[1, 1, 1, 0], [1, 0, 2, 0], [1, 1, 3, q(1, 2)], [0, 0, q(1, 2), -1]]),
+        "symmetric-scaled-gaussian-4": ("Q(i)", _conjugated_rows(s4, (g(1, 2), 1, g(0, 1), g(q(1, 2), -1)))),
+        "hermitian-scaled-gaussian-4": ("Q(i)", _conjugated_rows(h4, (q(1, 2), 3, -1, q(2, 3)))),
+        "ratio-three-gaussian-3": ("Q(i)", [[2, g(3, 3), 0], [g(1, -1), -1, g(0, 1)], [0, g(0, -3), q(1, 2)]]),
+        "cycle-gaussian-3": ("Q(i)", [[g(1, 0), g(1, 1), g(2, -1)], [g(0, 1), g(3, 0), g(1, 2)], [g(-1, 1), g(2, 0), g(0, 1)]]),
+        "symmetrizable-cut-fraction-5": ("Q", _conjugated_rows(cut5, (2, q(-1, 3), 1, 3, q(1, 2)))),
+    }
+
+
+# SHA-256 of stdout, computed before the scaling solver was rewritten.
+SCALING_DIGESTS = {
+    ('planted-fraction-5', 'equiv'): "6383129b9e38b091cf3e587ce49635119deacdfa78d5b5427f5f74d60f8bf232",
+    ('transposed-gaussian-4', 'equiv'): "ab64cf45540ab64cf1045e227b572077b6701eb79b1f420f4c28a4152d11474f",
+    ('changed-entry-fraction-5', 'equiv'): "a51c68a9efd565282e97ec63c15f543246c1dc822751fbc2cc6230e623b97a21",
+    ('components-with-zeros-6', 'equiv'): "c9b795f0a95e1a79ac8ec9d995854a41380c260e1ff24765fdaa1d77dc38124f",
+    ('symmetric-scaled-fraction-5', 'symmetrize'): "ef5156ca4ba25df35d46ea16e56dd27856e1c1bf67ecc25e37455fe70683da5f",
+    ('symmetric-scaled-fraction-5', 'hermitize'): "4334d5af468895f5344a3e20afa1275e4bca9fe7f14746e678535e72b592de05",
+    ('ratio-two-fraction-4', 'symmetrize'): "ba39b6640bba168b78cbef604b1f8ee6ecd1bbd5ae9be71dc9fe601cf1851e19",
+    ('ratio-two-fraction-4', 'hermitize'): "714b625187a5b67aa91765b014fe27a003999dbde9fe9ca4237a4aba5375257a",
+    ('ratio-two-fraction-4', 'classify'): "d9ece5725a74996bb2aef1a2a91cfd5470962c1b15244a56658407b0140349ec",
+    ('ratio-minus-one-fraction-3', 'symmetrize'): "69a64383a89f8f9b0bd1d841f18ea6d94f85579b1601b65935206e8e387d5aec",
+    ('ratio-minus-one-fraction-3', 'hermitize'): "e95231a0ed8ed99c41c63f8d88923dc51be9fae1b3f644532fec20118d9cfb54",
+    ('cycle-fraction-4', 'symmetrize'): "6a679353b4ed98c75a84de3981508e0a544e7c1a6e4e6f75f9f22e817cf9a8a8",
+    ('cycle-fraction-4', 'hermitize'): "e95231a0ed8ed99c41c63f8d88923dc51be9fae1b3f644532fec20118d9cfb54",
+    ('symmetric-scaled-gaussian-4', 'symmetrize'): "13a9fe8022a96862a3b2ef690624e89cf4ea6e814de12db21ee7450fa2799d69",
+    ('symmetric-scaled-gaussian-4', 'hermitize'): "e95231a0ed8ed99c41c63f8d88923dc51be9fae1b3f644532fec20118d9cfb54",
+    ('symmetric-scaled-gaussian-4', 'classify'): "e65483f9ee9ef0a5b7f2b0fbdff322ac301b48f855092396e15a9b5b7a9e59bf",
+    ('hermitian-scaled-gaussian-4', 'symmetrize'): "6a679353b4ed98c75a84de3981508e0a544e7c1a6e4e6f75f9f22e817cf9a8a8",
+    ('hermitian-scaled-gaussian-4', 'hermitize'): "624ba632436f62c9bba981d132937828bf199e81580de9a551686093ed88f81b",
+    ('ratio-three-gaussian-3', 'symmetrize'): "4249567c702e4eb15e607a30b2a057c81f7f6edfe40346ed4b4ea185ceb813fc",
+    ('ratio-three-gaussian-3', 'hermitize'): "77d33b0904b4e1c57461f46d27117470acbcbdd1d834c8e8d449668fb90016de",
+    ('cycle-gaussian-3', 'symmetrize'): "6a679353b4ed98c75a84de3981508e0a544e7c1a6e4e6f75f9f22e817cf9a8a8",
+    ('cycle-gaussian-3', 'hermitize'): "e95231a0ed8ed99c41c63f8d88923dc51be9fae1b3f644532fec20118d9cfb54",
+    ('symmetrizable-cut-fraction-5', 'symmetrize'): "b88e5201fa603da6656aa9be9c31085b5cfdf7b517f2051cdfbc975db09ce0f0",
+    ('symmetrizable-cut-fraction-5', 'hermitize'): "57a2781bf811a4c6602d4a9606695b55897b11958070bec08dd2380e81d30729",
+    ('symmetrizable-cut-fraction-5', 'classify'): "3989f157ceac8a180187fd935890f098dadb1f6b1d03f4a5e5dc674ee0d339b0",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(SCALING_DIGESTS))
+def test_scaling_commands_keep_their_bytes(capsys, tmp_path, name, command):
+    field, *matrices = _scaling_inputs()[name]
+    paths = []
+    for k, rows in enumerate(matrices):
+        path = tmp_path / f"{name}-{k}.json"
+        path.write_text(json.dumps({"n": len(rows), "field": field, "entries": [[scalar_format(x) for x in r] for r in rows]}))
+        paths.append(str(path))
+    code, _, out = run_cli(capsys, command, *paths)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCALING_DIGESTS[name, command]
 
 
 def test_adjugate_text_builds_no_polynomial(capsys, tmp_path, monkeypatch):

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from pmfiber import (
     DiagonalCertificate,
     FIELD_Q,
@@ -22,7 +25,7 @@ from pmfiber import (
     recover_diag_from_fiber,
     symmetrizability,
 )
-from pmfiber.scalars import conj, div_exact
+from pmfiber.scalars import conj, div_exact, scalar_re
 
 
 def rand_full(rng, n, field=FIELD_Q):
@@ -126,6 +129,72 @@ def test_disconnected_support_components():
     B = conjugated(A, d, FIELD_Q)
     cert = diagonal_equivalence(A, B)
     assert cert is not None and cert.verifies(A, B)
+
+
+SMALL = st.integers(-3, 3)
+Q_ENTRIES = st.one_of(st.just(0), SMALL, st.builds(Fraction, SMALL, st.integers(1, 4)))
+QI_ENTRIES = st.one_of(Q_ENTRIES, st.builds(gaussian, Q_ENTRIES, Q_ENTRIES))
+NONZERO_Q = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 4))
+NONZERO_QI = st.one_of(NONZERO_Q, st.builds(gaussian, NONZERO_Q, Q_ENTRIES))
+
+
+def _transposed(rows, tau=lambda x: x):
+    return [[tau(x) for x in col] for col in zip(*rows)]
+
+
+@st.composite
+def scaling_pairs(draw):
+    """(field, rows of A, rows of B), unfiltered, n = 1..5, with zeros, over
+    Q (ints and Fractions) or Q(i).  A is sometimes drawn symmetric or
+    Hermitian, so that scalings of A exist often.  B is a planted conjugate
+    D*A*D^-1 or D*A^T*D^-1, that conjugate with one entry changed, or an
+    independent draw."""
+    n = draw(st.integers(1, 5))
+    field = draw(st.sampled_from((FIELD_Q, FIELD_QI)))
+    entry, nonzero = (Q_ENTRIES, NONZERO_Q) if field == FIELD_Q else (QI_ENTRIES, NONZERO_QI)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("any", "symmetric", "hermitian")))
+    for i in range(n):
+        for j in range(i):
+            if shape != "any":
+                rows[i][j] = rows[j][i] if shape == "symmetric" else conj(rows[j][i])
+        if shape == "hermitian":
+            rows[i][i] = scalar_re(rows[i][i])
+    kind = draw(st.sampled_from(("conjugate", "transposed", "changed", "independent")))
+    if kind == "independent":
+        return field, rows, [[draw(entry) for _ in range(n)] for _ in range(n)]
+    d = [draw(nonzero) for _ in range(n)]
+    base = _transposed(rows) if kind == "transposed" else rows
+    other = [[d[i] * div_exact(x, d[j]) if x else 0 for j, x in enumerate(row)] for i, row in enumerate(base)]
+    if kind == "changed":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        other[i][j] += draw(nonzero)
+    return field, rows, other
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(scaling_pairs())
+def test_scaling_questions_match_the_cycle_oracle(drawn):
+    field, a_rows, b_rows = drawn
+    A, B = matrix(a_rows, field), matrix(b_rows, field)
+    cert = diagonal_equivalence(A, B)
+    planted = oracles.scaling_exists(a_rows, b_rows) or oracles.scaling_exists(_transposed(a_rows), b_rows)
+    assert (cert is not None) == planted
+    assert cert is None or cert.verifies(A, B)
+    for M, rows in ((A, a_rows), (B, b_rows)):
+        transpose, adjoint = _transposed(rows), _transposed(rows, conj)
+        real_diagonal = all(conj(rows[i][i]) == rows[i][i] for i in range(len(rows)))
+        sym, herm = symmetrizability(M), hermitian_equivalence(M)
+        assert sym.solvable == oracles.scaling_exists(rows, transpose)
+        assert herm.solvable == (real_diagonal and oracles.scaling_exists(rows, adjoint, positive=True))
+        for res, target, hermitian in ((sym, transpose, False), (herm, adjoint, True)):
+            assert res.solvable == (res.e is not None)
+            if res.e is not None:
+                assert DiagonalCertificate(res.e, transposed=False).verifies(M, matrix(target, field))
+            if res.witness_d is not None:
+                image = res.witness_d.conjugate(M)
+                assert res.witness_d.verifies(M, image)
+                assert image.is_hermitian() if hermitian else image.is_symmetric()
 
 
 # -- symmetrizability ---------------------------------------------------------------
