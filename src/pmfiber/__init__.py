@@ -72,10 +72,9 @@ from .scalars import (
 )
 from .selftest import SUITES, SuiteResult, run_selftest
 from .structure import (
-    FiberShape,
     FrobeniusForm,
+    StructureReport,
     block_det_poly,
-    fiber_shape,
     frobenius_form,
     is_irreducible,
     structure_check,
@@ -108,7 +107,6 @@ __all__ = [
     "FIELD_QI",
     "FIELDS",
     "FiberClassification",
-    "FiberShape",
     "FrobeniusForm",
     "GaussianRational",
     "IDENTITIES",
@@ -124,6 +122,7 @@ __all__ = [
     "SizeLimitError",
     "SquareMatrix",
     "StableCertificate",
+    "StructureReport",
     "SuiteResult",
     "SymmetricFiberDescription",
     "SymmetrizabilityResult",
@@ -139,7 +138,6 @@ __all__ = [
     "det_fraction_free",
     "det_poly",
     "diagonal_equivalence",
-    "fiber_shape",
     "find_cuts",
     "frobenius_form",
     "gaussian",

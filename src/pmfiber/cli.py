@@ -43,7 +43,7 @@ from .fiber import (
 from .mpoly import MPoly, poly_subset_map, poly_text, ranked_texts, subset_table
 from .scalars import FIELDS, scalar_format, scalar_parse
 from .selftest import SUITES, run_selftest
-from .structure import fiber_shape, structure_check
+from .structure import structure_check
 from .symdet import (
     IDENTITIES,
     SquareMatrix,
@@ -244,8 +244,8 @@ def _cmd_structure(A: SquareMatrix, args) -> Tuple[Dict, int]:
     return {
         "result": {
             "n": A.n,
-            "irreducible": len(report.form.blocks) == 1,
-            "blocks": [_subset_doc(b) for b in report.form.blocks],
+            "irreducible": len(report.blocks) == 1,
+            "blocks": [_subset_doc(b) for b in report.blocks],
             "order": [i + 1 for i in report.form.order],
             "product_matches": report.product_matches,
             "blocks_irreducible": list(report.blocks_irreducible),
@@ -255,15 +255,15 @@ def _cmd_structure(A: SquareMatrix, args) -> Tuple[Dict, int]:
 
 
 def _cmd_fibershape(A: SquareMatrix, args) -> Tuple[Dict, int]:
-    shape = fiber_shape(A)
+    report = structure_check(A)
     return {
         "result": {
             "n": A.n,
-            "blocks": [_subset_doc(b) for b in shape.blocks],
-            "free_positions": [[p + 1, q + 1] for p, q in shape.free_positions],
+            "blocks": [_subset_doc(b) for b in report.blocks],
+            "free_positions": [[p + 1, q + 1] for p, q in report.free_positions],
         },
-        "polynomials": {"factors": [_poly_doc(f, args) for f in shape.factors]},
-    }, 0
+        "polynomials": {"factors": [_poly_doc(f, args) for f in report.factors]},
+    }, 0 if report.all_ok else 4
 
 
 def _cmd_scaling(solve, A: SquareMatrix, args) -> Tuple[Dict, int]:
@@ -285,7 +285,7 @@ def _cmd_symfiber(A: SquareMatrix, args) -> Tuple[Dict, int]:
         doc["polynomials"] = {
             "factors": [_poly_doc(f, args) for f in desc.shape.factors]
         }
-    return doc, 0
+    return doc, 0 if desc.shape is None or desc.shape.all_ok else 4
 
 
 def _cmd_stablecert(A: SquareMatrix, args) -> Tuple[Dict, int]:

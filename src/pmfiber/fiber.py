@@ -14,8 +14,9 @@ such a fiber is often a single class (see classify_fiber).  Each witness is
 proved by its form, entry by entry (the swap form across the cut, or the
 block form of a reducible matrix), and by having no diagonal equivalence to
 A; no pencil is expanded.  find_cuts is a depth-first search that drops a
-split once a cross block reaches rank 2; block_det_poly, in the symmetric
-and stable descriptions, is capped by block size.  One test, _through_pivot,
+split once a cross block reaches rank 2.  The symmetric and stable
+descriptions read structure_check's checked block report, whose pencils
+block_det_poly caps by block size.  One test, _through_pivot,
 reads rank at most one off the 2x2 minors through a pivot, with no
 elimination: on each search step's new entries, and in _rank_one_factors on
 a whole block through its first nonzero entry, which hands the swap its
@@ -41,8 +42,7 @@ from .errors import PreconditionError, VerificationError
 from .mpoly import MPoly, product_sum
 from .scalars import Scalar, div_exact
 from .structure import (
-    FiberShape,
-    fiber_shape,
+    StructureReport,
     frobenius_form,
     is_irreducible,
     same_block_form,
@@ -67,6 +67,12 @@ REASON_SMALL_N = "SmallN"
 NO_WITNESS_SYMMETRIZABLE = (
     "matrix is diagonally equivalent to a symmetric matrix; "
     "its fiber is a single class and no witness exists"
+)
+# The transposed swap fails the same way, hence "both orientations".
+_SWAP_REFUSAL = (
+    "factor swap failed on both orientations (swap produced a diagonally "
+    "equivalent matrix); factor swapping across this cut cannot leave the "
+    "diagonal-equivalence class of the input"
 )
 
 
@@ -352,7 +358,8 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
     puts both in the same class, so one is all there is to try.  The result
     is proved by its swap form (see _same_swap_form), which fixes every
     principal minor through that identity, and by having no diagonal
-    equivalence to A.
+    equivalence to A.  A cut whose swap stays in A's class is a fact about
+    the input, so it raises PreconditionError, as a symmetrizable A does.
     """
     if A.n < 4:
         raise PreconditionError("factor swapping needs n >= 4")
@@ -361,17 +368,8 @@ def cut_swap_witness(A: SquareMatrix, X: Sequence[int]) -> SquareMatrix:
         raise PreconditionError(NO_WITNESS_SYMMETRIZABLE)
     B = _proved_swap(A, Xs, Xc)
     if B is None:
-        raise _swap_refusal()
+        raise PreconditionError(_SWAP_REFUSAL)
     return B
-
-
-def _swap_refusal() -> VerificationError:
-    # The transposed swap fails the same way, hence "both orientations".
-    return VerificationError(
-        "factor swap failed on both orientations (swap produced a diagonally "
-        "equivalent matrix); factor swapping across this cut cannot leave the "
-        "diagonal-equivalence class of the input"
-    )
 
 
 def _proved_swap(A: SquareMatrix, Xs: Sequence[int], Xc: Sequence[int]) -> Optional[SquareMatrix]:
@@ -491,7 +489,7 @@ def classify_fiber(A: SquareMatrix) -> FiberClassification:
                 MULTI_POINT, REASON_HAS_CUT, cut, witness, sym,
                 "irreducible with a cut and not symmetrizable: " + note,
             )
-    raise _swap_refusal()
+    raise VerificationError(_SWAP_REFUSAL)
 
 
 # -- symmetric and stable special cases ---------------------------------------------
@@ -500,7 +498,7 @@ def classify_fiber(A: SquareMatrix) -> FiberClassification:
 @dataclass(frozen=True)
 class SymmetricFiberDescription:
     irreducible: bool
-    shape: Optional[FiberShape]
+    shape: Optional[StructureReport]
     note: str
 
 
@@ -523,7 +521,7 @@ def symmetric_fiber_describe(A: SquareMatrix) -> SymmetricFiberDescription:
         )
     return SymmetricFiberDescription(
         False,
-        fiber_shape(A),
+        structure_check(A),
         "reducible symmetric: block diagonal up to relabeling; fiber members "
         "are block upper triangular with diagonal blocks diagonally "
         "equivalent to these blocks and arbitrary strictly-upper content",
@@ -558,7 +556,7 @@ def stable_certify(A: SquareMatrix) -> StableCertificate:
     checked = structure_check(A)
     if not checked.product_matches:
         raise VerificationError("A is not block upper triangular in its Frobenius order")
-    blocks = checked.form.blocks
+    blocks = checked.blocks
     reports = tuple(hermitian_equivalence(A.block(block)) for block in blocks)
     failing: Optional[Tuple[int, ...]] = None
     for block, report in zip(blocks, reports):

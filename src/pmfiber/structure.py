@@ -7,12 +7,15 @@ the strongly connected components of the support digraph, ordered so that all
 edges point forward (topological order of the condensation, ties broken by
 smallest original index).  The determinantal pencil factors accordingly, and
 the factorization describes the whole fiber of the principal minor map.
+structure_check's StructureReport is the one checked block report behind the
+commands structure, fibershape, symfiber (reducible input) and stablecert.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .mpoly import MPoly
@@ -170,10 +173,23 @@ def block_det_poly(A: SquareMatrix, block: Sequence[int]) -> MPoly:
 
 @dataclass(frozen=True)
 class StructureReport:
+    """A's Frobenius form, block pencils, and block-form check.  Every
+    matrix with A's principal minors is permutation-conjugate to a block
+    upper triangular one whose diagonal block p has pencil factors[p] and
+    whose strictly-upper block positions (p, q), free_positions, are free."""
+
     form: FrobeniusForm
     factors: Tuple[MPoly, ...]
     product_matches: bool
     blocks_irreducible: Tuple[bool, ...]
+
+    @property
+    def blocks(self) -> Tuple[Tuple[int, ...], ...]:
+        return self.form.blocks
+
+    @property
+    def free_positions(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(combinations(range(len(self.blocks)), 2))
 
     @property
     def all_ok(self) -> bool:
@@ -193,27 +209,3 @@ def structure_check(A: SquareMatrix) -> StructureReport:
     factors = tuple(block_det_poly(A, block) for block in form.blocks)
     blocks_irreducible = tuple(is_irreducible(A.block(block)) for block in form.blocks)
     return StructureReport(form, factors, same_block_form(form, A), blocks_irreducible)
-
-
-@dataclass(frozen=True)
-class FiberShape:
-    """Template for every matrix with the same principal minor vector.
-
-    Any member is permutation-conjugate to a block upper triangular matrix
-    whose diagonal block at T_p has pencil determinant factors[p]; the
-    strictly-upper block positions (p, q) carry arbitrary entries.
-    """
-
-    blocks: Tuple[Tuple[int, ...], ...]
-    block_matrices: Tuple[SquareMatrix, ...]
-    factors: Tuple[MPoly, ...]
-    free_positions: Tuple[Tuple[int, int], ...]
-
-
-def fiber_shape(A: SquareMatrix) -> FiberShape:
-    form = frobenius_form(A)
-    s = len(form.blocks)
-    block_matrices = tuple(A.block(block) for block in form.blocks)
-    factors = tuple(block_det_poly(A, block) for block in form.blocks)
-    free_positions = tuple((p, q) for p in range(s) for q in range(p + 1, s))
-    return FiberShape(form.blocks, block_matrices, factors, free_positions)

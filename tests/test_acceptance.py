@@ -35,6 +35,7 @@ from pmfiber import (
     rayleigh_difference,
     recover_diag_from_fiber,
     stable_certify,
+    structure_check,
     verify_identities,
 )
 from pmfiber.scalars import FIELD_Q, FIELD_QI, conj, div_exact
@@ -131,11 +132,9 @@ def test_criterion_2(capsys):
         assert form.blocks == ((0, 4), (1, 3), (2, 5))
         assert [block_det_poly(A, b) for b in form.blocks] == factors
 
-        from pmfiber import fiber_shape
-
-        shape = fiber_shape(A)
-        assert shape.blocks == ((0, 4), (1, 3), (2, 5))
-        assert shape.free_positions == ((0, 1), (0, 2), (1, 2))
+        report = structure_check(A)
+        assert report.blocks == ((0, 4), (1, 3), (2, 5))
+        assert report.free_positions == ((0, 1), (0, 2), (1, 2))
 
     announce(capsys, 2, body, budget=2.0)
 

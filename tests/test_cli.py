@@ -419,6 +419,23 @@ def test_failed_swap_form_check_is_reported_as_such(capsys, a4_file, monkeypatch
     assert doc["error"] == "factor swap failed its swap-form check: the swap's blocks do not match the input's"
 
 
+@pytest.mark.parametrize("command", ["structure", "fibershape", "symfiber", "stablecert"])
+def test_block_commands_exit_4_when_the_block_form_check_fails(capsys, tmp_path, monkeypatch, command):
+    # All four read structure_check; with its one check failing, the block
+    # factors no longer prove the pencil's factorization.
+    import pmfiber.structure as structure_mod
+
+    f = write_matrix(tmp_path / "sym.json", [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 3, 4], [0, 0, 4, 3]])
+    assert run_cli(capsys, command, f)[0] == 0
+    monkeypatch.setattr(structure_mod, "same_block_form", lambda form, B: False)
+    code, doc, _ = run_cli(capsys, command, f)
+    assert code == 4
+    if command == "stablecert":
+        assert doc["error"] == "A is not block upper triangular in its Frobenius order"
+    else:
+        assert doc["result"]["blocks"] == [[1, 2], [3, 4]]
+
+
 def test_selftest_failure_maps_to_4(capsys, monkeypatch):
     import pmfiber.cli as cli_mod
     from pmfiber.selftest import SuiteResult
@@ -653,7 +670,19 @@ def test_witness_without_cut_takes_the_first_cut_that_leaves_the_class(capsys, t
     _, classified, _ = run_cli(capsys, "classify", f)
     assert classified["witness"] == doc["witness"]
     code, doc, _ = run_cli(capsys, "witness", "--cut", "1,2", f)
-    assert code == 4 and "diagonally equivalent" in doc["error"]
+    assert code == 2 and list(doc) == ["command", "error"]
+    assert "diagonally equivalent" in doc["error"]
+
+
+def test_a_given_cut_that_stays_in_the_class_is_bad_input(capsys, tmp_path):
+    # Every cut's swap stays in the class: the classifier cannot decide
+    # (exit 4), while a chosen cut that cannot leave it is a fact about the
+    # input (exit 2), with the same message.
+    f = write_matrix(tmp_path / "degenerate.json", [[1, 2, 1, 3], [3, 4, 2, 6], [1, 2, 5, 6], [3, 6, 6, 8]])
+    for argv, expected in ((["classify"], 4), (["witness"], 4), (["witness", "--cut", "1,2"], 2)):
+        code, doc, _ = run_cli(capsys, *argv, f)
+        assert code == expected and list(doc) == ["command", "error"]
+        assert "swap produced a diagonally equivalent matrix" in doc["error"]
 
 
 # -- golden bytes of the polynomial commands ------------------------------------------
@@ -667,7 +696,9 @@ def _golden_inputs():
     which send the full walk down its row-scale and deficiency paths.  Four
     reducible inputs, two of them symmetric, give ``structure``,
     ``fibershape``, ``stablecert`` and ``symfiber`` block factors with
-    Fraction and Q(i) coefficients, whose text ``poly_text`` writes.  For
+    Fraction and Q(i) coefficients, whose text ``poly_text`` writes; on
+    ``int-6`` and ``gaussian-fraction-5`` the first three print one block,
+    and an irreducible symmetric input gives ``symfiber``'s note alone.  For
     the partial walk, at n = 12 an int input whose leading 3 x 3 block has
     rank one and whose diagonal has zeros, so singular subsets (rank
     deficiencies 1 and 2) appear at every size; at n = 11 one with Fraction
@@ -713,6 +744,7 @@ def _golden_inputs():
         "symmetric-gaussian-5": ("Q(i)", block_diagonal(
             5, [(0, 2, 4), (1, 3)], lambda i, j: gaussian(q((i + j) % 5 - 2, 2), q((2 * i + j) % 3 - 1, j % 2 + 1))
         )),
+        "symmetric-irreducible-5": ("Q", [[q((i * j + i + j) % 7 - 3, (i + j) % 3 + 1) for j in range(5)] for i in range(5)]),
         "int-singular-block-12": ("Q", [
             [(i + 1) * (j + 1) if i < 3 and j < 3 else 0 if i == j and i % 3 == 1 else (
                 (i * 5 + j * 3 + 2 * i * j + i * i) % 7 - 3
@@ -796,6 +828,20 @@ GOLDEN_DIGESTS = {
     ('symmetric-gaussian-5', 'stablecert --json-poly'): "ba33544451426f9a61f4a1934d3e65e5ea9ee536b88501350362b59b7d5f3bca",
     ('symmetric-gaussian-5', 'symfiber'): "c0b8d3a40853cab83f3c9e10df36e4bc8b299b59f5c7a13111fa90e610048401",
     ('symmetric-gaussian-5', 'symfiber --json-poly'): "20c40b7075a9d1bd69dc87188fae5216cf9e36a05ef7f3232f18711e4410f28f",
+    ('int-6', 'structure'): "a10914fb2faf85a4cf29f2fcff25085690556d6ceb755619398910c5e8699ccb",
+    ('int-6', 'structure --json-poly'): "db04357849110a93b4e72bd9d859aec6b7af82f89854628a50f0b1bee52b5cc9",
+    ('int-6', 'fibershape'): "c341c7db29999c823b1b3ed7c2091d9b095f472432d6a82095350289a2051314",
+    ('int-6', 'fibershape --json-poly'): "c9bd4c20693a6bf3d3adecdab477a932fc182f592e33daec606f4e32b2745579",
+    ('int-6', 'stablecert'): "855df4f7d644faf335892ec4edc7972251ef48f204625dd70c62723972b1bbe8",
+    ('int-6', 'stablecert --json-poly'): "45944bb503ca8755512f66107449123215629ed8f267c816d0e518ef62b4fb3b",
+    ('gaussian-fraction-5', 'structure'): "b113c4457925f8d1f5b9a673476433903f54585b864a3df0cd03a11a69707363",
+    ('gaussian-fraction-5', 'structure --json-poly'): "6d47182d52848f62e32cade8fdd761ad5e478bfa4239431b3b8bde95ebc2b48d",
+    ('gaussian-fraction-5', 'fibershape'): "1d1eba11cb15c9c90761d63f87c826a7b40d25adb529a47f5ffae782e8bfe2a2",
+    ('gaussian-fraction-5', 'fibershape --json-poly'): "aaa51427a2a54d4c215f86b0c40e90c5d144ab893d1e17bdb9c4f0b47aa57dfa",
+    ('gaussian-fraction-5', 'stablecert'): "a711ab0245e58980ad5509908989c1b356de5f7db1b5decb37197f5186dc04ea",
+    ('gaussian-fraction-5', 'stablecert --json-poly'): "5c052b5ebd55bf39b333755dd5025d4f5f7324b7d002f17e8ee5678c397a991e",
+    ('symmetric-irreducible-5', 'symfiber'): "5c4ae489e72e7428d9c3bc05a8cba0b0ca26248c272140d1eb8db4ff14f2e600",
+    ('symmetric-irreducible-5', 'symfiber --json-poly'): "5c4ae489e72e7428d9c3bc05a8cba0b0ca26248c272140d1eb8db4ff14f2e600",
     ('int-singular-block-12', 'minors'): "f926b6ebe8ab48365bf825ea162bd96621762d68018f4790c8194bffa89e1590",
     ('int-singular-block-12', 'detpoly'): "bb23895cb4c59f93ac1994afd40785cdc2ec89ecdf595c9939ed32344fa17e49",
     ('int-singular-block-12', 'detpoly --json-poly'): "c2c4fe634c6434b80d393dfa628ed2dd8cca473f852f5bf9a379937148aa998c",

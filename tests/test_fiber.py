@@ -399,7 +399,7 @@ def test_degenerate_cut_factors_have_no_swap_witness(golden_a4):
     cuts = find_cuts(A)
     assert cuts and cuts[0].X == (0, 1)
     assert swap_factors_degenerate(A, (0, 1))
-    with pytest.raises(VerificationError):
+    with pytest.raises(PreconditionError, match="diagonally equivalent"):
         cut_swap_witness(A, (0, 1))
     # The transpose shares all minors but stays inside the equivalence class.
     T = matrix([[row[i] for row in A.entries] for i in range(4)])
@@ -542,7 +542,7 @@ def test_classify_tries_every_cut():
     A = matrix(LATER_CUT_ROWS)
     cuts = find_cuts(A)
     assert cuts[0].X == (0, 1) and swap_factors_degenerate(A, (0, 1))
-    with pytest.raises(VerificationError, match="diagonally equivalent"):
+    with pytest.raises(PreconditionError, match="diagonally equivalent"):
         cut_swap_witness(A, (0, 1))
     res = classify_fiber(A)
     assert res.verdict == MULTI_POINT and res.reason == REASON_HAS_CUT

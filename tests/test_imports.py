@@ -3,7 +3,8 @@
 A deletion tends to leave an import behind (``suppress``, ``compress``,
 ``itemgetter``); this reads each module's syntax tree with the standard
 library's ``ast`` and fails on any imported name the module never reads.
-``__init__`` is exempt: it imports names to re-export them.
+``__init__`` is exempt: it imports names to re-export them, so its
+``__all__`` must list exactly the names it imports, each once.
 """
 
 import ast
@@ -36,3 +37,31 @@ def test_module_uses_every_name_it_imports(path):
 def test_an_unused_import_is_found():
     source = "from itertools import chain, compress\nimport re as _re\n\nprint(list(chain([1])))\n"
     assert _unused_imports(source) == [(1, "compress"), (2, "_re")]
+
+
+def _export_problems(source: str):
+    """(imported but not in __all__, in __all__ but not imported, listed twice)."""
+    tree = ast.parse(source)
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    (listed,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+    ]
+    twice = sorted({name for name in listed if listed.count(name) > 1})
+    return sorted(set(imported) - set(listed)), sorted(set(listed) - set(imported)), twice
+
+
+def test_package_exports_exactly_what_it_imports():
+    source = (Path(pmfiber.__file__).parent / "__init__.py").read_text(encoding="utf-8")
+    assert _export_problems(source) == ([], [], [])
+
+
+def test_a_stale_or_missing_export_is_found():
+    source = "from .a import kept, unlisted\n\n__all__ = ['kept', 'gone', 'kept']\n"
+    assert _export_problems(source) == (["unlisted"], ["gone"], ["kept"])

@@ -14,7 +14,7 @@ from conftest import cut_rows
 from pmfiber import MPoly, SizeLimitError
 from pmfiber.symdet import SIZE_LIMITS, AdjugateTable, identity_matrix, matrix
 
-BLOCK_CAPPED = ("fiber_shape", "stable_certify", "structure_check")
+BLOCK_CAPPED = ("stable_certify", "structure_check")
 
 
 def _call(name, n):

@@ -6,7 +6,6 @@ from pmfiber import (
     MPoly,
     block_det_poly,
     det_poly,
-    fiber_shape,
     frobenius_form,
     is_irreducible,
     matrix,
@@ -139,14 +138,14 @@ def test_planted_blocks_recovered():
         assert structure_check(matrix(shuffled)).all_ok
 
 
-def test_fiber_shape_free_positions(golden_a6):
-    shape = fiber_shape(golden_a6)
-    assert shape.blocks == ((0, 4), (1, 3), (2, 5))
-    assert shape.free_positions == ((0, 1), (0, 2), (1, 2))
-    assert shape.factors == tuple(a6_factors())
+def test_structure_check_free_positions(golden_a6):
+    report = structure_check(golden_a6)
+    assert report.blocks == ((0, 4), (1, 3), (2, 5))
+    assert report.free_positions == ((0, 1), (0, 2), (1, 2))
+    assert report.factors == tuple(a6_factors())
 
 
-def test_fiber_shape_irreducible(golden_a4):
-    shape = fiber_shape(golden_a4)
-    assert shape.blocks == ((0, 1, 2, 3),)
-    assert shape.free_positions == ()
+def test_structure_check_irreducible(golden_a4):
+    report = structure_check(golden_a4)
+    assert report.blocks == ((0, 1, 2, 3),)
+    assert report.free_positions == ()
