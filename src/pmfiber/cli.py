@@ -9,7 +9,8 @@ check fails or any other exception escapes (a bug; the error names its type).
 
 main loads the command's matrix files, calls its handler with the matrix, and
 prints {"command": name} followed by the handler's body, or by {"error": ...}
-when either raises; no handler reads a matrix file or writes "command".  The
+when either raises; no handler reads a matrix file or writes "command".  A
+reader that closes the pipe early ends the output, not the exit code.  The
 files are parsed under Python's limit on the digits of an int read from text;
 main lifts it while the handler runs, since an exact result may be longer
 than any entry, and restores it after.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -156,7 +158,8 @@ def _cmd_detpoly(A: SquareMatrix, args) -> Tuple[Dict, int]:
     if getattr(args, "json_poly", False):
         doc = poly_subset_map(f)
     else:  # f's coefficients by rank, read in order as ``adjugate`` reads G's
-        (doc,) = ranked_texts([list(map(f.terms.get, subset_table(A.n).grlex, repeat(0)))], A.n)
+        subsets = subset_table(A.n)
+        (doc,) = ranked_texts([list(map(f.terms.get, subsets.grlex, repeat(0)))], [subsets.texts])
     return {
         "result": {"n": A.n, "field": A.field},
         "polynomials": {"f": doc},
@@ -168,7 +171,7 @@ def _cmd_adjugate(A: SquareMatrix, args) -> Tuple[Dict, int]:
     if getattr(args, "json_poly", False):
         grid = [[poly_subset_map(G.entry(i, j)) for j in range(A.n)] for i in range(A.n)]
     else:
-        texts = ranked_texts(G.coeffs, A.n)
+        texts = ranked_texts(G.coeffs, [m.texts for m in G.monomials()])
         grid = [texts[i * A.n : (i + 1) * A.n] for i in range(A.n)]
     return {
         "result": {"n": A.n, "field": A.field},
@@ -415,7 +418,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-    print(json.dumps({"command": args.command, **body}, indent=2))
+    try:
+        print(json.dumps({"command": args.command, **body}, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed the pipe: send what is left, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

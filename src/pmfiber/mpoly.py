@@ -7,8 +7,10 @@ floating point.  The one text of a polynomial, ``poly_text``, sorts terms
 in descending graded lexicographic order and writes explicit ``*`` and
 ``^``; a squarefree polynomial is ordered and written from ``subset_table``,
 one table of the subsets of 0..n-1 per n, built on first use.  Coefficient
-lists stored by its grlex ranks (the adjugate table's) are written in order
-by ``ranked_texts``, with no sort; one core, ``_terms_text``, formats both.
+lists in descending grlex order on given monomials (the pencil's on every
+subset, an adjugate entry's on the ``free_monomials`` it can hold) are
+written in order by ``ranked_texts``, with no sort; one core,
+``_terms_text``, formats both.
 
 Variables are indexed 0..n-1 internally and printed 1-based as x1..xn.
 Exponents are non-negative ints; the constructor rejects anything else.
@@ -43,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import lcm
+from operator import itemgetter
 from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ExactDivisionError
@@ -371,14 +374,17 @@ def pack(polys: Sequence[MPoly]) -> List[Packed]:
     return [_pack(_keys(p.n, p.terms, width), p.terms.values(), width, t) for p, t in zip(polys, tops)]
 
 
-def pack_ranked(columns: Iterable[Sequence[Scalar]], n: int, width: int) -> List[Packed]:
+def pack_ranked(columns: Iterable[Sequence[Scalar]], picks: Sequence[bytes], n: int, width: int) -> List[Packed]:
     """Each squarefree polynomial in n variables given as its coefficients
-    by rank, as ``ranked_texts`` reads them, packed as ``pack`` packs it at
-    field width ``width``, with no polynomial built: the keys of the
-    ``subset_table(n)`` monomials are made once for all.  The constant sorts
-    last, so an entry's top is 0 exactly when its first key is."""
+    on the monomials that its pick (``FreeMonomials.pick``) selects from
+    ``subset_table(n).grlex``, as ``ranked_texts`` reads them, packed as
+    ``pack`` packs it at field width ``width``, with no polynomial built:
+    the keys of the table's monomials are made once, and those of each
+    distinct pick once.  The constant sorts last, so an entry's top is 0
+    exactly when its first key is."""
     keys = _keys(n, subset_table(n).grlex, width)
-    present = [(list(compress(keys, col)), list(compress(col, col))) for col in columns]
+    live = {pick: list(compress(keys, pick)) for pick in set(picks)}
+    present = [(list(compress(live[pick], col)), list(compress(col, col))) for col, pick in zip(columns, picks)]
     return [_pack(ks, cs, width, 1 if ks and ks[0] else 0) for ks, cs in present]
 
 
@@ -601,6 +607,40 @@ def subset_table(n: int) -> SubsetTable:
     return SubsetTable(exps, canon, by_rank, rank, [monos[m] for m in grlex], mask_rank)
 
 
+FreeMonomials = namedtuple("FreeMonomials", "pick exps texts")
+
+
+def free_monomials(n: int, i: int, j: int) -> FreeMonomials:
+    """The squarefree monomials in n variables free of x_i and x_j (of x_i
+    alone when i == j), in descending grlex order: the monomials an entry
+    (i, j) of an adjugate table can hold.  ``pick`` holds one byte per
+    place in ``subset_table(n).grlex``, 1 where that monomial is free, and
+    selects them from any list in that order with ``compress``; ``exps``
+    and ``texts`` are the table's exponents and texts so selected, as
+    tuples.  Built once per n and pair, as (i, j) and (j, i) share their
+    monomials."""
+    return _free_monomials(n, min(i, j), max(i, j))
+
+
+@lru_cache(maxsize=None)
+def _free_monomials(n: int, i: int, j: int) -> FreeMonomials:
+    subsets = subset_table(n)
+    holds, ones = _holding(n)
+    pick = ((holds[i] | holds[j]) ^ ones).to_bytes(1 << n, "big")
+    return FreeMonomials(pick, tuple(compress(subsets.grlex, pick)), tuple(compress(subsets.texts, pick)))
+
+
+@lru_cache(maxsize=None)
+def _holding(n: int) -> Tuple[List[int], int]:
+    """Per variable k, the int whose big-endian bytes, one per place in
+    ``subset_table(n).grlex``, are 1 where that monomial holds x_k; and the
+    int whose bytes are all 1.  The bytes are made by C-level maps, and a
+    pair's ``pick`` by int operations on two of them."""
+    grlex = subset_table(n).grlex
+    holds = [int.from_bytes(bytes(map(itemgetter(k), grlex)), "big") for k in range(n)]
+    return holds, int.from_bytes(b"\x01" * len(grlex), "big")
+
+
 def poly_text(p: MPoly) -> str:
     """Canonical form: terms in descending graded-lex order, explicit * and ^.
 
@@ -625,14 +665,14 @@ def poly_text(p: MPoly) -> str:
     return _terms_text([terms[exp] for exp in order], monos)
 
 
-def ranked_texts(columns: Iterable[Sequence[Scalar]], n: int) -> List[str]:
+def ranked_texts(columns: Iterable[Sequence[Scalar]], monomials: Iterable[Sequence[str]]) -> List[str]:
     """The canonical text, as ``poly_text`` gives it, of each squarefree
-    polynomial in n variables given as its coefficients by rank: entry r
-    the coefficient on the monomial of descending-grlex rank r in
-    ``subset_table(n)``, 0 where there is no term.  Each is read in order,
+    polynomial given as its coefficients on a list of monomial texts in
+    descending grlex order, one list per column: ``subset_table(n).texts``
+    for a polynomial on every subset, or ``free_monomials(n, i, j).texts``
+    for an adjugate entry; 0 where there is no term.  Each is read in order,
     with no sort or rank lookup, and written by ``_terms_text``."""
-    texts = subset_table(n).texts
-    return [_terms_text(list(compress(col, col)), list(compress(texts, col))) for col in columns]
+    return [_terms_text(list(compress(col, col)), list(compress(texts, col))) for col, texts in zip(columns, monomials)]
 
 
 def _terms_text(coeffs: Sequence[Scalar], monos: Sequence[str]) -> str:

@@ -19,17 +19,20 @@ det(A[T+i, T+j]) and updates them by Sylvester's identity with exact
 Griffin and Tsatsomeros.  Each subset's minor is read at its parent, so
 the partial walk behind the pencil stacks only the subsets with a
 descendant, and the CLI prints the minors and the pencil's text from
-them in canonical order with no sort.  Single determinants, and the per-subset
+them in canonical order with no sort.  The walk reaches the subsets of
+each size in ascending order of their exponents, so the adjugate table
+takes its coefficients in order, by appends.  Single determinants, and the per-subset
 reference ``principal_minors``, come from one in-place fraction-free
 (Bareiss) loop over a square matrix, ``det_fraction_free``; exact ranks
 (``rank_exact``) from the walk's own elimination, ``_eliminate``, which
 pivots until no nonzero entry is left.  The walk, a minor vector
 (``PMVector``) and the pencil's exponents share one index, the subset mask,
 and one ``mpoly.subset_table`` per n.  The adjugate table
-(``AdjugateTable``) keeps each entry only as one tuple of coefficients
-indexed by the monomials' descending-grlex ranks in that table, the order
-in which ``mpoly.ranked_texts`` writes them, so ``pmfiber adjugate`` prints
-it with no polynomial built; ``AdjugateTable.entry`` builds one entry.
+(``AdjugateTable``) keeps each entry (i, j) only as one tuple of
+coefficients on the monomials free of x_i and x_j, in descending grlex
+order (``mpoly.free_monomials``), the order in which ``mpoly.ranked_texts``
+writes them, so ``pmfiber adjugate`` prints it with no polynomial built;
+``AdjugateTable.entry`` builds one entry.
 
 The Laplace check of ``verify_identities`` reads its non-principal block
 minors det A[R, C], which the walk does not carry, from a cofactor table
@@ -50,15 +53,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, repeat
 from math import prod
+from operator import itemgetter, neg
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import SizeLimitError, VerificationError
 from .mpoly import (
+    FreeMonomials,
     MPoly,
     Packed,
     _rayleigh_pairs,
     _resultant_pairs,
+    free_monomials,
     pack,
     pack_ranked,
     packed_product_terms,
@@ -306,12 +312,15 @@ class DeterminantalPencil:
 
 @dataclass(frozen=True)
 class AdjugateTable:
-    """Adjugate G of diag(x) + A, with G*(diag(x)+A) = f*I, stored by rank:
-    ``coeffs[i * n + j][r]`` is entry (i, j)'s coefficient on prod_{k in S}
-    x_k for the subset S of descending-grlex rank r in ``subset_table(n)``
-    (``mask_rank``), 0 where the entry has no such term.  That is the
-    table's one form, which equality and hashing read: ``entry`` builds one
-    entry as a polynomial, ``of_entries`` a table from polynomials."""
+    """Adjugate G of diag(x) + A, with G*(diag(x)+A) = f*I, stored over the
+    monomials each entry can hold: entry (i, j) is a minor of diag(x) + A
+    with row j and column i deleted, so it is free of x_i and x_j.
+    ``coeffs[i * n + j]`` lists its coefficients on the monomials free of
+    x_i and x_j (of x_i alone when i == j) in descending grlex order,
+    ``free_monomials(n, i, j)``, 0 where it has no such term: 2^(n-2)
+    coefficients off the diagonal and 2^(n-1) on it.  That is the table's
+    one form, which equality and hashing read: ``entry`` builds one entry as
+    a polynomial, ``of_entries`` a table from polynomials."""
 
     n: int
     coeffs: Tuple[Tuple[Scalar, ...], ...]
@@ -320,26 +329,33 @@ class AdjugateTable:
     def of_entries(cls, n: int, grid: Sequence[Sequence[MPoly]]) -> "AdjugateTable":
         """The table whose entries are the n x n grid of polynomials in n
         variables ``grid``; ValueError on any other shape or variable count,
-        or on an entry with an exponent above 1."""
+        on an entry with an exponent above 1, or on an entry (i, j) with a
+        term in x_i or x_j, which this form cannot hold and which no
+        adjugate has."""
         polys = list(chain.from_iterable(grid))
         if len(grid) != n or any(len(row) != n for row in grid) or any(p.n != n for p in polys):
             raise ValueError(f"an adjugate table needs an {n} x {n} grid of polynomials in {n} variables")
-        rank = subset_table(n).rank
         coeffs = []
-        for p in polys:
-            col = [0] * (1 << n)
-            for exp, c in p.terms.items():
-                if exp not in rank:
+        for (i, j), p in zip(((i, j) for i in range(n) for j in range(n)), polys):
+            for exp in p.terms:
+                if max(exp) > 1:
                     raise ValueError(f"adjugate entry {p} is not squarefree")
-                col[rank[exp]] = c
-            coeffs.append(tuple(col))
+                if exp[i] or exp[j]:
+                    raise ValueError(f"adjugate entry ({i + 1}, {j + 1}) has a term in x{i + 1} or x{j + 1}: {p}")
+            coeffs.append(tuple(map(p.terms.get, free_monomials(n, i, j).exps, repeat(0))))
         return cls(n, tuple(coeffs))
 
     def entry(self, i: int, j: int) -> MPoly:
         """Entry (i, j) as a polynomial, built on each call; i and j index as in a sequence."""
-        rows = range(self.n)  # IndexError on an index outside the table, not another entry
-        terms = zip(subset_table(self.n).grlex, self.coeffs[rows[i] * self.n + rows[j]])
+        rows = range(self.n)
+        i, j = rows[i], rows[j]  # IndexError on an index outside the table, not another entry
+        terms = zip(free_monomials(self.n, i, j).exps, self.coeffs[i * self.n + j])
         return MPoly._raw(self.n, {exp: c for exp, c in terms if c})
+
+    def monomials(self) -> List[FreeMonomials]:
+        """Each entry's ``free_monomials``, in the order of ``coeffs``."""
+        n = self.n
+        return [free_monomials(n, i, j) for i in range(n) for j in range(n)]
 
 
 def _minor_walk(
@@ -348,15 +364,25 @@ def _minor_walk(
     """Depth-first walk over every subset T of 0..n-1, each reached once.
 
     Yields ``(mask, det A[T], R, M)`` per subset, ``mask`` having bit k set
-    for k in T.  With ``full`` R holds every index outside T and
-    ``M[a][b] = -det A[T+R[a], T+R[b]]`` (T's rows and columns first in
+    for k in T.  With ``full`` R holds every index outside T and M is one
+    iterable, to be read once before the next yield, of -det A[T+R[a],
+    T+R[b]] for a, then b, in range(|R|) (T's rows and columns first in
     increasing order, row R[a] and column R[b] last; the sign is the
-    adjugate's, see ``adjugate_table``); otherwise R holds the
-    indices above max(T), all that T's descendants need, and M is None.
-    The caller must not modify ``M``.  Each subset's minor is read at its
-    parent: the partial walk yields every child there and stacks only those
-    with a nonempty R, so a leaf (half of all subsets) costs no Sylvester
-    step or stack entry; the full walk yields a node with its M when popped.
+    adjugate's, see ``adjugate_table``); otherwise R holds the indices
+    above max(T), all that T's descendants need, and M is None.  Each
+    subset's minor is read at its parent: the partial walk yields every
+    child there and stacks only those with a nonempty R, so a leaf (half of
+    all subsets) costs no Sylvester step or stack entry; the full walk
+    yields a node with its M when popped.
+
+    The children of T are T+k for k above max(T), stacked in ascending k,
+    so they are popped in descending k, each subtree before the next
+    child: the full walk yields two subsets of one size in descending lex
+    order of their sorted index lists.  That is ascending order of their
+    exponent tuples: where the lists first differ, the one yielded later
+    holds the smaller index, which is the first variable on which the
+    exponent tuples differ, and the other set lacks it.  ``adjugate_table``
+    reads the coefficients in that order.
 
     Each node carries a Bareiss elimination of A on T and R: pivot rows I
     and columns J from T, rows U = T - I and columns V = T - J without a
@@ -474,29 +500,32 @@ def _eliminate(W, m: int, p, s: int):
         m, p, s = m - 1, pivot, s * (-1) ** (u + v)
 
 
-def _bordered(W, m: int, p, s: int, scales: Optional[List[int]]) -> List[List[Scalar]]:
-    """-det A[T+i, T+j] for i, j in R: -s W(i, j) with no deficiency; with
-    one row u and column v left (W(u, v) = 0) Sylvester's identity gives
-    det A[T+i, T+j] = -s W(u, j) W(i, v) / p, s times the ``_pivot`` step
-    on (u, v); with more, A[T+i, T+j] is singular.  Row i is divided by
-    ``scales[i]``, the scale of the cleared rows T+i, unless ``scales`` is
-    None (every row scale is 1)."""
+def _bordered(W, m: int, p, s: int, scales: Optional[List[int]]) -> Iterable[Scalar]:
+    """-det A[T+i, T+j] for i, j in R, row by row as one flat iterable:
+    -s W(i, j) with no deficiency (in Z with row scales 1, a lazy negation
+    of W's rows, or the rows themselves); with one row u and column v left
+    (W(u, v) = 0) Sylvester's identity gives det A[T+i, T+j] = -s W(u, j)
+    W(i, v) / p, s times the ``_pivot`` step on (u, v); with more,
+    A[T+i, T+j] is singular.  Row i is divided by ``scales[i]``, the scale
+    of the cleared rows T+i, unless ``scales`` is None (every row scale is
+    1)."""
     Wr, Wi = W
     size = len(Wr) - m
     if m >= 2:
-        return [[0] * size for _ in range(size)]
+        return repeat(0, size * size)
     if m == 1:
         rest = range(1, len(Wr))
         Wr, Wi = _pivot(W, 0, 0, rest, rest, p)
     t = -s
     if scales is None:
         if Wi is None:
-            return Wr if t == 1 else [[-x for x in row] for row in Wr]
+            values = chain.from_iterable(Wr)
+            return values if t == 1 else map(neg, values)
         make = GaussianRational._make
-        return [[make(t * x, t * y) for x, y in zip(Xr, Xi)] for Xr, Xi in zip(Wr, Wi)]
+        return [make(t * x, t * y) for Xr, Xi in zip(Wr, Wi) for x, y in zip(Xr, Xi)]
     if Wi is None:
         Wi = [[0] * size] * size
-    return [[_scaled(t * x, t * y, c) for x, y in zip(Xr, Xi)] for Xr, Xi, c in zip(Wr, Wi, scales)]
+    return [_scaled(t * x, t * y, c) for Xr, Xi, c in zip(Wr, Wi, scales) for x, y in zip(Xr, Xi)]
 
 
 def principal_minors(A: SquareMatrix) -> PMVector:
@@ -527,25 +556,45 @@ def adjugate_table(A: SquareMatrix) -> AdjugateTable:
     det A[T] when i == j, and -det A[T+i, T+j] when i != j, for the bordered
     minor with T's rows and columns first: the cofactor sign of (i,j) in U
     and the signs of moving row i and column j from last place to their
-    places in U multiply to -1.  The walk yields these coefficients as M,
-    and each is one list store at the rank of S in entry (i, j)'s
-    coefficient list, which starts as zeros: the walk reaches each T once.
+    places in U multiply to -1.  The walk yields these coefficients as M.
+
+    Every coefficient is appended to a list, with no index.  Entry (i, j)
+    holds the monomials x^S for S within V, the indices other than i and j
+    (other than i when i == j), its coefficient on x^S coming from the node
+    T = V - S.  ``_minor_walk`` yields the subsets of one size in ascending
+    order of their exponents, which complementing within V reverses: the
+    coefficients from the nodes with |R| = r, appended to
+    ``grids[r][i][j]``, are one degree of S in descending lex order, and
+    those lists joined by |T| ascending are in the order of
+    ``free_monomials(n, i, j)``.  At each node ``itemgetter(*R)`` picks the
+    lists (i, j) for i and j in R, in M's order, and the diagonal
+    lists (i, i) for det A[T], with no Python loop over either.  M's
+    diagonal, -det A[T+i], is a coefficient on a monomial holding x_i,
+    which no entry has: it goes to one shared list, emptied at every node.
     """
     n = A.n
     check_size("adjugate_table", n)
-    rank = subset_table(n).mask_rank
-    full = (1 << n) - 1
-    grid = [[[0] * (1 << n) for _ in range(n)] for _ in range(n)]
-    for mask, d, R, M in _minor_walk(A, full=True):
-        rest = full ^ mask
-        for i, Mi in zip(R, M):
-            row, without_i = grid[i], rest ^ 1 << i
-            for j, c in zip(R, Mi):
-                row[j][rank[without_i ^ 1 << j]] = c
-            # j = i stored -det A[T+i] at S = rest, which holds i: no term of G_ii
-            row[i][rank[rest]] = 0
-            row[i][rank[without_i]] = d
-    return AdjugateTable(n, tuple(map(tuple, chain.from_iterable(grid))))
+    spill: List[Scalar] = []
+    # grids[r][i][j]: entry (i, j)'s coefficients from the subsets T with |R| = r
+    grids = [[[spill if i == j else [] for j in range(n)] for i in range(n)] for _ in range(n + 1)]
+    diagonals = [[[] for _ in range(n)] for _ in range(n + 1)]
+    append = list.append
+    for _, d, R, M in _minor_walk(A, full=True):
+        if len(R) > 1:  # with one index ``itemgetter`` returns the item itself
+            pick = itemgetter(*R)
+            # list.append returns None, so ``any`` runs it on every pair
+            any(map(append, chain.from_iterable(map(pick, pick(grids[len(R)]))), M))
+            any(map(append, pick(diagonals[len(R)]), repeat(d)))
+            spill.clear()
+        elif R:
+            diagonals[1][R[0]].append(d)
+    for grid, diagonal in zip(grids, diagonals):
+        for i, entry in enumerate(diagonal):
+            grid[i][i] = entry
+    grids.reverse()  # by |T| ascending
+    return AdjugateTable(n, tuple(
+        tuple(chain.from_iterable(grid[i][j] for grid in grids)) for i in range(n) for j in range(n)
+    ))
 
 
 def adjugate_pencil_product_ok(G: AdjugateTable, pencil: DeterminantalPencil) -> bool:
@@ -560,8 +609,9 @@ def _packed_operands(
 ) -> Tuple[Packed, List[List[Packed]], List[List[Packed]], Packed]:
     """f, the entries of G, those of diag(x) + A and the constant 1, each
     packed once, all with one field width: G's straight from its
-    coefficients by rank (``pack_ranked``), the width being f's, which
-    bounds the exponent sum of every product of these operands."""
+    coefficients on each entry's free monomials (``pack_ranked``), the
+    width being f's, which bounds the exponent sum of every product of
+    these operands."""
     A, f = pencil.base, pencil.fpoly
     n = A.n
     M = [[MPoly.const(n, a) for a in row] for row in A.entries]
@@ -570,7 +620,7 @@ def _packed_operands(
     packed = iter(pack([f, MPoly.const(n, 1)] + list(chain(*M))))
     pf, one = next(packed), next(packed)
     pM = [[next(packed) for _ in range(n)] for _ in range(n)]
-    pG = iter(pack_ranked(G.coeffs, n, pf.width))
+    pG = iter(pack_ranked(G.coeffs, [m.pick for m in G.monomials()], n, pf.width))
     return pf, [[next(pG) for _ in range(n)] for _ in range(n)], pM, one
 
 
@@ -592,8 +642,9 @@ def matrix_from_adjugate(H: AdjugateTable, f: MPoly, field: Optional[str] = None
     """Recover B with adj(diag(x) + B) = H and det(diag(x) + B) = f.
 
     B_ii is the coefficient of prod_{k != i} x_k in f; off-diagonal B_ij is
-    minus the coefficient of prod_{k not in {i,j}} x_k in H_ij.  The result
-    is verified by recomputing its adjugate table and determinantal pencil.
+    minus the coefficient of prod_{k not in {i,j}} x_k in H_ij, the first
+    of its coefficients.  The result is verified by recomputing its
+    adjugate table and determinantal pencil.
     """
     n = H.n
     check_size("matrix_from_adjugate", n)
@@ -601,11 +652,7 @@ def matrix_from_adjugate(H: AdjugateTable, f: MPoly, field: Optional[str] = None
         raise ValueError("pencil polynomial has wrong variable count")
     subsets, full = subset_table(n), (1 << n) - 1
     rows = [
-        [
-            f.terms.get(subsets.exps[full ^ 1 << i], 0) if i == j
-            else -H.coeffs[i * n + j][subsets.mask_rank[full ^ (1 << i | 1 << j)]]
-            for j in range(n)
-        ]
+        [f.terms.get(subsets.exps[full ^ 1 << i], 0) if i == j else -H.coeffs[i * n + j][0] for j in range(n)]
         for i in range(n)
     ]
     B = matrix(rows, field)

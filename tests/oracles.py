@@ -7,7 +7,7 @@ an agreement between the two is meaningful.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 Pair = tuple  # (Fraction, Fraction) meaning re + im*i
 
@@ -99,6 +99,24 @@ def adjugate_entry_at_point(rows, xs, i, j) -> Pair:
     ]
     value = det_perm(sub) if sub else ONE
     return cneg(value) if (i + j) % 2 else value
+
+
+def adjugate_coefficients(rows):
+    """Every coefficient of adj(diag(x) + A), as {(i, j, S): pair} for the
+    subsets S (sorted tuples) free of i and j: the coefficient of
+    prod_{k in S} x_k in entry (i, j) is entry (i, j) of adj(A[U, U]) for U
+    the indices outside S, read off one ``adjugate_at_point`` of that
+    principal submatrix at x = 0 per S."""
+    n = len(rows)
+    out = {}
+    for size in range(n + 1):
+        for S in combinations(range(n), size):
+            U = [k for k in range(n) if k not in S]
+            adj = adjugate_at_point([[rows[r][c] for c in U] for r in U], [0] * len(U))
+            for a, i in enumerate(U):
+                for b, j in enumerate(U):
+                    out[i, j, S] = adj[a][b]
+    return out
 
 
 def adjugate_at_point(rows, xs):

@@ -4,8 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from itertools import combinations
 
 import pytest
@@ -486,6 +489,23 @@ def test_unexpected_exception_maps_to_4(capsys, a4_file, monkeypatch, exc_type):
     assert doc["error"].startswith(exc_type.__name__)
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path):
+    """The 12 x 12 minors document (over 100 kB) does not fit in a pipe's
+    buffer, so the write meets the closed pipe: the command still exits
+    with the handler's code, and writes nothing to stderr."""
+    path = write_matrix(tmp_path / "m12.json", [[(i * 7 + j * 3) % 11 - 5 for j in range(12)] for i in range(12)])
+    src = str(Path(main.__code__.co_filename).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pmfiber", "minors", path], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.read(20) == b'{\n  "command": "mino'
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_exit_oversized_integer_literal(capsys, tmp_path):
     # Python refuses to convert an integer literal longer than its digit
     # limit: bad input, 2.  The limit is set here rather than taken from the
@@ -702,7 +722,11 @@ def _golden_inputs():
     the partial walk, at n = 12 an int input whose leading 3 x 3 block has
     rank one and whose diagonal has zeros, so singular subsets (rank
     deficiencies 1 and 2) appear at every size; at n = 11 one with Fraction
-    rows (row scales above 1) and a Q(i) one with zero entries."""
+    rows (row scales above 1) and a Q(i) one with zero entries.  For the
+    adjugate table and ``verify``, inputs at n = 1, 2 and 3, where a walk
+    node has at most one index left, and at n = 9 and 10 with zeros on and
+    off the diagonal and a rank-one leading block (so the full walk meets
+    rank-deficient nodes), with Fraction rows over Q and over Q(i)."""
     q = Fraction
 
     def upper(n, first, entry):  # no entry from outside ``first`` into it
@@ -759,7 +783,34 @@ def _golden_inputs():
             [0 if (i * 3 + j) % 4 == 0 else gaussian((i + 3 * j) % 5 - 2, (2 * i + j) % 5 - 2) for j in range(11)]
             for i in range(11)
         ]),
+        "zero-1": ("Q", [[0]]),
+        "int-zeros-2": ("Q", [[0, 3], [-2, 5]]),
+        "fraction-zeros-3": ("Q", [[q(1, 2), 0, -1], [2, 0, q(3, 4)], [0, 5, q(-2, 3)]]),
+        "gaussian-zeros-3": ("Q(i)", [[0, gaussian(1, -1), 2], [gaussian(0, 1), 0, 0], [q(1, 3), gaussian(q(1, 2), 2), 0]]),
+        "fraction-zeros-9": ("Q", _rank_one_led(9, lambda i, j: (
+            q((i * 5 + j * 3 + i * j) % 9 - 4, (i + j) % 3 + 1) if i % 2 else (i * 3 + j * 7) % 11 - 5
+        ))),
+        "gaussian-zeros-9": ("Q(i)", _rank_one_led(9, lambda i, j: gaussian(
+            q((i + 3 * j) % 7 - 3, i % 2 + 1), (2 * i + j * j) % 5 - 2
+        ))),
+        "fraction-zeros-10": ("Q", _rank_one_led(10, lambda i, j: (
+            q((i * 3 + j * 5 + 2 * i * j) % 7 - 3, j % 3 + 1) if i % 3 == 2 else (i * 7 + j * 2 + i * j) % 9 - 4
+        ))),
+        "gaussian-zeros-10": ("Q(i)", _rank_one_led(10, lambda i, j: gaussian(
+            (i * 2 + j * 5) % 7 - 3, q((3 * i + j) % 5 - 2, j % 2 + 1)
+        ))),
     }
+
+
+def _rank_one_led(n, entry):
+    """n x n rows whose leading 3 x 3 block has rank one, with zeros on a third
+    of the diagonal and at a fifth of the other places, ``entry`` elsewhere."""
+    return [
+        [(i + 1) * (j - 2) if i < 3 and j < 3 else 0 if (i == j and i % 3 == 1) or (i * 4 + j * 3) % 5 == 0 else (
+            entry(i, j)
+        ) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 # SHA-256 of stdout; the walk and the text formatter must keep every byte.
@@ -851,13 +902,41 @@ GOLDEN_DIGESTS = {
     ('gaussian-zeros-11', 'minors'): "8eac87281f867239c63db44ff7426b67b6f25af63630cb7f6c5edaa3a7912534",
     ('gaussian-zeros-11', 'detpoly'): "ea7d84237448c565cf4a806d8827b1cfeeeb6dafe0982a5bfcf914026e7b97f4",
     ('gaussian-zeros-11', 'detpoly --json-poly'): "a32f6929a8c2c8af63ca59d91a5158b2f1e6cc125733265389ce18d73e7458f1",
+    ('n-1', 'verify'): "a5798ed6171afd1c8785c5398eb69c3c9ca6e157b57874afd142f6afca7cd842",
+    ('zero-1', 'adjugate'): "f58d3764d97ee39dce052ad43b7d0e6f02eac1cf0d4b7a3e9c1aeca23126c431",
+    ('zero-1', 'adjugate --json-poly'): "4d8b3ebefc97887ac842c7ec84a7d32a1ff009ae939c70a30e3bde9bd2660ffa",
+    ('zero-1', 'verify'): "a5798ed6171afd1c8785c5398eb69c3c9ca6e157b57874afd142f6afca7cd842",
+    ('int-zeros-2', 'adjugate'): "c80c0af7c5aa9d6f73cf60e085018e2f005b0702d86e0e8a733719d989114f2e",
+    ('int-zeros-2', 'adjugate --json-poly'): "2ffe7a1028f95fc33fbbc07c8d3bb6a5814de9944d8becaa18e3527866a33ffd",
+    ('int-zeros-2', 'verify'): "f21e9e3738ff62febf005b5ed343c9aed7e0697d55343fc7fdbd9a7b78283ef8",
+    ('fraction-zeros-3', 'adjugate'): "635312927f85e5de74c4dc625628d396e5380ad9a302ef4bf40c04315136b9c4",
+    ('fraction-zeros-3', 'adjugate --json-poly'): "ad3f832c93464d1d8d7281dd6aba257d6bef13cedf93f630b26a60a33435bed9",
+    ('fraction-zeros-3', 'verify'): "8d239bd248e5a0a95396bb0b207c590ef6ccd986361b4cb6c6f84ead94513f8a",
+    ('gaussian-zeros-3', 'adjugate'): "c4a4aaed8b660b6c1c61fff14f8e6951fc940a8b99bff65fb3074c6c0036edfa",
+    ('gaussian-zeros-3', 'adjugate --json-poly'): "b06ec503805ae4b3db441caf2f10c64350d080b3bfd7ec29a028d254fc39bed7",
+    ('gaussian-zeros-3', 'verify'): "8d239bd248e5a0a95396bb0b207c590ef6ccd986361b4cb6c6f84ead94513f8a",
+    ('fraction-zeros-9', 'adjugate'): "16a6b103ac8f00737ef4f97e346297f090a96883fad9a4e4e5317d215e7a924f",
+    ('fraction-zeros-9', 'adjugate --json-poly'): "506013e73ed7fc3e0c45509fdc754a163428fe1ee1582e06b2d9796943af74b7",
+    ('fraction-zeros-9', 'verify --identity adjugate'): "214fdb73e9f969bd0a40a4de960868e42f2090c7c71c2d29cf475438d7c38102",
+    ('fraction-zeros-9', 'verify --identity dodgson'): "51af1762af1650fd28b7f82009d8de7bc94e9d97a2af4d8d74a60d0cc45fa590",
+    ('gaussian-zeros-9', 'adjugate'): "66ea740669a944fd23e19a46a3b67199586da1ddf10b469d8a3812c10c43feed",
+    ('gaussian-zeros-9', 'adjugate --json-poly'): "86c6e140fb52c0956a607e3f031ecf112c8e49221cf84ad274705ee5fef1d28b",
+    ('gaussian-zeros-9', 'verify --identity adjugate'): "214fdb73e9f969bd0a40a4de960868e42f2090c7c71c2d29cf475438d7c38102",
+    ('gaussian-zeros-9', 'verify --identity dodgson'): "51af1762af1650fd28b7f82009d8de7bc94e9d97a2af4d8d74a60d0cc45fa590",
+    ('fraction-zeros-10', 'adjugate'): "c70a2751d040ef02ac9b7c1d5d4286c04b9bcb09004ab7c18c194262f3c94768",
+    ('fraction-zeros-10', 'adjugate --json-poly'): "24001938d1a157e693dddc9808128da46c12ba7fa53833766b8ef4c98bafdcf6",
+    ('fraction-zeros-10', 'verify --identity adjugate'): "66bac931f04f333a949a709d08778cecd7e196d5705d7fcaea725513446b81a3",
+    ('fraction-zeros-10', 'verify --identity dodgson'): "b00d71c71b176b6d4a8997f0499bd6d10149de0d0e8535a22854e50f9351428a",
+    ('gaussian-zeros-10', 'adjugate'): "96b961123962b98177aa30a1db382d457f6dd4692574f4d7a36cf32df5d3194f",
+    ('gaussian-zeros-10', 'adjugate --json-poly'): "583e873ac22cb20f917fd52bd18e43a518307daa54823c9158ed2cd985e49e39",
+    ('gaussian-zeros-10', 'verify --identity adjugate'): "66bac931f04f333a949a709d08778cecd7e196d5705d7fcaea725513446b81a3",
 }
 
 GOLDEN_CALLS = [
     [command, *extra]
     for command in ("minors", "detpoly", "adjugate", "structure", "fibershape", "stablecert", "symfiber")
     for extra in ([], ["--json-poly"])
-]
+] + [["verify"], ["verify", "--identity", "adjugate"], ["verify", "--identity", "dodgson"]]
 
 
 @pytest.mark.parametrize("name", sorted(_golden_inputs()))

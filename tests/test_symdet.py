@@ -226,7 +226,7 @@ def test_ranked_adjugate_table_matches_the_oracles(drawn):
     rows, point = drawn
     n = len(rows)
     G = adjugate_table(matrix(rows))
-    texts = ranked_texts(G.coeffs, n)
+    texts = ranked_texts(G.coeffs, [m.texts for m in G.monomials()])
     grid = _grid(G)
     expected = oracles.adjugate_at_point(rows, point)
     for i in range(n):
@@ -241,6 +241,28 @@ def test_ranked_adjugate_table_matches_the_oracles(drawn):
 def _grid(G):
     """The adjugate table's entries as an n x n list of polynomials."""
     return [[G.entry(i, j) for j in range(G.n)] for i in range(G.n)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(ranked_table_inputs())
+def test_adjugate_table_holds_each_entry_on_its_free_monomials(drawn):
+    """Column (i, j) has one slot per monomial free of x_i and x_j (of x_i
+    when i == j), in descending grlex order, and each slot holds the
+    oracle's coefficient there."""
+    rows, _ = drawn
+    n = len(rows)
+    G = adjugate_table(matrix(rows))
+    expected = oracles.adjugate_coefficients(rows)
+    assert len(G.coeffs) == n * n
+    for i in range(n):
+        for j in range(n):
+            col, exps = G.coeffs[i * n + j], G.monomials()[i * n + j].exps
+            assert len(col) == len(exps) == 2 ** (n - 1 if i == j else n - 2)
+            assert list(exps) == sorted(exps, key=lambda e: (sum(e), e), reverse=True)
+            for exp, c in zip(exps, col):
+                assert not exp[i] and not exp[j]
+                S = tuple(k for k in range(n) if exp[k])
+                assert oracles.to_pair(c) == expected[i, j, S], (i, j, S)
 
 
 def test_adjugate_table_builds_one_polynomial_per_entry_call(golden_a4, monkeypatch):
@@ -267,6 +289,20 @@ def test_adjugate_table_builds_one_polynomial_per_entry_call(golden_a4, monkeypa
     grid[0][1] = x[0] * x[0]
     with pytest.raises(ValueError, match="not squarefree"):
         AdjugateTable.of_entries(4, grid)
+
+
+def test_of_entries_refuses_a_term_in_its_own_variables(golden_a4):
+    """Entry (i, j) is free of x_i and x_j in every adjugate, and the table
+    has no place for such a term: ``of_entries`` names the entry."""
+    x = [MPoly.var(4, k) for k in range(4)]
+    for (i, j), k in (((0, 1), 0), ((0, 1), 1), ((2, 3), 3), ((1, 1), 1)):
+        grid = _grid(adjugate_table(golden_a4))
+        grid[i][j] = grid[i][j] + 2 * x[k] * x[(k + 2) % 4]
+        with pytest.raises(ValueError, match=rf"entry \({i + 1}, {j + 1}\) has a term in x{i + 1} or x{j + 1}"):
+            AdjugateTable.of_entries(4, grid)
+    grid = _grid(adjugate_table(golden_a4))
+    grid[1][1] = grid[1][1] + x[0] * x[2] * x[3]  # free of x_2: a place the table has
+    assert AdjugateTable.of_entries(4, grid).entry(1, 1) == grid[1][1]
 
 
 def test_adjugate_product_identity():
@@ -447,12 +483,14 @@ def _old_form_checks(A, f, G):
 DELTAS = (1, -1, 2, Fraction(1, 3), gaussian(0, 1), gaussian(1, -2))
 
 
-def _one_coefficient_changed(rng, p):
+def _one_coefficient_changed(rng, p, free=()):
     """p with a delta added to one coefficient: mostly one it has, else one
-    of a random squarefree monomial."""
+    of a random squarefree monomial free of the variables ``free`` (an
+    adjugate entry (i, j) is free of x_i and x_j, and its table has no
+    place for another term)."""
     terms = dict(p.terms)
     exp = rng.choice(sorted(terms)) if terms and rng.random() < 0.8 else tuple(
-        rng.randint(0, 1) for _ in range(p.n)
+        rng.randint(0, 1) * (k not in free) for k in range(p.n)
     )
     terms[exp] = terms.get(exp, 0) + rng.choice(DELTAS)
     return MPoly(p.n, terms)
@@ -472,7 +510,7 @@ def test_verify_identities_on_corrupted_tables_match_the_old_form(monkeypatch):
         f = real_pencil(A).fpoly
         if trial < 16 or trial >= 24:
             i, j = rng.randrange(n), rng.randrange(n)
-            rows[i][j] = _one_coefficient_changed(rng, rows[i][j])
+            rows[i][j] = _one_coefficient_changed(rng, rows[i][j], (i, j))
         if trial >= 16:
             f = _one_coefficient_changed(rng, f)
         bad = AdjugateTable.of_entries(n, rows)
@@ -516,9 +554,10 @@ def test_verify_laplace_alone_builds_no_pencil_or_table(field, monkeypatch):
 
 @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
 def test_verify_packs_the_table_from_its_ranks(field, monkeypatch):
-    """The adjugate table is packed straight from its rank tuples: no entry
-    is built as a polynomial, and each packed entry is the one ``pack``
-    makes of that polynomial, its top 0 exactly when it is constant."""
+    """The adjugate table is packed straight from its coefficient tuples:
+    no entry is built as a polynomial, and each packed entry is the one
+    ``pack`` makes of that polynomial, its top 0 exactly when it is
+    constant."""
     A = matrix(rand_rows(random.Random(11), 5, field), field)
     constant = matrix([[1, 0, 2], [0, 1, 0], [0, 3, 1]])  # G_01 = A_02 A_21 = 6
     tables = [adjugate_table(B) for B in (A, constant)]
@@ -535,7 +574,7 @@ def test_verify_packs_the_table_from_its_ranks(field, monkeypatch):
     monkeypatch.setattr(AdjugateTable, "entry", refuse)
     assert verify_identities(A).all_ok
     for G, want in zip(tables, expected):
-        got = pack_ranked(G.coeffs, G.n, want[0].width)
+        got = pack_ranked(G.coeffs, [m.pick for m in G.monomials()], G.n, want[0].width)
         assert [(p.top, p.gauss, p.items, p.scale, p.bound) for p in got] == [
             (p.top, p.gauss, p.items, p.scale, p.bound) for p in want
         ]
