@@ -29,12 +29,15 @@ Y^2 + 1 over Q(i)); ``packed_product_terms`` gives the argument.  Keys
 whose sum cancels are dropped before any digit is read back, so ``terms``
 keeps its exponent-tuple form everywhere else and an identity checked as
 a sum that must vanish reads nothing back.  ``MPoly.__mul__`` (one pair)
-and ``product_sum`` pack their operands and call it.  A caller that enters
-one polynomial into many sums, as ``verify_identities`` does, packs it
-once with :func:`pack`, which also keeps its digit encoding between sums,
-and takes its restrictions to x_k = 0 and its derivatives from the packed
-form by key arithmetic, as the Rayleigh difference and the affine
-resultant do.
+and ``product_sum`` pack their operands and call it; the Rayleigh
+difference and the affine resultant slice their operands as polynomials
+and call ``product_sum``.  Many sums of products of squarefree operands,
+as ``verify_identities`` checks them, share one :class:`SlotLayout`: one
+radix, slot count and digit width for all the sums, each operand encoded
+once, each restriction to x_k = 0 and derivative taken from its parent's
+slot ints by key filters or digit masks, and each identity's sums
+accumulated as one, under a tag per sum, through the kernel's one
+accumulation loop, with no digit read back.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from functools import lru_cache
 from itertools import chain, compress
 from math import lcm
 from operator import itemgetter
-from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ExactDivisionError
 from .scalars import (
@@ -261,17 +264,11 @@ class Packed:
     ``gauss`` is set: when a coefficient was a ``GaussianRational`` at
     packing.  ``top`` bounds every exponent and ``bound`` every int.  All
     are recorded once, when the polynomial is packed, so no sum rescans
-    the terms for them.  ``restrict`` and ``derivative`` take x_k = 0 and
-    d/dx_k straight from the packed items, by key arithmetic.
-
-    The kernel multiplies blocks of coefficients as single ints
-    (``slot_ints``); the last such encoding is cached, so an operand
-    entered into many sums is encoded once while their radix, slot count
-    and digit width stay the same, and again when a sum needs a wider
-    digit than the one cached.
+    the terms for them.  ``slot_ints`` encodes the terms as the blocks of
+    coefficients that the kernel multiplies as single ints.
     """
 
-    __slots__ = ("width", "top", "gauss", "items", "scale", "bound", "_slots")
+    __slots__ = ("width", "top", "gauss", "items", "scale", "bound")
 
     def __init__(self, width: int, top: int, gauss: bool, items: list, scale: int, bound: int):
         self.width = width
@@ -280,36 +277,13 @@ class Packed:
         self.items = items
         self.scale = scale
         self.bound = bound
-        self._slots: Optional[Tuple[int, int, int, list]] = None  # (r, s, b, ints)
-
-    def restrict(self, k: int) -> "Packed":
-        """x_{k+1} := 0: the items whose field k is 0."""
-        s, mask = k * self.width, (1 << self.width) - 1
-        items = [t for t in self.items if not t[0] >> s & mask]
-        return Packed(self.width, self.top, self.gauss, items, self.scale, self.bound)
-
-    def derivative(self, k: int) -> "Packed":
-        """d/dx_{k+1}: on the items whose field k holds e > 0, one unit off
-        that field and the coefficient times e."""
-        s, mask = k * self.width, (1 << self.width) - 1
-        unit = 1 << s
-        if self.gauss:
-            items = [
-                (key - unit, r * e, i * e) for key, r, i in self.items if (e := key >> s & mask)
-            ]
-        else:
-            items = [(key - unit, c * e) for key, c in self.items if (e := key >> s & mask)]
-        return Packed(self.width, self.top, self.gauss, items, self.scale, self.bound * self.top)
 
     def slot_ints(self, r: int, s: int, b: int) -> List[Tuple[int, int]]:
         """The operand as ``(high key, int)`` pairs: its terms that agree
         outside the lowest s variables summed into one int, each
         coefficient in the b-bit digit sum(e_v r^v) of its pattern
         (e_0..e_{s-1}), a Gaussian's imaginary part r^s digits above its
-        real part.  Cached for the last (r, s, b)."""
-        cached = self._slots
-        if cached is not None and cached[:3] == (r, s, b):
-            return cached[3]
+        real part."""
         low = self.width * s
         mask = (1 << low) - 1
         shifts = _shifts(self.width, r, s, b)
@@ -325,9 +299,7 @@ class Packed:
             for key, c in self.items:
                 hi = key >> low
                 ints[hi] = get(hi, 0) + (c << shifts[key & mask])
-        out = [(hi, x) for hi, x in ints.items() if x]
-        self._slots = (r, s, b, out)
-        return out
+        return [(hi, x) for hi, x in ints.items() if x]
 
 
 @lru_cache(maxsize=64)
@@ -445,20 +417,11 @@ def packed_product_terms(
         pairs = [(sign * (L // (p.scale * q.scale)), p, q) for sign, p, q in pairs]
     C = sum(abs(w) * min(len(p.items), len(q.items)) * (p.bound or 1) * (q.bound or 1) for w, p, q in pairs)
     b = (2 * C if gauss else C).bit_length() + 2
-    for _, p, q in pairs:
-        for cached in (p._slots, q._slots):
-            if cached is not None and cached[2] > b and cached[:2] == (r, s):
-                b = cached[2]
-    out: Dict[int, int] = {}
-    get = out.get
+    terms = []
     for w, p, q in pairs:
-        a, c = p.slot_ints(r, s, b), q.slot_ints(r, s, b)
-        if w != 1:
-            a = [(h, x * w) for h, x in a]
-        for h1, x1 in a:
-            for h2, x2 in c:
-                k = h1 + h2
-                out[k] = get(k, 0) + x1 * x2
+        a = p.slot_ints(r, s, b)
+        terms.append((0, a if w == 1 else [(h, x * w) for h, x in a], q.slot_ints(r, s, b)))
+    out = _accumulate({}, terms)
     if gauss:
         fold = (1 << 2 * b * slots) + 1
         live = [(k, x) for k, x in out.items() if x % fold]
@@ -481,6 +444,127 @@ def packed_product_terms(
     shifts = range(0, width * n, width)
     mask = (1 << width) - 1
     return {tuple(k >> f & mask for f in shifts): c for k, c in sums}
+
+
+def _accumulate(out: Dict[int, int], terms: Iterable[Tuple[int, list, list]]) -> Dict[int, int]:
+    """The one accumulation loop of the product kernel: for each ``(tag, a,
+    c)``, every product x1 * x2 of an ``(h1, x1)`` in a and an ``(h2, x2)``
+    in c added into ``out`` under the key h1 + h2 + tag.  Returns ``out``."""
+    get = out.get
+    for tag, a, c in terms:
+        for h1, x1 in a:
+            h1 += tag
+            for h2, x2 in c:
+                k = h1 + h2
+                out[k] = get(k, 0) + x1 * x2
+    return out
+
+
+Encoded = List[Tuple[int, int]]  # (high key, slot int) pairs, as ``Packed.slot_ints`` gives them
+
+# Keys an accumulation of ``SlotLayout.failed`` holds before its finished sums are read.
+_FLUSH_KEYS = 1 << 10
+
+
+class SlotLayout:
+    """One Kronecker layout for many sums of products of squarefree
+    operands in n variables, each sum a check that must vanish, as
+    ``verify_identities`` checks each of its identities: every operand is
+    encoded once, every slice is taken from its parent's slot ints, and the
+    sums are one tagged accumulation.
+
+    A product of two squarefree polynomials has no exponent above 2, so the
+    radix is 3 for every sum, and s and the slot count are those of
+    ``packed_product_terms``: 3^s at most 27 slots over Q, 9 over Q(i).  The
+    digit width b is one for all the sums, with 2**(b-2) above ``bound``
+    (doubled over Q(i)), which the caller takes at least as large as
+    ``packed_product_terms``' bound C of every sum, its pairs all of weight
+    1, and as every operand's largest int, so the argument given there
+    holds here.  ``encode`` gives an operand's ``(high key, int)`` pairs
+    (``Packed.slot_ints``) times an int factor: the caller scales every
+    operand to one denominator, so that every pair has weight 1, and
+    negates an operand for a pair of sign -1.
+
+    Slices: above the slot variables, x_k = 0 keeps the high keys whose
+    field k is 0, and d/dx_k takes those whose field is 1, one unit lower.
+    On a slot variable they are digit masks: adding H, half a base in every
+    digit, makes each balanced digit nonnegative, so ((x + H) & K) - (H &
+    K) keeps exactly the digits that K selects, in place; K_k selects, in
+    each block, the slots whose pattern has e_k = 0, which is x_k = 0, and
+    shifting x + H down by b 3^k first brings each slot with e_k = 1 onto
+    the slot with e_k = 0 below it, which is d/dx_k of a squarefree
+    polynomial.  A slice has no more terms, no larger digit and no more
+    variables than its parent.
+    """
+
+    __slots__ = ("s", "b", "width", "tag_shift", "fold_bits", "half", "masks")
+
+    def __init__(self, n: int, width: int, gauss: bool, bound: int):
+        s = min(n, 2 if gauss else 3)
+        slots = 3**s
+        self.s = s
+        self.b = b = (2 * bound if gauss else bound).bit_length() + 2
+        self.width = width
+        self.tag_shift = width * (n - s)  # the high keys' fields, then the tag
+        self.fold_bits = 2 * b * slots if gauss else 0  # Y^2 = 2**fold_bits
+        places = range(2 * slots if gauss else slots)  # an operand's digits: one block, or two
+        digit = (1 << b) - 1
+        self.half = sum(1 << b * m + b - 1 for m in places)
+        keep = [sum(digit << b * m for m in places if m % slots // 3**k % 3 == 0) for k in range(s)]
+        self.masks = [(K, self.half & K) for K in keep]
+
+    def encode(self, p: Packed, factor: int) -> Encoded:
+        """The squarefree operand p times ``factor``, as slot ints."""
+        if p.top > 1:
+            raise ValueError("the slot layout takes squarefree operands only")
+        ints = p.slot_ints(3, self.s, self.b)
+        return ints if factor == 1 else [(h, x * factor) for h, x in ints]
+
+    def restrict(self, x: Encoded, k: int) -> Encoded:
+        """x_{k+1} := 0, from the slot ints ``x``."""
+        if k < self.s:
+            H, (K, HK) = self.half, self.masks[k]
+            return [(h, y) for h, c in x if (y := (c + H & K) - HK)]
+        unit = 1 << (k - self.s) * self.width
+        return [(h, c) for h, c in x if not h & unit]
+
+    def derivative(self, x: Encoded, k: int) -> Encoded:
+        """d/dx_{k+1} of the squarefree slot ints ``x``."""
+        if k < self.s:
+            H, (K, HK), t = self.half, self.masks[k], self.b * 3**k
+            return [(h, y) for h, c in x if (y := (c + H >> t & K) - HK)]
+        unit = 1 << (k - self.s) * self.width
+        return [(h - unit, c) for h, c in x if h & unit]
+
+    def failed(self, sums: Iterable[Iterable[Tuple[Encoded, Encoded]]]) -> Set[int]:
+        """The indices of the sums that do not vanish, each sum given as its
+        pairs (a, c) of weight 1.  The sums go into one accumulation, each
+        under its index as a tag field above the variable fields, and a sum
+        fails exactly when some key with its tag keeps a nonzero int (over
+        Q(i), one nonzero modulo Y^2 + 1); no digit is read.  Once the
+        accumulation holds ``_FLUSH_KEYS`` keys, the finished sums in it are
+        read and dropped, so the memory it takes stays bounded at large n."""
+        out: Dict[int, int] = {}
+        failed: Set[int] = set()
+        shift = self.tag_shift
+        for t, pairs in enumerate(sums):
+            if len(out) > _FLUSH_KEYS:
+                failed.update(self._nonzero_tags(out))
+                out = {}
+            tag = t << shift
+            _accumulate(out, [(tag, a, c) for a, c in pairs])
+        return failed.union(self._nonzero_tags(out))
+
+    def _nonzero_tags(self, out: Dict[int, int]) -> Set[int]:
+        """The tags of the keys whose int is nonzero, over Q(i) modulo
+        Y^2 + 1: there x = q Y^2 + r with 0 <= r < Y^2 is r - q modulo
+        Y^2 + 1, and |x| < Y^3 puts r - q in (-Y, Y^2 + Y], where 0 and
+        Y^2 + 1 are the only multiples of Y^2 + 1."""
+        shift, bits = self.tag_shift, self.fold_bits
+        if bits:
+            low, fold = (1 << bits) - 1, (1 << bits) + 1
+            return {k >> shift for k, x in out.items() if (r := (x & low) - (x >> bits)) and r != fold}
+        return {k >> shift for k, x in out.items() if x}
 
 
 def _balanced_digits(x: int, b: int, count: int) -> List[int]:
@@ -520,17 +604,9 @@ def rayleigh_difference(f: MPoly, i: int, j: int) -> MPoly:
         raise ValueError("rayleigh_difference needs two distinct variables")
     if f.degree(i) > 1 or f.degree(j) > 1:
         raise ValueError("rayleigh_difference requires degree <= 1 in both variables")
-    (packed,) = pack([f])
-    pairs = _rayleigh_pairs(packed.restrict(i), packed.derivative(i), j)
-    return MPoly._raw(f.n, packed_product_terms(f.n, pairs))
-
-
-def _rayleigh_pairs(f0: Packed, fi: Packed, j: int) -> List[Tuple[int, Packed, Packed]]:
-    """Delta_ij(f) = b*c - a*d as signed pairs, from the packed f0 = f|_{x_i=0}
-    and fi = df/dx_i: a, c are f0 at x_j = 0 and its x_j-derivative, b, d fi's."""
-    a, c = f0.restrict(j), f0.derivative(j)
-    b, d = fi.restrict(j), fi.derivative(j)
-    return [(1, b, c), (-1, a, d)]
+    f0, fi = f.substitute(i, 0), f.derivative(i)
+    pairs = [(1, fi.substitute(j, 0), f0.derivative(j)), (-1, f0.substitute(j, 0), fi.derivative(j))]
+    return product_sum(f.n, pairs)
 
 
 def affine_resultant(g: MPoly, h: MPoly, k: int) -> MPoly:
@@ -541,15 +617,7 @@ def affine_resultant(g: MPoly, h: MPoly, k: int) -> MPoly:
     g._check_compatible(h)
     if g.degree(k) > 1 or h.degree(k) > 1:
         raise ValueError("affine_resultant requires degree <= 1 in the variable")
-    pg, ph = pack([g, h])
-    pairs = _resultant_pairs(pg, ph.restrict(k), ph.derivative(k), k)
-    return MPoly._raw(g.n, packed_product_terms(g.n, pairs))
-
-
-def _resultant_pairs(g: Packed, h0: Packed, hk: Packed, k: int) -> List[Tuple[int, Packed, Packed]]:
-    """res_{x_k}(g, h) as signed pairs, from the packed g, h0 = h|_{x_k=0}
-    and hk = dh/dx_k."""
-    return [(1, g.restrict(k), hk), (-1, h0, g.derivative(k))]
+    return product_sum(g.n, [(1, g.substitute(k, 0), h.derivative(k)), (-1, h.substitute(k, 0), g.derivative(k))])
 
 
 def exact_divide(p: MPoly, q: MPoly) -> MPoly:

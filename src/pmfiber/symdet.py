@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, repeat
-from math import prod
+from math import lcm, prod
 from operator import itemgetter, neg
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -61,13 +61,12 @@ from .errors import SizeLimitError, VerificationError
 from .mpoly import (
     FreeMonomials,
     MPoly,
+    Encoded,
     Packed,
-    _rayleigh_pairs,
-    _resultant_pairs,
+    SlotLayout,
     free_monomials,
     pack,
     pack_ranked,
-    packed_product_terms,
     subset_table,
 )
 from .scalars import (
@@ -601,41 +600,77 @@ def adjugate_pencil_product_ok(G: AdjugateTable, pencil: DeterminantalPencil) ->
     """Exact check of G * (diag(x) + A) == f * I, each entry (i, j) as one
     signed sum of products that must vanish:
     sum_k G_ik * (A_kj + [k == j] x_j) - [i == j] f."""
-    return _adjugate_sums_vanish(*_packed_operands(G, pencil))
+    layout, f, G, M, one = _identity_operands("adjugate", _packed_operands(G, pencil), G.n)
+    return not layout.failed(_adjugate_sums(f, G, M, one))
 
 
-def _packed_operands(
-    G: AdjugateTable, pencil: DeterminantalPencil
-) -> Tuple[Packed, List[List[Packed]], List[List[Packed]], Packed]:
-    """f, the entries of G, those of diag(x) + A and the constant 1, each
-    packed once, all with one field width: G's straight from its
-    coefficients on each entry's free monomials (``pack_ranked``), the
-    width being f's, which bounds the exponent sum of every product of
-    these operands."""
-    A, f = pencil.base, pencil.fpoly
-    n = A.n
+def _packed_operands(G: AdjugateTable, pencil: DeterminantalPencil) -> List[Packed]:
+    """f, the constant 1, the entries of diag(x) + A and those of G, row
+    by row, each packed once, all with one field width, f's, which bounds
+    the exponent sum of every product of these operands; G straight from
+    its coefficients on each entry's free monomials (``pack_ranked``)."""
+    A, n = pencil.base, pencil.base.n
     M = [[MPoly.const(n, a) for a in row] for row in A.entries]
     for j in range(n):
         M[j][j] = M[j][j] + MPoly.var(n, j)
-    packed = iter(pack([f, MPoly.const(n, 1)] + list(chain(*M))))
-    pf, one = next(packed), next(packed)
-    pM = [[next(packed) for _ in range(n)] for _ in range(n)]
-    pG = iter(pack_ranked(G.coeffs, [m.pick for m in G.monomials()], n, pf.width))
-    return pf, [[next(pG) for _ in range(n)] for _ in range(n)], pM, one
+    packed = pack([pencil.fpoly, MPoly.const(n, 1)] + list(chain(*M)))
+    return packed + pack_ranked(G.coeffs, [m.pick for m in G.monomials()], n, packed[0].width)
 
 
-def _adjugate_sums_vanish(
-    f: Packed, G: List[List[Packed]], M: List[List[Packed]], one: Packed
-) -> bool:
-    """``adjugate_pencil_product_ok`` on packed operands: M is diag(x) + A."""
+def _identity_operands(identity: str, packed: List[Packed], n: int) -> tuple:
+    """One polynomial identity's ``SlotLayout``, and the operands its sums
+    read, each encoded once in it: f and the rows of G, and for adjugate
+    also the rows of diag(x) + A and the constant 1 (``packed`` as
+    ``_packed_operands`` gives them).
+
+    Each operand is scaled to D, the lcm of all their scales, so every pair
+    of a sum has weight 1.  The layout's digit bound is the largest that a
+    sum of the identity can reach, and at least every operand's own.  A
+    pair (p, q) adds at most min(#p, #q) products into a term, each at most
+    bound_p * bound_q, and at most 2^m of them when p and q share at most
+    m variables, as a squarefree term splits one way per shared variable
+    it holds once.  A slice has no more terms, no larger coefficient and no
+    more variables than its parent; G_ij is free of x_i and x_j, and an
+    entry of diag(x) + A holds at most x_j, which the entries of G it meets
+    are free of."""
+    f, one, M, G = packed[0], packed[1], packed[2 : 2 + n * n], packed[2 + n * n :]
+    D = lcm(*(p.scale for p in packed))
+    cf, cG = len(f.items), max((len(p.items) for p in G), default=0)
+    bf, bone, bM, bG = (max(((p.bound or 1) * (D // p.scale) for p in ps), default=1) for ps in ([f], [one], M, G))
+    if identity == "dodgson":
+        shared = 1 << max(n - 2, 0)
+        bound = min(cf, shared) * 2 * bf * bf + min(cG, shared) * bG * bG
+    elif identity == "resultant":
+        shared = 1 << max(n - 3, 0)
+        bound = min(cf, cG, shared) * 2 * bf * bG + min(cG, shared) * bG * bG
+    else:
+        bound = n * bG * bM + bf * bone
+    operands = [f] + G + (M + [one] if identity == "adjugate" else [])
+    layout = SlotLayout(n, f.width, any(p.gauss for p in operands), max(bound, bf, bone, bM, bG))
+    encoded = [layout.encode(p, D // p.scale) for p in operands]
+
+    def rows(start: int) -> List[List[Encoded]]:
+        return [encoded[start + i * n : start + (i + 1) * n] for i in range(n)]
+
+    if identity == "adjugate":
+        return layout, encoded[0], rows(1), rows(1 + n * n), encoded[-1]
+    return layout, encoded[0], rows(1)
+
+
+def _adjugate_sums(
+    f: Encoded, G: List[List[Encoded]], M: List[List[Encoded]], one: Encoded
+) -> Iterator[List[Tuple[Encoded, Encoded]]]:
+    """``adjugate_pencil_product_ok``'s sums on encoded operands, entry by
+    entry, each as pairs of weight 1: M is diag(x) + A."""
+    minus_f = _negated(f)
     n = len(G)
-    return all(
-        not packed_product_terms(
-            n, [(1, G[i][k], M[k][j]) for k in range(n)] + ([(-1, f, one)] if i == j else [])
-        )
-        for i in range(n)
-        for j in range(n)
-    )
+    for i in range(n):
+        for j in range(n):
+            yield [(G[i][k], M[k][j]) for k in range(n)] + ([(minus_f, one)] if i == j else [])
+
+
+def _negated(x: Encoded) -> Encoded:
+    return [(h, -c) for h, c in x]
 
 
 def matrix_from_adjugate(H: AdjugateTable, f: MPoly, field: Optional[str] = None) -> SquareMatrix:
@@ -807,14 +842,18 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
     b*c - a*d - G_ij*G_ji for dodgson, with f = a + b*x_i + c*x_j + d*x_i*x_j;
     G_ij|_{x_k=0} * df/dx_k - f|_{x_k=0} * dG_ij/dx_k - G_ik*G_kj for
     resultant; one sum per entry for adjugate (``adjugate_pencil_product_ok``).
-    Every operand is packed once per call: f, each G_ij, the entries of
-    diag(x) + A, and the slices f|_{x_k=0} and df/dx_k once per k; every
-    further restriction or derivative is taken from a packed operand by key
-    arithmetic.  The pencil, the table and the packed operands are built
-    only when dodgson, resultant or adjugate is asked for.  The Laplace
-    expansions read every minor det A[R, C] from one cofactor table, local
-    to the call, built by expansion along rows; det(A) itself comes from a
-    separate fraction-free elimination.
+    f, each G_ij, the entries of diag(x) + A and 1 are packed once per
+    call, and each identity encodes the ones it reads once, in its own
+    ``mpoly.SlotLayout``: one radix, slot count and digit width for all its
+    sums, the width the largest any of them needs.  Every slice, f|_{x_k=0}
+    and df/dx_k once per k and the slices of those and of each G_ij, is
+    taken from its parent's slot ints, a pair of sign -1 reads a negated
+    operand, and the identity's sums are one tagged accumulation, from
+    which no digit is read back.  The pencil, the table and the operands
+    are built only when dodgson, resultant or adjugate is asked for.  The
+    Laplace expansions read every minor det A[R, C] from one cofactor
+    table, local to the call, built by expansion along rows; det(A) itself
+    comes from a separate fraction-free elimination.
     Both sides of dodgson are symmetric in i, j, and the expansions along S
     and S^c are the same sum term for term (both subset lists are closed
     under complement), so each is computed once per pair and reported under
@@ -826,33 +865,43 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
     if {"dodgson", "resultant", "adjugate"}.intersection(identities):
-        pencil = det_poly(A)
-        f, G, M, one = _packed_operands(adjugate_table(A), pencil)
-        f0 = [f.restrict(k) for k in range(n)]
-        fd = [f.derivative(k) for k in range(n)]
+        packed = _packed_operands(adjugate_table(A), det_poly(A))
     checks: List[IdentityCheck] = []
     if "dodgson" in identities:
-        dodgson = {
-            (i, j): not packed_product_terms(
-                n, _rayleigh_pairs(f0[i], fd[i], j) + [(-1, G[i][j], G[j][i])]
-            )
-            for i, j in combinations(range(n), 2)
-        }
+        layout, f, G = _identity_operands("dodgson", packed, n)
+        restrict, derivative = layout.restrict, layout.derivative
+        f0 = [restrict(f, k) for k in range(n)]
+        fd = [derivative(f, k) for k in range(n)]
+        pairs = list(combinations(range(n), 2))
+        failed = layout.failed(
+            [
+                (restrict(fd[i], j), derivative(f0[i], j)),
+                (restrict(_negated(f0[i]), j), derivative(fd[i], j)),
+                (_negated(G[i][j]), G[j][i]),
+            ]
+            for i, j in pairs
+        )
+        dodgson = {pair: t not in failed for t, pair in enumerate(pairs)}
         for i in range(n):
             for j in range(n):
                 if i != j:
                     checks.append(IdentityCheck("dodgson", (i, j), dodgson[min(i, j), max(i, j)]))
     if "resultant" in identities:
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    pairs = _resultant_pairs(G[i][j], f0[k], fd[k], k) + [(-1, G[i][k], G[k][j])]
-                    ok = not packed_product_terms(n, pairs)
-                    checks.append(IdentityCheck("resultant", (i, j, k), ok))
+        layout, f, G = _identity_operands("resultant", packed, n)
+        restrict, derivative = layout.restrict, layout.derivative
+        minus_f0 = [_negated(restrict(f, k)) for k in range(n)]
+        fd = [derivative(f, k) for k in range(n)]
+        minus_G = [[_negated(x) for x in row] for row in G]
+        triples = [(i, j, k) for i in range(n) for j in range(n) if i != j for k in range(n) if k != i and k != j]
+        failed = layout.failed(
+            [
+                (restrict(G[i][j], k), fd[k]),
+                (minus_f0[k], derivative(G[i][j], k)),
+                (minus_G[i][k], G[k][j]),
+            ]
+            for i, j, k in triples
+        )
+        checks.extend(IdentityCheck("resultant", ijk, t not in failed) for t, ijk in enumerate(triples))
     if "laplace" in identities and n >= 2:
         d = det_fraction_free(A.entries)
         if n <= 8:
@@ -867,6 +916,6 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
             ok = laplace[S] = laplace[comp] if comp in laplace else _laplace_sum(rows, S, minors) == d
             checks.append(IdentityCheck("laplace", S, ok))
     if "adjugate" in identities:
-        ok = _adjugate_sums_vanish(f, G, M, one)
-        checks.append(IdentityCheck("adjugate", (), ok))
+        layout, f, G, M, one = _identity_operands("adjugate", packed, n)
+        checks.append(IdentityCheck("adjugate", (), not layout.failed(_adjugate_sums(f, G, M, one))))
     return IdentityReport(n, tuple(checks))

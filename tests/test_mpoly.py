@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from pmfiber import (
 )
 import pmfiber.mpoly as mpoly
 from pmfiber.mpoly import (
+    SlotLayout,
     exact_divide,
     pack,
     packed_product_terms,
@@ -515,49 +516,36 @@ def test_kernel_reads_i_blocks_exactly(monkeypatch):
         assert {exp: oracles.to_pair(c) for exp, c in got.terms.items()} == expected
 
 
-def test_cached_slot_encoding_widens_with_the_bound():
-    x, y = MPoly.var(2, 0), MPoly.var(2, 1)
-    p = 3 * x - 2 * y + 5 * x * y
-    big = MPoly(2, {(0, 0): 2**90, (1, 0): Fraction(1 - 2**90, 7)})
-    pp, pbig = pack([p, big])
-    square = packed_product_terms(2, [(1, pp, pp)])
-    narrow = pp._slots[2]
-    got = packed_product_terms(2, [(1, pp, pbig), (-1, pp, pp)])
-    wide = pp._slots[2]
-    assert wide > narrow
-    assert got == (p * big - p * p).terms
-    # a later sum that needs less reuses the wider encoding
-    assert packed_product_terms(2, [(1, pp, pp)]) == square == (p * p).terms
-    assert pp._slots[2] == wide
+def test_layout_slices_match_mpoly_at_the_digit_edge():
+    """Every coefficient of a squarefree p at +-(2**(b-2) - 1), above the
+    bound that sets b, in every slot and, over Q(i), in both blocks: for
+    every k, in and above the slot variables, x_k = 0 and d/dx_k taken from
+    p's slot ints, and the slices of those, are the slot ints of the same
+    slices taken with ``MPoly.substitute`` and ``MPoly.derivative``."""
+    rng = random.Random(29)
+    for gauss in (False, True):
+        for n in range(1, 6):
+            layout = SlotLayout(n, 8, gauss, 2**40 - 1)
+            assert (layout.s, layout.b) == (min(n, 2 if gauss else 3), 43 if gauss else 42)
+            edge = (1 << layout.b - 2) - 1
 
+            def part():
+                return rng.choice((edge, -edge))
 
-@st.composite
-def packable(draw):
-    """n in 1..3 and two polynomials whose exponents are small or large
-    enough that twice the largest reaches the bit-shift packing."""
-    n = draw(st.integers(1, 3))
-    exps = st.tuples(*[st.integers(0, 3) | st.integers(100, 300)] * n)
-    p, q = (MPoly(n, draw(st.dictionaries(exps, COEFFS, max_size=5))) for _ in range(2))
-    return n, p, q
-
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(packable())
-def test_packed_restrictions_and_derivatives_match_mpoly(drawn):
-    n, p, q = drawn
-    pp, pq, one = pack([p, q, MPoly.const(n, 1)])
-    top = max([e for exp in chain(p.terms, q.terms) for e in exp], default=0)
-    assert pp.width == (8 if 2 * top < 256 else (2 * top).bit_length())
-    for k in range(n):
-        p0, pd = p.substitute(k, 0), p.derivative(k)
-        assert packed_product_terms(n, [(1, pp.restrict(k), one)]) == p0.terms
-        assert packed_product_terms(n, [(1, pp.derivative(k), one)]) == pd.terms
-        pairs = [(1, p0, q.derivative(k)), (-1, pd, q), (1, q.substitute(k, 0), p)]
-        expected = _signed_oracle_sum([(sign, a.terms, b.terms) for sign, a, b in pairs])
-        p0k, pdk, qdk = pp.restrict(k), pp.derivative(k), pq.derivative(k)
-        got = packed_product_terms(n, [(1, p0k, qdk), (-1, pdk, pq), (1, pq.restrict(k), pp)])
-        assert got == product_sum(n, pairs).terms
-        assert {exp: oracles.to_pair(c) for exp, c in got.items()} == expected
+            p = MPoly(n, {exp: gaussian(part(), part()) if gauss else part() for exp in product((0, 1), repeat=n)})
+            slices = {(): p}
+            for k in range(n):
+                slices[k, "0"], slices[k, "d"] = p.substitute(k, 0), p.derivative(k)
+                for j in range(n):
+                    for how, q in (("0", slices[k, "0"]), ("d", slices[k, "d"])):
+                        slices[k, how, j, "0"], slices[k, how, j, "d"] = q.substitute(j, 0), q.derivative(j)
+            encoded = dict(zip(slices, (layout.encode(q, 1) for q in pack(list(slices.values())))))
+            take = {"0": layout.restrict, "d": layout.derivative}
+            for key, want in encoded.items():
+                got = encoded[()]
+                for k, how in zip(key[::2], key[1::2]):
+                    got = take[how](got, k)
+                assert dict(got) == dict(want), (gauss, n, key)
 
 
 def test_packed_kernel_rejects_operands_of_mixed_width():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmfiber.mpoly as mpoly
 import pmfiber.symdet as symdet
 from pmfiber.mpoly import pack, pack_ranked
 from pmfiber import (
@@ -452,9 +453,10 @@ def test_verify_identities_all_pass():
         assert report.passed == len(report.checks)
 
 
-def _old_form_checks(A, f, G):
+def _old_form_checks(A, f, G, laplace=True):
     """Each identity check of verify_identities, with ok computed by building
-    both sides separately and comparing them."""
+    both sides separately and comparing them; the Laplace checks only with
+    ``laplace`` set."""
     n = A.n
     x = [MPoly.var(n, k) for k in range(n)]
     d = oracles.det_perm(A.entries)
@@ -468,7 +470,7 @@ def _old_form_checks(A, f, G):
                     if k not in (i, j):
                         ok = affine_resultant(G[i][j], f, k) == G[i][k] * G[k][j]
                         out["resultant", (i, j, k)] = ok
-    for size in range(1, n):
+    for size in range(1, n if laplace else 1):
         for S in combinations(range(n), size):
             out["laplace", S] = _laplace_reference(A.entries, S) == d
     out["adjugate", ()] = all(
@@ -522,6 +524,91 @@ def test_verify_identities_on_corrupted_tables_match_the_old_form(monkeypatch):
         assert got == _old_form_checks(A, f, _grid(bad))
         failures[trial >= 16] += report.failed
     assert min(failures) > 0
+
+
+@st.composite
+def corrupted_verify_inputs(draw):
+    """Unfiltered n x n rows at n = 1..6, zeros included: over Q with ints,
+    over Q with Fractions (one entry at least has denominator 2, so scales
+    other than 1 occur), or over Q(i); which of G and f to corrupt, and a
+    random stream for ``_one_coefficient_changed``."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("ints", "fractions", "gaussian")))
+    entry = {
+        "ints": st.one_of(st.just(0), SMALL),
+        "fractions": st.one_of(st.just(0), Q_ENTRIES),
+        "gaussian": st.one_of(st.just(0), QI_ENTRIES),
+    }[kind]
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "fractions":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = Fraction(2 * draw(SMALL) + 1, 2)
+    target = draw(st.sampled_from(("table", "pencil", "both")))
+    return rows, target, draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(corrupted_verify_inputs())
+def test_verify_identities_on_drawn_corruptions_match_the_old_form(drawn):
+    """One coefficient of G, of f or of both changed as in the 32-trial test
+    above, at n = 1..6: n <= s and n > s take the slices on slot variables
+    and above them.  At n = 6 the polynomial identities alone are compared,
+    as the Laplace reference's permutation sums take seconds there; its
+    checks read neither G nor f."""
+    rows, target, rng = drawn
+    A = matrix(rows)
+    n = A.n
+    grid, f = _grid(adjugate_table(A)), det_poly(A).fpoly
+    if target != "pencil":
+        i, j = rng.randrange(n), rng.randrange(n)
+        grid[i][j] = _one_coefficient_changed(rng, grid[i][j], (i, j))
+    if target != "table":
+        f = _one_coefficient_changed(rng, f)
+    bad, pencil = AdjugateTable.of_entries(n, grid), DeterminantalPencil(A, f)
+    identities = symdet.IDENTITIES if n < 6 else ("dodgson", "resultant", "adjugate")
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(symdet, "adjugate_table", lambda _A: bad)
+        patched.setattr(symdet, "det_poly", lambda _A: pencil)
+        report = verify_identities(A, identities)
+    got = {(c.identity, c.indices): c.ok for c in report.checks}
+    assert got == _old_form_checks(A, f, _grid(bad), laplace=n < 6)
+
+
+@pytest.mark.parametrize("n, field", [(3, FIELD_Q), (6, FIELD_Q), (2, FIELD_QI), (5, FIELD_QI)])
+def test_verify_encodes_each_operand_once_per_identity(n, field, monkeypatch):
+    """One ``SlotLayout`` per polynomial identity, its digit width set by
+    that identity's sums: f and the n^2 entries of G encoded once in each,
+    the n^2 entries of diag(x) + A and 1 in adjugate's alone; no digit is
+    read back."""
+    layouts, encodings = [], []
+    real_init, real_encode = mpoly.SlotLayout.__init__, mpoly.SlotLayout.encode
+    monkeypatch.setattr(mpoly.SlotLayout, "__init__", lambda self, *a: layouts.append(self) or real_init(self, *a))
+    monkeypatch.setattr(mpoly.SlotLayout, "encode", lambda self, p, c: encodings.append(self) or real_encode(self, p, c))
+    monkeypatch.setattr(mpoly, "_balanced_digits", None)
+    A = matrix(rand_rows(random.Random(41), n, field), field)
+    assert verify_identities(A).all_ok
+    assert adjugate_pencil_product_ok(adjugate_table(A), det_poly(A))
+    dodgson, resultant, adjugate, alone = layouts
+    assert encodings == (
+        [dodgson] * (1 + n * n) + [resultant] * (1 + n * n) + [adjugate] * (2 + 2 * n * n) + [alone] * (2 + 2 * n * n)
+    )
+    assert {layout.s for layout in layouts} == {min(n, 3 if field == FIELD_Q else 2)}
+    assert adjugate.b == alone.b < resultant.b <= dodgson.b
+
+
+@pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+def test_verify_verdicts_do_not_depend_on_when_an_accumulation_is_read(field, monkeypatch):
+    """Read after every sum, or once per identity at this size, the tagged
+    accumulations give the same failing checks."""
+    rng = random.Random(43)
+    A = matrix(rand_rows(rng, 6, field), field)
+    rows = _grid(adjugate_table(A))
+    rows[5][0] = _one_coefficient_changed(rng, rows[5][0], (5, 0))
+    bad = AdjugateTable.of_entries(6, rows)
+    monkeypatch.setattr(symdet, "adjugate_table", lambda _A: bad)
+    whole = verify_identities(A)
+    monkeypatch.setattr(mpoly, "_FLUSH_KEYS", 0)
+    assert verify_identities(A) == whole
+    assert 0 < whole.failed < len(whole.checks)
 
 
 @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
