@@ -15,8 +15,7 @@ the result.  A symmetrizing witness is checked by conjugation as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import PreconditionError, VerificationError
 from .scalars import (
@@ -36,8 +35,7 @@ VERDICT_OVER_EXTENSION = "SymmetricEquivalentOverQuadraticExtension"
 VERDICT_NOT_SYMMETRIZABLE = "NotSymmetrizable"
 
 
-@dataclass(frozen=True)
-class DiagonalCertificate:
+class DiagonalCertificate(NamedTuple):
     """d holds n nonzero scalars; B = D*A*D^-1, or B = D*A^T*D^-1 if transposed."""
 
     d: Tuple[Scalar, ...]
@@ -117,8 +115,7 @@ def diagonal_equivalence(A: SquareMatrix, B: SquareMatrix) -> Optional[DiagonalC
     return None
 
 
-@dataclass(frozen=True)
-class SymmetrizabilityResult:
+class SymmetrizabilityResult(NamedTuple):
     """verdict plus, when the cycle condition is solvable, the e-vector
     (squared scaling, component representatives normalized to 1) and, when
     square roots exist in the field, the verified witness D."""

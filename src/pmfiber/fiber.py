@@ -28,8 +28,7 @@ no witness needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .equiv import (
     VERDICT_NOT_SYMMETRIZABLE,
@@ -76,8 +75,7 @@ _SWAP_REFUSAL = (
 )
 
 
-@dataclass(frozen=True)
-class CutCertificate:
+class CutCertificate(NamedTuple):
     """A subset X with 2 <= |X| <= n-2 whose two off-diagonal blocks
     A[X,X^c] and A[X^c,X] both have rank at most one."""
 
@@ -182,8 +180,7 @@ def find_cuts(A: SquareMatrix) -> List[CutCertificate]:
 # -- rank-one factorization of the adjugate across a cut -------------------------
 
 
-@dataclass(frozen=True)
-class FactorSplit:
+class FactorSplit(NamedTuple):
     """Factorizations G_ij = (-1)^i a_i b_j (rows X, columns X^c) and
     G_ij = (-1)^j c_i d_j (rows X^c, columns X), signs in 1-based parity.
 
@@ -415,8 +412,7 @@ def reducible_witness(A: SquareMatrix) -> SquareMatrix:
 # -- the classifier ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberClassification:
+class FiberClassification(NamedTuple):
     """verdict SinglePoint means the fiber is one diagonal-equivalence class;
     MultiPoint comes with a verified witness from a different class."""
 
@@ -495,8 +491,7 @@ def classify_fiber(A: SquareMatrix) -> FiberClassification:
 # -- symmetric and stable special cases ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetricFiberDescription:
+class SymmetricFiberDescription(NamedTuple):
     irreducible: bool
     shape: Optional[StructureReport]
     note: str
@@ -528,8 +523,7 @@ def symmetric_fiber_describe(A: SquareMatrix) -> SymmetricFiberDescription:
     )
 
 
-@dataclass(frozen=True)
-class StableCertificate:
+class StableCertificate(NamedTuple):
     """Blockwise structural certificate that det(diag(x)+A) is real stable."""
 
     verdict: str

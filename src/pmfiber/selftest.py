@@ -9,8 +9,7 @@ selftest subcommand; the test suite reuses the generators directly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .equiv import (
     DiagonalCertificate,
@@ -181,8 +180,7 @@ def planted_block_upper(rng: random.Random, n: int):
 # -- suite plumbing -----------------------------------------------------------------
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     trials: int
     failures: int

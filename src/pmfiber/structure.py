@@ -13,18 +13,16 @@ commands structure, fibershape, symfiber (reducible input) and stablecert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .mpoly import MPoly
 from .scalars import Scalar
 from .symdet import SquareMatrix, check_size, det_fraction_free
 
 
-@dataclass(frozen=True)
-class FrobeniusForm:
+class FrobeniusForm(NamedTuple):
     """order maps new position -> original index; blocks hold original indices."""
 
     order: Tuple[int, ...]
@@ -171,8 +169,7 @@ def block_det_poly(A: SquareMatrix, block: Sequence[int]) -> MPoly:
     return MPoly(n, terms)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """A's Frobenius form, block pencils, and block-form check.  Every
     matrix with A's principal minors is permutation-conjugate to a block
     upper triangular one whose diagonal block p has pencil factors[p] and

@@ -49,13 +49,12 @@ supported field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, repeat
 from math import lcm, prod
 from operator import itemgetter, neg
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import SizeLimitError, VerificationError
 from .mpoly import (
@@ -105,8 +104,7 @@ def check_size(name: str, n: int) -> None:
         raise SizeLimitError(f"{name} limited to n <= {cap}, got n = {n}")
 
 
-@dataclass(frozen=True)
-class SquareMatrix:
+class SquareMatrix(NamedTuple):
     """Immutable n x n matrix with a declared coefficient field."""
 
     entries: Tuple[Tuple[Scalar, ...], ...]
@@ -272,8 +270,7 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
 # -- principal minors and the determinantal pencil -------------------------------
 
 
-@dataclass(frozen=True)
-class PMVector:
+class PMVector(NamedTuple):
     """All 2^n principal minors of an n x n matrix: ``by_mask[mask]`` is
     det A[S] for the 0-based subset S of the k with bit k of ``mask`` set."""
 
@@ -294,8 +291,7 @@ class PMVector:
         return self.by_mask[sum(1 << k for k in S)]
 
 
-@dataclass(frozen=True)
-class DeterminantalPencil:
+class DeterminantalPencil(NamedTuple):
     """The pair (A, f) with f = det(diag(x1..xn) + A)."""
 
     base: SquareMatrix
@@ -309,8 +305,7 @@ class DeterminantalPencil:
         return PMVector(n, tuple(map(get, reversed(subset_table(n).exps), repeat(0))))
 
 
-@dataclass(frozen=True)
-class AdjugateTable:
+class AdjugateTable(NamedTuple):
     """Adjugate G of diag(x) + A, with G*(diag(x)+A) = f*I, stored over the
     monomials each entry can hold: entry (i, j) is a minor of diag(x) + A
     with row j and column i deleted, so it is free of x_i and x_j.
@@ -600,7 +595,11 @@ def adjugate_pencil_product_ok(G: AdjugateTable, pencil: DeterminantalPencil) ->
     """Exact check of G * (diag(x) + A) == f * I, each entry (i, j) as one
     signed sum of products that must vanish:
     sum_k G_ik * (A_kj + [k == j] x_j) - [i == j] f."""
-    layout, f, G, M, one = _identity_operands("adjugate", _packed_operands(G, pencil), G.n)
+    return _adjugate_ok(_packed_operands(G, pencil), G.n)
+
+
+def _adjugate_ok(packed: List[Packed], n: int) -> bool:
+    layout, f, G, M, one = _identity_operands("adjugate", packed, n)
     return not layout.failed(_adjugate_sums(f, G, M, one))
 
 
@@ -800,15 +799,13 @@ def _cofactor_layer(rows: _IntParts, rowlist: Sequence[int], minors: Dict[int, d
 # -- identity verification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     identity: str
     indices: Tuple[int, ...]
     ok: bool
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     n: int
     checks: Tuple[IdentityCheck, ...]
 
@@ -842,18 +839,19 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
     b*c - a*d - G_ij*G_ji for dodgson, with f = a + b*x_i + c*x_j + d*x_i*x_j;
     G_ij|_{x_k=0} * df/dx_k - f|_{x_k=0} * dG_ij/dx_k - G_ik*G_kj for
     resultant; one sum per entry for adjugate (``adjugate_pencil_product_ok``).
-    f, each G_ij, the entries of diag(x) + A and 1 are packed once per
-    call, and each identity encodes the ones it reads once, in its own
-    ``mpoly.SlotLayout``: one radix, slot count and digit width for all its
-    sums, the width the largest any of them needs.  Every slice, f|_{x_k=0}
-    and df/dx_k once per k and the slices of those and of each G_ij, is
-    taken from its parent's slot ints, a pair of sign -1 reads a negated
-    operand, and the identity's sums are one tagged accumulation, from
-    which no digit is read back.  The pencil, the table and the operands
-    are built only when dodgson, resultant or adjugate is asked for.  The
-    Laplace expansions read every minor det A[R, C] from one cofactor
-    table, local to the call, built by expansion along rows; det(A) itself
-    comes from a separate fraction-free elimination.
+    f, each G_ij, the entries of diag(x) + A and 1 are packed once per call.
+    Each identity is checked in a function of its own, so that what it
+    encodes is freed before the next one starts, and encodes the ones it
+    reads once in its own ``mpoly.SlotLayout``: one radix, slot count and
+    digit width for all its sums, the width the largest any of them needs.
+    Every slice, f|_{x_k=0} and df/dx_k once per k and the slices of those
+    and of each G_ij, is taken from its parent's slot ints, a pair of sign
+    -1 reads a negated operand, and the identity's sums are one tagged
+    accumulation, from which no digit is read back.  The pencil, the table
+    and the operands are built only when dodgson, resultant or adjugate is
+    asked for.  The Laplace expansions read every minor det A[R, C] from one
+    cofactor table, built by expansion along rows; det(A) itself comes from
+    a separate fraction-free elimination.
     Both sides of dodgson are symmetric in i, j, and the expansions along S
     and S^c are the same sum term for term (both subset lists are closed
     under complement), so each is computed once per pair and reported under
@@ -868,54 +866,63 @@ def verify_identities(A: SquareMatrix, identities: Sequence[str] = IDENTITIES) -
         packed = _packed_operands(adjugate_table(A), det_poly(A))
     checks: List[IdentityCheck] = []
     if "dodgson" in identities:
-        layout, f, G = _identity_operands("dodgson", packed, n)
-        restrict, derivative = layout.restrict, layout.derivative
-        f0 = [restrict(f, k) for k in range(n)]
-        fd = [derivative(f, k) for k in range(n)]
-        pairs = list(combinations(range(n), 2))
-        failed = layout.failed(
-            [
-                (restrict(fd[i], j), derivative(f0[i], j)),
-                (restrict(_negated(f0[i]), j), derivative(fd[i], j)),
-                (_negated(G[i][j]), G[j][i]),
-            ]
-            for i, j in pairs
-        )
-        dodgson = {pair: t not in failed for t, pair in enumerate(pairs)}
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    checks.append(IdentityCheck("dodgson", (i, j), dodgson[min(i, j), max(i, j)]))
+        checks += _dodgson_checks(packed, n)
     if "resultant" in identities:
-        layout, f, G = _identity_operands("resultant", packed, n)
-        restrict, derivative = layout.restrict, layout.derivative
-        minus_f0 = [_negated(restrict(f, k)) for k in range(n)]
-        fd = [derivative(f, k) for k in range(n)]
-        minus_G = [[_negated(x) for x in row] for row in G]
-        triples = [(i, j, k) for i in range(n) for j in range(n) if i != j for k in range(n) if k != i and k != j]
-        failed = layout.failed(
-            [
-                (restrict(G[i][j], k), fd[k]),
-                (minus_f0[k], derivative(G[i][j], k)),
-                (minus_G[i][k], G[k][j]),
-            ]
-            for i, j, k in triples
-        )
-        checks.extend(IdentityCheck("resultant", ijk, t not in failed) for t, ijk in enumerate(triples))
+        checks += _resultant_checks(packed, n)
     if "laplace" in identities and n >= 2:
-        d = det_fraction_free(A.entries)
-        if n <= 8:
-            subsets = [S for k in range(1, n) for S in combinations(range(n), k)]
-        else:
-            small = [S for k in (1, 2) for S in combinations(range(n), k)]
-            subsets = small + [tuple(x for x in range(n) if x not in S) for S in small]
-        rows, minors = _int_parts(A.entries), {}
-        laplace: Dict[Tuple[int, ...], bool] = {}
-        for S in subsets:
-            comp = tuple(x for x in range(n) if x not in S)
-            ok = laplace[S] = laplace[comp] if comp in laplace else _laplace_sum(rows, S, minors) == d
-            checks.append(IdentityCheck("laplace", S, ok))
+        checks += _laplace_checks(A)
     if "adjugate" in identities:
-        layout, f, G, M, one = _identity_operands("adjugate", packed, n)
-        checks.append(IdentityCheck("adjugate", (), not layout.failed(_adjugate_sums(f, G, M, one))))
+        checks.append(IdentityCheck("adjugate", (), _adjugate_ok(packed, n)))
     return IdentityReport(n, tuple(checks))
+
+
+def _dodgson_checks(packed: List[Packed], n: int) -> List[IdentityCheck]:
+    layout, f, G = _identity_operands("dodgson", packed, n)
+    restrict, derivative = layout.restrict, layout.derivative
+    f0 = [restrict(f, k) for k in range(n)]
+    fd = [derivative(f, k) for k in range(n)]
+    pairs = list(combinations(range(n), 2))
+    failed = layout.failed(
+        [
+            (restrict(fd[i], j), derivative(f0[i], j)),
+            (restrict(_negated(f0[i]), j), derivative(fd[i], j)),
+            (_negated(G[i][j]), G[j][i]),
+        ]
+        for i, j in pairs
+    )
+    ok = {pair: t not in failed for t, pair in enumerate(pairs)}
+    return [IdentityCheck("dodgson", (i, j), ok[min(i, j), max(i, j)]) for i in range(n) for j in range(n) if i != j]
+
+
+def _resultant_checks(packed: List[Packed], n: int) -> List[IdentityCheck]:
+    layout, f, G = _identity_operands("resultant", packed, n)
+    restrict, derivative = layout.restrict, layout.derivative
+    minus_f0 = [_negated(restrict(f, k)) for k in range(n)]
+    fd = [derivative(f, k) for k in range(n)]
+    minus_G = [[_negated(x) for x in row] for row in G]
+    triples = [(i, j, k) for i in range(n) for j in range(n) if i != j for k in range(n) if k != i and k != j]
+    failed = layout.failed(
+        [
+            (restrict(G[i][j], k), fd[k]),
+            (minus_f0[k], derivative(G[i][j], k)),
+            (minus_G[i][k], G[k][j]),
+        ]
+        for i, j, k in triples
+    )
+    return [IdentityCheck("resultant", ijk, t not in failed) for t, ijk in enumerate(triples)]
+
+
+def _laplace_checks(A: SquareMatrix) -> List[IdentityCheck]:
+    n = A.n
+    d = det_fraction_free(A.entries)
+    if n <= 8:
+        subsets = [S for k in range(1, n) for S in combinations(range(n), k)]
+    else:
+        small = [S for k in (1, 2) for S in combinations(range(n), k)]
+        subsets = small + [tuple(x for x in range(n) if x not in S) for S in small]
+    rows, minors = _int_parts(A.entries), {}
+    ok: Dict[Tuple[int, ...], bool] = {}
+    for S in subsets:
+        comp = tuple(x for x in range(n) if x not in S)
+        ok[S] = ok[comp] if comp in ok else _laplace_sum(rows, S, minors) == d
+    return [IdentityCheck("laplace", S, ok[S]) for S in subsets]

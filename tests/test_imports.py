@@ -8,6 +8,8 @@ library's ``ast`` and fails on any imported name the module never reads.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,18 @@ def test_package_exports_exactly_what_it_imports():
 def test_a_stale_or_missing_export_is_found():
     source = "from .a import kept, unlisted\n\n__all__ = ['kept', 'gone', 'kept']\n"
     assert _export_problems(source) == (["unlisted"], ["gone"], ["kept"])
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """``import pmfiber.cli`` in a fresh isolated interpreter adds neither
+    ``dataclasses`` nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize``
+    behind it) to ``sys.modules``: every command is one process, and that
+    import alone costs it about 8 ms of start-up.  Modules loaded before
+    the import (whatever ``site`` brings) do not count."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import pmfiber.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(pmfiber.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
